@@ -103,7 +103,16 @@ struct Options {
   // every wire query response is byte-identical to the single-process
   // reference aggregate.
   bool verify_fanin = false;
+  // Base seed of the encoded population (connection c encodes with
+  // seed + c) and, through QuerySeed, of the query intervals.
+  uint64_t seed = 0x10AD;
 };
+
+// The query intervals draw from their own stream. The mask keeps the
+// default --seed's stream at the historical fixed query seed 0x9E57.
+uint64_t QuerySeed(const Options& opt) {
+  return opt.seed ^ (uint64_t{0x10AD} ^ uint64_t{0x9E57});
+}
 
 bool ParseFlag(const std::string& arg, const std::string& name,
                std::string* value) {
@@ -134,6 +143,7 @@ Options ParseOptions(int argc, char** argv) {
     else if (ParseFlag(arg, "json", &v)) opt.json = v;
     else if (ParseFlag(arg, "trace", &v)) opt.trace = v;
     else if (ParseFlag(arg, "shards", &v)) opt.shards = static_cast<unsigned>(std::stoul(v));
+    else if (ParseFlag(arg, "seed", &v)) opt.seed = std::stoull(v, nullptr, 0);
     else if (arg == "--verify-fanin") opt.verify_fanin = true;
     else if (arg == "--assert-clean") opt.assert_clean = true;
     else {
@@ -142,7 +152,7 @@ Options ParseOptions(int argc, char** argv) {
                    "flags: --host --port --connections --users --chunk "
                    "--mechanism=flat|haar|tree --domain --eps --fanout "
                    "--workers --queries --reps --min-seconds --json "
-                   "--trace --shards --verify-fanin --assert-clean\n",
+                   "--trace --shards --seed --verify-fanin --assert-clean\n",
                    arg.c_str());
       std::exit(2);
     }
@@ -240,6 +250,7 @@ struct IngestResult {
   double mb_per_sec = 0.0;
   uint64_t reports = 0;
   uint64_t sessions = 0;
+  uint64_t messages = 0;  // framed messages sent: begin + chunks + end
   bool ok = true;
 };
 
@@ -253,6 +264,7 @@ IngestResult RunIngestRep(const Options& opt, const std::string& host,
   std::atomic<uint64_t> reports{0};
   std::atomic<uint64_t> bytes{0};
   std::atomic<uint64_t> sessions{0};
+  std::atomic<uint64_t> messages{0};
   std::atomic<bool> ok{true};
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
@@ -276,6 +288,7 @@ IngestResult RunIngestRep(const Options& opt, const std::string& host,
           return;
         }
         sessions.fetch_add(1);
+        messages.fetch_add(share.size() + 2);
         // Exact per-share count (the last share is short when --users is
         // not a multiple of --connections) so the scrape-time
         // reconciliation against server-side accepted+rejected is exact.
@@ -297,6 +310,7 @@ IngestResult RunIngestRep(const Options& opt, const std::string& host,
           .count();
   result.reports = reports.load();
   result.sessions = sessions.load();
+  result.messages = messages.load();
   result.ok = ok.load();
   result.reports_per_sec = elapsed > 0 ? result.reports / elapsed : 0.0;
   result.mb_per_sec = elapsed > 0 ? bytes.load() / elapsed / 1e6 : 0.0;
@@ -363,8 +377,7 @@ int RunSingle(const Options& opt) {
         const uint64_t end = std::min<uint64_t>(opt.users, begin + per_conn);
         if (begin < end) {
           share_users[c] = end - begin;
-          shares[c] =
-              EncodeShare(spec, end - begin, opt.chunk, /*seed=*/0x10AD + c);
+          shares[c] = EncodeShare(spec, end - begin, opt.chunk, opt.seed + c);
         }
       });
     }
@@ -375,6 +388,9 @@ int RunSingle(const Options& opt) {
   std::atomic<uint64_t> next_session{1};
   std::vector<double> rep_reports_per_sec, rep_mb_per_sec;
   uint64_t total_reports = 0, total_sessions = 0;
+  // Every framed message sent to the front-end, for the scrape-time
+  // net.messages_routed reconciliation.
+  uint64_t messages_sent = 0;
   bool ingest_ok = true;
   for (unsigned rep = 0; rep < opt.reps; ++rep) {
     const IngestResult r = RunIngestRep(opt, host, port, server_id, shares,
@@ -384,6 +400,7 @@ int RunSingle(const Options& opt) {
     rep_mb_per_sec.push_back(r.mb_per_sec);
     total_reports += r.reports;
     total_sessions += r.sessions;
+    messages_sent += r.messages;
     std::printf("loadgen: ingest rep %u/%u: %.0f reports/s (%.1f MB/s)\n",
                 rep + 1, opt.reps, r.reports_per_sec, r.mb_per_sec);
   }
@@ -404,11 +421,12 @@ int RunSingle(const Options& opt) {
     end.chunk_count = 0;
     end.flags = ldp::service::kStreamFlagFinalize;
     query_conn.Send(ldp::service::SerializeStreamEnd(end));
+    messages_sent += 2;
   }
 
   // Query phase. The first query also acts as the finalize sync point:
   // retry while the server still answers kNotFinalized.
-  Rng query_rng(0x9E57);
+  Rng query_rng(QuerySeed(opt));
   std::vector<double> latencies_us;
   uint64_t queries_ok = 0;
   for (uint64_t q = 0; q < opt.queries; ++q) {
@@ -425,6 +443,7 @@ int RunSingle(const Options& opt) {
     for (int attempt = 0; attempt < 2000; ++attempt) {
       const auto t0 = std::chrono::steady_clock::now();
       const std::vector<uint8_t> reply = query_conn.Call(bytes);
+      ++messages_sent;
       const auto t1 = std::chrono::steady_clock::now();
       if (ldp::service::ParseRangeQueryResponse(reply, &response) !=
           ldp::protocol::ParseError::kOk) {
@@ -557,10 +576,12 @@ int RunSingle(const Options& opt) {
         scrape.metrics.CounterOr(server_prefix + ".rejected");
     check(accepted + rejected == total_reports,
           "accepted + rejected == reports sent");
-    // Backpressure pauses always resolved.
-    check(scrape.metrics.CounterOr("net.read_pauses") ==
-              scrape.metrics.CounterOr("net.read_resumes"),
-          "net.read_pauses == net.read_resumes");
+    // Every message sent was routed exactly once: nothing stranded in a
+    // paused connection, nothing routed twice after a resume. (Pauses and
+    // resumes need not pair up — a resumed connection can re-pause on
+    // its next message — so they are not compared with each other.)
+    check(scrape.metrics.CounterOr("net.messages_routed") == messages_sent,
+          "net.messages_routed == messages sent");
     // The ingest queues drained to empty.
     const ldp::obs::GaugeValue* depth =
         scrape.metrics.FindGauge("service.queue_depth");
@@ -623,7 +644,8 @@ int RunSingle(const Options& opt) {
         << ", \"users\": " << opt.users << ", \"chunk\": " << opt.chunk
         << ", \"connections\": " << opt.connections
         << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
-        << ", \"min_seconds\": " << opt.min_seconds << "},\n"
+        << ", \"min_seconds\": " << opt.min_seconds
+        << ", \"seed\": " << opt.seed << "},\n"
         << "  \"ingest\": {\"reports_per_sec_median\": " << ingest_median
         << ", \"mb_per_sec_median\": " << mb_median
         << ", \"total_reports\": " << total_reports
@@ -755,8 +777,7 @@ int RunShardChild(const Options& opt, unsigned shard, int port_fd,
         const uint64_t end = std::min<uint64_t>(opt.users, begin + per_conn);
         if (begin < end) {
           share_users[c] = end - begin;
-          shares[c] = EncodeShare(spec, end - begin, opt.chunk,
-                                  /*seed=*/0x10AD + g);
+          shares[c] = EncodeShare(spec, end - begin, opt.chunk, opt.seed + g);
         }
       });
     }
@@ -921,7 +942,7 @@ int RunFanIn(const Options& opt) {
       const uint64_t end = std::min<uint64_t>(opt.users, begin + per_conn);
       if (begin >= end) continue;
       const auto chunks =
-          EncodeShare(spec, end - begin, opt.chunk, /*seed=*/0x10AD + g);
+          EncodeShare(spec, end - begin, opt.chunk, opt.seed + g);
       for (unsigned rep = 0; rep < opt.reps; ++rep) {
         for (const auto& chunk : chunks) {
           if (reference->AbsorbBatchSerialized(chunk) !=
@@ -992,7 +1013,7 @@ int RunFanIn(const Options& opt) {
     std::fprintf(stderr, "loadgen: query connection failed\n");
     return 1;
   }
-  Rng query_rng(0x9E57);
+  Rng query_rng(QuerySeed(opt));
   std::vector<double> latencies_us;
   uint64_t queries_ok = 0;
   uint64_t verify_mismatches = 0;
@@ -1144,7 +1165,7 @@ int RunFanIn(const Options& opt) {
         << ", \"connections_per_shard\": " << opt.connections
         << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
         << ", \"verify_fanin\": " << (opt.verify_fanin ? "true" : "false")
-        << "},\n"
+        << ", \"seed\": " << opt.seed << "},\n"
         << "  \"ingest\": {\"aggregate_reports_per_sec\": " << aggregate_rps
         << ", \"aggregate_mb_per_sec\": " << aggregate_mbps
         << ", \"shard_median_reports_per_sec\": " << shard_median_rps

@@ -1,7 +1,9 @@
 #include "frequency/hrr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/bit_util.h"
 #include "common/check.h"
@@ -64,22 +66,22 @@ void HrrOracle::AbsorbReport(const HrrReport& report) {
 }
 
 std::vector<double> HrrOracle::EstimateFractions() const {
-  std::vector<double> spectrum(padded_, 0.0);
   if (reports_ == 0) {
     return std::vector<double>(domain_, 0.0);
   }
-  for (uint64_t j = 0; j < padded_; ++j) {
-    spectrum[j] = static_cast<double>(coefficient_sums_[j]);
-  }
+  // One allocation: the transform and the scaling run in the vector that
+  // is returned, which is then cut from padded_ down to domain_ entries
+  // (a shrink, never a reallocation).
+  std::vector<double> est(coefficient_sums_.begin(), coefficient_sums_.end());
   // theta_hat[z] = FWHT(O)[z] / (N (2p-1)): the index-sampling factor D and
   // the two 1/sqrt(D) normalizations cancel exactly.
-  FastWalshHadamard(spectrum);
+  FastWalshHadamard(est);
   double scale =
       1.0 / (static_cast<double>(reports_) * (2.0 * KeepProbability() - 1.0));
-  std::vector<double> est(domain_, 0.0);
   for (uint64_t z = 0; z < domain_; ++z) {
-    est[z] = spectrum[z] * scale;
+    est[z] *= scale;
   }
+  est.resize(domain_);
   return est;
 }
 
@@ -97,12 +99,34 @@ void HrrOracle::MergeFrom(const FrequencyOracle& other) {
   reports_ += o->reports_;
 }
 
+void HrrOracle::MergeFromShard(HrrOracle& other) {
+  // A report-free oracle's sums are all zero (RestoreState enforces it
+  // for restored ones), so adopting other's sums equals adding them.
+  if (reports_ != 0) {
+    MergeFrom(other);
+    return;
+  }
+  CheckMergeCompatible(other);
+  coefficient_sums_.swap(other.coefficient_sums_);
+  std::swap(reports_, other.reports_);
+}
+
+// The sums are int64_t; the wire carries their two's complement bit
+// patterns, which is what a uint64_t view of the same words reads (the
+// aliasing rules allow a signed object to be accessed through its
+// unsigned counterpart).
 void HrrOracle::AppendState(std::vector<uint8_t>& out) const {
   protocol::AppendVarU64(out, reports_);
   protocol::AppendVarU64(out, padded_);
-  for (int64_t sum : coefficient_sums_) {
-    protocol::AppendU64(out, static_cast<uint64_t>(sum));
-  }
+  protocol::AppendU64Array(
+      out, std::span<const uint64_t>(
+               reinterpret_cast<const uint64_t*>(coefficient_sums_.data()),
+               coefficient_sums_.size()));
+}
+
+size_t HrrOracle::StateBytes() const {
+  return protocol::VarU64Size(reports_) + protocol::VarU64Size(padded_) +
+         8 * coefficient_sums_.size();
 }
 
 bool HrrOracle::RestoreState(protocol::WireReader& reader) {
@@ -115,10 +139,16 @@ bool HrrOracle::RestoreState(protocol::WireReader& reader) {
   // configuration (already fixed at construction), never an allocation
   // size — a forged value fails here without touching memory.
   if (padded != padded_) return false;
-  for (uint64_t j = 0; j < padded_; ++j) {
-    uint64_t sum = 0;
-    if (!reader.ReadU64(&sum)) return false;
-    coefficient_sums_[j] = static_cast<int64_t>(sum);
+  if (!reader.ReadU64Array(
+          coefficient_sums_.size(),
+          reinterpret_cast<uint64_t*>(coefficient_sums_.data()))) {
+    return false;
+  }
+  // No reports, no aggregate: MergeFromShard relies on it.
+  if (reports == 0 &&
+      std::any_of(coefficient_sums_.begin(), coefficient_sums_.end(),
+                  [](int64_t sum) { return sum != 0; })) {
+    return false;
   }
   reports_ = reports;
   return true;

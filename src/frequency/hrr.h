@@ -68,17 +68,28 @@ class HrrOracle final : public FrequencyOracle {
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;
 
+  /// MergeFrom for a shard that is merged once and then discarded: an
+  /// oracle that holds no reports yet swaps its (all-zero) sums with
+  /// `other`'s instead of adding them — the same result, in O(1). The
+  /// fan-in merge plane folds its reduced shards into an empty query
+  /// node this way, and that node then finalizes in memory the restore
+  /// already touched.
+  void MergeFromShard(HrrOracle& other);
+
   /// Appends this oracle's aggregate state in its canonical wire form:
   /// [reports varint][padded varint][padded x sum u64 (two's complement)].
   /// The counterpart of RestoreState; see service/state_wire.h.
   void AppendState(std::vector<uint8_t>& out) const;
 
+  /// Exact byte count AppendState appends.
+  size_t StateBytes() const;
+
   /// Restores serialized state into this (empty, identically configured)
-  /// oracle. Total over adversarial bytes: false on truncation or a
-  /// padded-domain mismatch (discard the oracle then — state may be
-  /// partially written). Reads exactly one AppendState record from
-  /// `reader`, so multi-oracle state bodies (per-level, per-tuple)
-  /// stream through one reader.
+  /// oracle. Total over adversarial bytes: false on truncation, a
+  /// padded-domain mismatch, or nonzero sums under a zero report count
+  /// (discard the oracle then — state may be partially written). Reads
+  /// exactly one AppendState record from `reader`, so multi-oracle state
+  /// bodies (per-level, per-tuple) stream through one reader.
   bool RestoreState(protocol::WireReader& reader);
 
  private:

@@ -293,11 +293,7 @@ void OlhOracle::AppendState(std::vector<uint8_t>& out) const {
   const uint64_t decoded = reports_ - pending;
   protocol::AppendVarU64(out, reports_);
   protocol::AppendU8(out, decoded > 0 ? 1 : 0);
-  if (decoded > 0) {
-    for (uint64_t j = 0; j < domain_; ++j) {
-      protocol::AppendU64(out, support_[j]);
-    }
-  }
+  if (decoded > 0) protocol::AppendU64Array(out, support_);
   protocol::AppendVarU64(out, pending);
   // The two columns follow the same append schedule (see DecodePending),
   // so zipping paired chunks walks the reports in ingest order.
@@ -313,6 +309,16 @@ void OlhOracle::AppendState(std::vector<uint8_t>& out) const {
   }
 }
 
+size_t OlhOracle::StateBytes() const {
+  std::lock_guard<std::mutex> lock(decode_mu_);
+  const uint64_t pending = pending_seeds_.size();
+  // Mirrors AppendState: the support section is present exactly when
+  // some report has been decoded; each pending record is 8 + 4 bytes.
+  return protocol::VarU64Size(reports_) + 1 +
+         (reports_ > pending ? 8 * support_.size() : 0) +
+         protocol::VarU64Size(pending) + 12 * pending;
+}
+
 bool OlhOracle::RestoreState(protocol::WireReader& reader) {
   uint64_t reports = 0;
   uint8_t decoded_flag = 0;
@@ -320,13 +326,11 @@ bool OlhOracle::RestoreState(protocol::WireReader& reader) {
     return false;
   }
   if (decoded_flag > 1) return false;
-  if (decoded_flag == 1) {
-    // domain_ is this oracle's own configuration, never a wire value.
-    for (uint64_t j = 0; j < domain_; ++j) {
-      uint64_t count = 0;
-      if (!reader.ReadU64(&count)) return false;
-      support_[j] = count;
-    }
+  // support_ is sized by this oracle's own configuration (domain_),
+  // never by a wire value.
+  if (decoded_flag == 1 &&
+      !reader.ReadU64Array(support_.size(), support_.data())) {
+    return false;
   }
   uint64_t pending = 0;
   if (!reader.ReadVarU64(&pending)) return false;

@@ -102,6 +102,9 @@ class OlhOracle final : public FrequencyOracle {
   /// RestoreState; see service/state_wire.h.
   void AppendState(std::vector<uint8_t>& out) const;
 
+  /// Exact byte count AppendState appends.
+  size_t StateBytes() const;
+
   /// Restores serialized state into this (empty, identically configured)
   /// oracle. Total over adversarial bytes: the declared pending count is
   /// floor-checked against the bytes actually present before any append,

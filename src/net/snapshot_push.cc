@@ -36,8 +36,12 @@ SnapshotPushResult PushStateSnapshot(TcpClient& client, uint64_t merge_id,
   request.shard_index = shard_index;
   request.shard_count = shard_count;
   request.flags = flags;
-  const std::vector<uint8_t> message =
-      service::SerializeStateMerge(request, snapshot);
+  // Only the small kStateMerge header is framed here; the snapshot goes
+  // out from the caller's buffer right behind it on the same stream, so
+  // the wire bytes equal SerializeStateMerge(request, snapshot) without
+  // a snapshot-sized copy.
+  std::vector<uint8_t> header;
+  service::AppendStateMergeHeader(header, request, snapshot.size());
 
   const int saved_timeout = client.receive_timeout_ms();
   client.set_receive_timeout_ms(options.receive_timeout_ms);
@@ -47,8 +51,9 @@ SnapshotPushResult PushStateSnapshot(TcpClient& client, uint64_t merge_id,
       options.jitter_seed != 0 ? options.jitter_seed : 0x9E3779B97F4A7C15ULL;
   uint64_t backoff_us = std::max<uint32_t>(options.initial_backoff_us, 1);
   for (uint32_t attempt = 0;; ++attempt) {
-    std::vector<uint8_t> ack = client.Call(message);
-    if (ack.empty()) {
+    std::vector<uint8_t> ack;
+    if (!client.Send(header) || !client.Send(snapshot) ||
+        !client.ReceiveMessage(&ack)) {
       result.transport_error = true;
       break;
     }

@@ -58,6 +58,8 @@ struct SnapshotPushResult {
 /// Pushes `snapshot` (a complete framed kStateSnapshot message) as shard
 /// `shard_index` of `shard_count` into merge group `merge_id` targeting
 /// hosted server `server_id`. Blocking; retries only on kWouldBlock.
+/// Copy-free: sends the kStateMerge header, then `snapshot` itself — the
+/// byte stream equals service::SerializeStateMerge(request, snapshot).
 SnapshotPushResult PushStateSnapshot(TcpClient& client, uint64_t merge_id,
                                      uint64_t server_id, uint64_t shard_index,
                                      uint64_t shard_count, uint8_t flags,

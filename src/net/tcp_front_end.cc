@@ -307,9 +307,32 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
       CloseConnection(conn.fd);
       return false;
     }
+    // Nothing is reserved from `total`: an announced length only counts
+    // once its bytes have arrived, so a bare header cannot make this node
+    // commit up to max_message_bytes.
     if (available < total) break;  // wait for the rest of the message
-    std::vector<uint8_t> message(head, head + total);
-    conn.read_pos += static_cast<size_t>(total);
+    const size_t frame_end = conn.read_pos + static_cast<size_t>(total);
+    const size_t tail = conn.read_buf.size() - frame_end;
+    std::vector<uint8_t> message;
+    if (total >= kReadChunk && tail < total) {
+      // A large frame (a state snapshot) is handed over in the read
+      // buffer itself instead of being copied out of it. Bytes after the
+      // frame (the head of a pipelined next message, fewer than the
+      // frame's) move to a fresh buffer; a consumed prefix is shifted
+      // out in place.
+      std::vector<uint8_t> rest(
+          conn.read_buf.begin() + static_cast<ptrdiff_t>(frame_end),
+          conn.read_buf.end());
+      if (conn.read_pos > 0) {
+        std::memmove(conn.read_buf.data(), head, static_cast<size_t>(total));
+      }
+      conn.read_buf.resize(static_cast<size_t>(total));
+      message = std::exchange(conn.read_buf, std::move(rest));
+      conn.read_pos = 0;
+    } else {
+      message.assign(head, head + total);
+      conn.read_pos = frame_end;
+    }
     if (!RouteMessage(conn, std::move(message))) break;  // paused
   }
   // Compact once the consumed prefix dominates the buffer.

@@ -408,15 +408,29 @@ void AheadServer::AppendStateBody(std::vector<uint8_t>& out) const {
   AppendVarU64(out, phase2_reports_);
   AppendVarU64(out, shape_.height());
   for (const std::vector<uint64_t>& level : phase1_counts_) {
-    for (uint64_t c : level) AppendU64(out, c);
+    AppendU64Array(out, level);
   }
   AppendU8(out, tree_.has_value() ? 1 : 0);
   if (tree_.has_value()) {
     AppendLengthPrefixedBytes(out, tree_message_);
     for (const std::vector<uint64_t>& level : level_counts_) {
-      for (uint64_t c : level) AppendU64(out, c);
+      AppendU64Array(out, level);
     }
   }
+}
+
+size_t AheadServer::StateBodyBytes() const {
+  auto count_bytes = [](const std::vector<std::vector<uint64_t>>& levels) {
+    size_t bytes = 0;
+    for (const std::vector<uint64_t>& level : levels) bytes += 8 * level.size();
+    return bytes;
+  };
+  size_t bytes = VarU64Size(phase1_reports_) + VarU64Size(phase2_reports_) +
+                 VarU64Size(shape_.height()) + count_bytes(phase1_counts_) + 1;
+  if (tree_.has_value()) {
+    bytes += 4 + tree_message_.size() + count_bytes(level_counts_);
+  }
+  return bytes;
 }
 
 bool AheadServer::RestoreStateBody(std::span<const uint8_t> body) {
@@ -431,11 +445,7 @@ bool AheadServer::RestoreStateBody(std::span<const uint8_t> body) {
   // Cross-check against this server's own shape, never an allocation size.
   if (height != shape_.height()) return false;
   for (std::vector<uint64_t>& level : phase1_counts_) {
-    for (uint64_t& c : level) {
-      uint64_t v = 0;
-      if (!reader.ReadU64(&v)) return false;
-      c = v;
-    }
+    if (!reader.ReadU64Array(level.size(), level.data())) return false;
   }
   uint8_t has_tree = 0;
   if (!reader.ReadU8(&has_tree)) return false;
@@ -470,11 +480,7 @@ bool AheadServer::RestoreStateBody(std::span<const uint8_t> body) {
       level_counts_.emplace_back(tree_->FrontierSize(l), 0);
     }
     for (std::vector<uint64_t>& level : level_counts_) {
-      for (uint64_t& c : level) {
-        uint64_t v = 0;
-        if (!reader.ReadU64(&v)) return false;
-        c = v;
-      }
+      if (!reader.ReadU64Array(level.size(), level.data())) return false;
     }
   }
   phase1_reports_ = p1;

@@ -107,6 +107,17 @@ void AppendEnvelopeHeader(std::vector<uint8_t>& out, MechanismTag mechanism,
   AppendU32(out, payload_len);
 }
 
+void PatchEnvelopePayloadLength(std::vector<uint8_t>& out,
+                                size_t frame_offset, size_t trailing_bytes) {
+  LDP_CHECK_LE(frame_offset + kEnvelopeHeaderSize, out.size());
+  const size_t payload_len =
+      out.size() - frame_offset - kEnvelopeHeaderSize + trailing_bytes;
+  LDP_CHECK_LE(payload_len, size_t{UINT32_MAX});
+  for (int i = 0; i < 4; ++i) {
+    out[frame_offset + 4 + i] = static_cast<uint8_t>(payload_len >> (8 * i));
+  }
+}
+
 ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out) {
   if (bytes.size() < kEnvelopeHeaderSize) return ParseError::kTruncated;
   if (bytes[0] != kEnvelopeMagic0 || bytes[1] != kEnvelopeMagic1) {

@@ -152,6 +152,15 @@ std::vector<uint8_t> EncodeEnvelope(MechanismTag mechanism,
 void AppendEnvelopeHeader(std::vector<uint8_t>& out, MechanismTag mechanism,
                           uint32_t payload_len);
 
+/// Closes a frame built in place: `out` holds, from `frame_offset`, a
+/// header appended by AppendEnvelopeHeader (any payload_len) and the
+/// first part of its payload, and `trailing_bytes` more payload bytes
+/// follow on the wire from a second buffer (0 when `out` holds it all).
+/// Rewrites payload_len to the exact total; CHECK-fails past UINT32_MAX.
+void PatchEnvelopePayloadLength(std::vector<uint8_t>& out,
+                                size_t frame_offset,
+                                size_t trailing_bytes = 0);
+
 /// Parses a complete v2 message. Exact framing: the buffer must hold the
 /// header plus exactly payload_len payload bytes.
 ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out);

@@ -211,6 +211,10 @@ void FlatHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
   oracle_->AppendState(out);
 }
 
+size_t FlatHrrServer::StateBodyBytes() const {
+  return oracle_->StateBytes();
+}
+
 bool FlatHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
   WireReader reader(body);
   return oracle_->RestoreState(reader) && reader.AtEnd();
@@ -226,7 +230,7 @@ service::MergeStatus FlatHrrServer::DoMergeFrom(
   // The base validated kind + configuration, and kFlat names exactly this
   // class, so the downcast is safe.
   auto& o = static_cast<FlatHrrServer&>(other);
-  oracle_->MergeFrom(*o.oracle_);
+  oracle_->MergeFromShard(*o.oracle_);
   return service::MergeStatus::kOk;
 }
 

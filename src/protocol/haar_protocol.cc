@@ -236,6 +236,12 @@ void HaarHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
   }
 }
 
+size_t HaarHrrServer::StateBodyBytes() const {
+  size_t bytes = VarU64Size(level_oracles_.size());
+  for (const auto& oracle : level_oracles_) bytes += oracle->StateBytes();
+  return bytes;
+}
+
 bool HaarHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
   WireReader reader(body);
   uint64_t levels = 0;
@@ -258,7 +264,7 @@ service::MergeStatus HaarHrrServer::DoMergeFrom(
     service::AggregatorServer& other) {
   auto& o = static_cast<HaarHrrServer&>(other);
   for (size_t l = 0; l < level_oracles_.size(); ++l) {
-    level_oracles_[l]->MergeFrom(*o.level_oracles_[l]);
+    level_oracles_[l]->MergeFromShard(*o.level_oracles_[l]);
   }
   return service::MergeStatus::kOk;
 }

@@ -139,6 +139,7 @@ class HaarHrrServer final : public service::AggregatorServer {
   }
   double state_epsilon() const override { return eps_; }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
+  size_t StateBodyBytes() const override;
   bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;

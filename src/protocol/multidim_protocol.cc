@@ -424,6 +424,14 @@ void MultiDimServer::AppendStateBody(std::vector<uint8_t>& out) const {
   }
 }
 
+size_t MultiDimServer::StateBodyBytes() const {
+  size_t bytes = VarU64Size(tuple_count_);
+  for (uint64_t t = 1; t < tuple_count_; ++t) {
+    bytes += oracles_[t]->StateBytes();
+  }
+  return bytes;
+}
+
 bool MultiDimServer::RestoreStateBody(std::span<const uint8_t> body) {
   WireReader reader(body);
   uint64_t tuples = 0;

@@ -174,6 +174,7 @@ class MultiDimServer final : public service::AggregatorServer {
   uint64_t state_fanout() const override { return shape_.fanout(); }
   double state_epsilon() const override { return eps_; }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
+  size_t StateBodyBytes() const override;
   bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;

@@ -232,6 +232,12 @@ void TreeHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
   }
 }
 
+size_t TreeHrrServer::StateBodyBytes() const {
+  size_t bytes = VarU64Size(level_oracles_.size());
+  for (const auto& oracle : level_oracles_) bytes += oracle->StateBytes();
+  return bytes;
+}
+
 bool TreeHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
   WireReader reader(body);
   uint64_t levels = 0;
@@ -259,7 +265,7 @@ service::MergeStatus TreeHrrServer::DoMergeFrom(
     return service::MergeStatus::kConfigMismatch;
   }
   for (size_t l = 0; l < level_oracles_.size(); ++l) {
-    level_oracles_[l]->MergeFrom(*o.level_oracles_[l]);
+    level_oracles_[l]->MergeFromShard(*o.level_oracles_[l]);
   }
   return service::MergeStatus::kOk;
 }

@@ -1,6 +1,7 @@
 #include "protocol/wire.h"
 
 #include <bit>
+#include <cstring>
 
 #include "common/check.h"
 
@@ -24,12 +25,30 @@ void AppendF64(std::vector<uint8_t>& out, double v) {
   AppendU64(out, std::bit_cast<uint64_t>(v));
 }
 
+void AppendU64Array(std::vector<uint8_t>& out,
+                    std::span<const uint64_t> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory words already are the wire bytes. insert() from a
+    // byte range copies straight in (no zero-fill first, unlike resize).
+    const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+    out.insert(out.end(), bytes, bytes + values.size_bytes());
+  } else {
+    out.reserve(out.size() + values.size_bytes());
+    for (uint64_t v : values) AppendU64(out, v);
+  }
+}
+
 void AppendVarU64(std::vector<uint8_t>& out, uint64_t v) {
   while (v >= 0x80) {
     out.push_back(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
   out.push_back(static_cast<uint8_t>(v));
+}
+
+size_t VarU64Size(uint64_t v) {
+  // 7 payload bits per byte; a zero still takes one byte.
+  return static_cast<size_t>(std::bit_width(v | 1) + 6) / 7;
 }
 
 void AppendLengthPrefixedBytes(std::vector<uint8_t>& out,
@@ -76,6 +95,22 @@ bool WireReader::ReadU64(uint64_t* v) {
     out |= static_cast<uint64_t>(p[i]) << (8 * i);
   }
   *v = out;
+  return true;
+}
+
+bool WireReader::ReadU64Array(size_t n, uint64_t* out) {
+  // Division, not n * 8: a forged count cannot wrap past the check.
+  if (!ok_ || n > Remaining() / 8) {
+    ok_ = false;
+    return false;
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n > 0) std::memcpy(out, bytes_.data() + position_, n * 8);
+    position_ += n * 8;
+  } else {
+    // Cannot fail: the check above covered every word.
+    for (size_t k = 0; k < n; ++k) ReadU64(&out[k]);
+  }
   return true;
 }
 

@@ -27,9 +27,21 @@ void AppendU64(std::vector<uint8_t>& out, uint64_t v);
 /// the query plane to ship estimates and variances.
 void AppendF64(std::vector<uint8_t>& out, double v);
 
+/// Appends `values` as consecutive 8-byte little-endian words: the same
+/// bytes as an AppendU64 loop, written in one insert (a memcpy on
+/// little-endian hosts, the byte loop elsewhere). The bulk codec for
+/// fixed-width aggregate-state arrays (HRR coefficient sums, OLH support,
+/// AHEAD level counts) — see service/state_wire.h.
+void AppendU64Array(std::vector<uint8_t>& out,
+                    std::span<const uint64_t> values);
+
 /// Appends `v` as an unsigned LEB128 varint (1..10 bytes, 7 bits per
 /// byte, low group first).
 void AppendVarU64(std::vector<uint8_t>& out, uint64_t v);
+
+/// Exact byte count AppendVarU64(out, v) appends — lets writers size a
+/// buffer once before filling it.
+size_t VarU64Size(uint64_t v);
 
 /// Appends a u32 byte count followed by the bytes themselves. The
 /// counterpart of WireReader::ReadLengthPrefixedBytes. Requires
@@ -49,6 +61,14 @@ class WireReader {
   bool ReadU8(uint8_t* v);
   bool ReadU32(uint32_t* v);
   bool ReadU64(uint64_t* v);
+
+  /// Reads `n` consecutive 8-byte little-endian words into out[0, n) —
+  /// the counterpart of AppendU64Array. All-or-nothing: when fewer than
+  /// 8n bytes remain the reader fails without writing to `out` or
+  /// advancing. The count is checked as n > Remaining() / 8, so a forged
+  /// n near SIZE_MAX / 8 cannot wrap 8n into a small length. `out` must
+  /// have room for n words (it is only written after the check passes).
+  bool ReadU64Array(size_t n, uint64_t* out);
 
   /// Reads an IEEE-754 double from its 8-byte little-endian bit pattern.
   bool ReadF64(double* v);

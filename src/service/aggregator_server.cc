@@ -48,6 +48,7 @@ void AggregatorServer::Finalize() {
 }
 
 std::vector<uint8_t> AggregatorServer::SerializeState() const {
+  obs::ScopedTimer timer(&snapshot_serialize_ns_, "server.snapshot_serialize");
   StateSnapshotHeader header;
   header.kind = state_kind();
   header.dimensions = dimensions();
@@ -57,9 +58,15 @@ std::vector<uint8_t> AggregatorServer::SerializeState() const {
   ServerStats counts = stats();
   header.accepted = counts.accepted;
   header.rejected = counts.rejected;
-  std::vector<uint8_t> body;
-  AppendStateBody(body);
-  return SerializeStateSnapshot(header, body);
+  const size_t body_bytes = StateBodyBytes();
+  std::vector<uint8_t> out;
+  out.reserve(kMaxStateSnapshotHeaderBytes + body_bytes);
+  const size_t frame = BeginStateSnapshot(out, header);
+  const size_t body_start = out.size();
+  AppendStateBody(out);
+  LDP_CHECK_EQ(out.size() - body_start, body_bytes);
+  protocol::PatchEnvelopePayloadLength(out, frame);
+  return out;
 }
 
 MergeStatus AggregatorServer::MergeSerializedState(

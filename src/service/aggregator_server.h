@@ -108,7 +108,10 @@ class AggregatorServer {
   /// *unfinalized* server — the snapshot is the shard's hand-off to a
   /// query node, taken after ingestion drains and instead of finalizing
   /// locally. Canonical: a restored snapshot re-serializes to the same
-  /// bytes.
+  /// bytes. One buffer write: the frame is sized once from
+  /// StateBodyBytes(), the envelope and snapshot headers and the body are
+  /// written into it in place, and the payload length is patched last.
+  /// Timed into snapshot_serialize_latency().
   std::vector<uint8_t> SerializeState() const;
 
   /// Merges one serialized kStateSnapshot into this server. Total over
@@ -137,7 +140,8 @@ class AggregatorServer {
 
   /// Folds `other`'s aggregate state and ingestion accounting into this
   /// server. Both must be unfinalized and identically configured. May
-  /// consume `other` (OLH pending queues splice in O(1)) — merge a shard
+  /// consume `other` (OLH pending queues splice in O(1); an HRR level
+  /// with no reports yet adopts other's sums in O(1)) — merge a shard
   /// once, then discard it. Aggregates are integer sums, so the result is
   /// bit-identical for every merge order and pairing.
   MergeStatus MergeFrom(AggregatorServer& other);
@@ -155,13 +159,17 @@ class AggregatorServer {
   uint64_t rejected_reports() const { return stats_.rejected(); }
 
   /// Stage latency histograms, recorded by the base around every
-  /// AbsorbBatchSerialized call and the one DoFinalize — nanoseconds,
-  /// snapshotted lock-free for the service's stats plane.
+  /// AbsorbBatchSerialized call, the one DoFinalize and every
+  /// SerializeState — nanoseconds, snapshotted lock-free for the
+  /// service's stats plane.
   obs::HistogramSnapshot absorb_batch_latency() const {
     return absorb_batch_ns_.Snapshot();
   }
   obs::HistogramSnapshot finalize_latency() const {
     return finalize_ns_.Snapshot();
+  }
+  obs::HistogramSnapshot snapshot_serialize_latency() const {
+    return snapshot_serialize_ns_.Snapshot();
   }
 
  protected:
@@ -192,6 +200,10 @@ class AggregatorServer {
   /// Appends the mechanism-specific state body (everything beyond the
   /// snapshot header) in its canonical form.
   virtual void AppendStateBody(std::vector<uint8_t>& out) const = 0;
+
+  /// Exact number of bytes AppendStateBody appends right now — what
+  /// SerializeState sizes its one buffer from (and CHECKs against).
+  virtual size_t StateBodyBytes() const = 0;
 
   /// Restores a state body into this (freshly cloned, empty) server.
   /// Total over adversarial bytes: false on any truncation, forged
@@ -240,6 +252,9 @@ class AggregatorServer {
  private:
   obs::LatencyHistogram absorb_batch_ns_;
   obs::LatencyHistogram finalize_ns_;
+  // Mutable: SerializeState is logically read-only; the histogram is
+  // lock-free instrumentation, not server state.
+  mutable obs::LatencyHistogram snapshot_serialize_ns_;
 };
 
 }  // namespace ldp::service

@@ -502,6 +502,9 @@ std::vector<uint8_t> AggregatorService::HandleStatsQuery(
           {prefix + "absorb_batch_ns", server.absorb_batch_latency()});
       servers.histograms.push_back(
           {prefix + "finalize_ns", server.finalize_latency()});
+      servers.histograms.push_back(
+          {prefix + "snapshot_serialize_ns",
+           server.snapshot_serialize_latency()});
     }
   }
   // Index order is not name order past 10 servers ("server10." sorts

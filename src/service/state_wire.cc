@@ -77,19 +77,28 @@ bool IsKnownMergeStatus(uint8_t status) {
   return status <= static_cast<uint8_t>(MergeStatus::kWouldBlock);
 }
 
+size_t BeginStateSnapshot(std::vector<uint8_t>& out,
+                          const StateSnapshotHeader& header) {
+  const size_t frame = out.size();
+  protocol::AppendEnvelopeHeader(out, MechanismTag::kStateSnapshot, 0);
+  protocol::AppendU8(out, static_cast<uint8_t>(header.kind));
+  protocol::AppendU8(out, static_cast<uint8_t>(header.dimensions));
+  protocol::AppendVarU64(out, header.domain);
+  protocol::AppendVarU64(out, header.fanout);
+  protocol::AppendF64(out, header.eps);
+  protocol::AppendVarU64(out, header.accepted);
+  protocol::AppendVarU64(out, header.rejected);
+  return frame;
+}
+
 std::vector<uint8_t> SerializeStateSnapshot(const StateSnapshotHeader& header,
                                             std::span<const uint8_t> body) {
-  std::vector<uint8_t> payload;
-  payload.reserve(40 + body.size());
-  protocol::AppendU8(payload, static_cast<uint8_t>(header.kind));
-  protocol::AppendU8(payload, static_cast<uint8_t>(header.dimensions));
-  protocol::AppendVarU64(payload, header.domain);
-  protocol::AppendVarU64(payload, header.fanout);
-  protocol::AppendF64(payload, header.eps);
-  protocol::AppendVarU64(payload, header.accepted);
-  protocol::AppendVarU64(payload, header.rejected);
-  payload.insert(payload.end(), body.begin(), body.end());
-  return EncodeEnvelope(MechanismTag::kStateSnapshot, payload);
+  std::vector<uint8_t> out;
+  out.reserve(kMaxStateSnapshotHeaderBytes + body.size());
+  const size_t frame = BeginStateSnapshot(out, header);
+  out.insert(out.end(), body.begin(), body.end());
+  protocol::PatchEnvelopePayloadLength(out, frame);
+  return out;
 }
 
 ParseError ParseStateSnapshot(std::span<const uint8_t> bytes,
@@ -142,17 +151,26 @@ ParseError ParseStateSnapshot(std::span<const uint8_t> bytes,
   return ParseError::kOk;
 }
 
+void AppendStateMergeHeader(std::vector<uint8_t>& out,
+                            const StateMergeRequest& request,
+                            size_t snapshot_bytes) {
+  const size_t frame = out.size();
+  protocol::AppendEnvelopeHeader(out, MechanismTag::kStateMerge, 0);
+  protocol::AppendU64(out, request.merge_id);
+  protocol::AppendU64(out, request.server_id);
+  protocol::AppendVarU64(out, request.shard_index);
+  protocol::AppendVarU64(out, request.shard_count);
+  protocol::AppendU8(out, request.flags);
+  protocol::PatchEnvelopePayloadLength(out, frame, snapshot_bytes);
+}
+
 std::vector<uint8_t> SerializeStateMerge(const StateMergeRequest& request,
                                          std::span<const uint8_t> snapshot) {
-  std::vector<uint8_t> payload;
-  payload.reserve(40 + snapshot.size());
-  protocol::AppendU64(payload, request.merge_id);
-  protocol::AppendU64(payload, request.server_id);
-  protocol::AppendVarU64(payload, request.shard_index);
-  protocol::AppendVarU64(payload, request.shard_count);
-  protocol::AppendU8(payload, request.flags);
-  payload.insert(payload.end(), snapshot.begin(), snapshot.end());
-  return EncodeEnvelope(MechanismTag::kStateMerge, payload);
+  std::vector<uint8_t> out;
+  out.reserve(protocol::kEnvelopeHeaderSize + 40 + snapshot.size());
+  AppendStateMergeHeader(out, request, snapshot.size());
+  out.insert(out.end(), snapshot.begin(), snapshot.end());
+  return out;
 }
 
 ParseError ParseStateMerge(std::span<const uint8_t> bytes,

@@ -127,8 +127,23 @@ struct StateMergeResponse {
   bool operator==(const StateMergeResponse&) const = default;
 };
 
+/// Most bytes BeginStateSnapshot appends: the envelope header plus the
+/// widest snapshot header (two u8, one f64, four varints of at most 10
+/// bytes each).
+inline constexpr size_t kMaxStateSnapshotHeaderBytes =
+    protocol::kEnvelopeHeaderSize + 2 + 8 + 4 * 10;
+
+/// The one kStateSnapshot framing implementation, in place: appends the
+/// envelope header (payload length still open) and the snapshot header
+/// to `out` and returns the frame's offset. Append the state body after
+/// it, then close the frame with protocol::PatchEnvelopePayloadLength.
+/// `header.body` is ignored — the body is whatever follows in `out`.
+size_t BeginStateSnapshot(std::vector<uint8_t>& out,
+                          const StateSnapshotHeader& header);
+
 /// Frames a snapshot header + mechanism state body as one kStateSnapshot
-/// message (the AggregatorServer::SerializeState back end).
+/// message (AggregatorServer::SerializeState writes the same bytes
+/// through BeginStateSnapshot without the intermediate body buffer).
 std::vector<uint8_t> SerializeStateSnapshot(const StateSnapshotHeader& header,
                                             std::span<const uint8_t> body);
 
@@ -139,8 +154,19 @@ std::vector<uint8_t> SerializeStateSnapshot(const StateSnapshotHeader& header,
 protocol::ParseError ParseStateSnapshot(std::span<const uint8_t> bytes,
                                         StateSnapshotHeader* header);
 
-/// Frames one fan-in push. `snapshot` must be a complete framed
-/// kStateSnapshot message (as produced by SerializeStateSnapshot).
+/// Appends a complete kStateMerge header — envelope (payload length
+/// counting the nested snapshot) plus request fields, 27 bytes for
+/// shard geometry below 128 — for a nested snapshot of `snapshot_bytes`
+/// bytes that follows it on the wire. `request.snapshot` is ignored.
+/// net::PushStateSnapshot sends this header and then the caller's
+/// snapshot buffer as is, so a push never copies the snapshot.
+void AppendStateMergeHeader(std::vector<uint8_t>& out,
+                            const StateMergeRequest& request,
+                            size_t snapshot_bytes);
+
+/// Frames one fan-in push: AppendStateMergeHeader plus the snapshot in
+/// one buffer. `snapshot` must be a complete framed kStateSnapshot
+/// message (as produced by SerializeStateSnapshot).
 std::vector<uint8_t> SerializeStateMerge(const StateMergeRequest& request,
                                          std::span<const uint8_t> snapshot);
 

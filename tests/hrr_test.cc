@@ -154,6 +154,17 @@ TEST(Hrr, MergeMatchesSequential) {
   for (uint64_t z = 0; z < 8; ++z) {
     EXPECT_DOUBLE_EQ(a[z], s[z]);
   }
+  // The consuming merge into an empty oracle adopts the shard's sums:
+  // bit-identical to adding them, and the shard is left empty.
+  std::vector<uint8_t> merged_state;
+  shard_a.AppendState(merged_state);
+  HrrOracle adopted(8, 1.0);
+  adopted.MergeFromShard(shard_a);
+  std::vector<uint8_t> adopted_state;
+  adopted.AppendState(adopted_state);
+  EXPECT_EQ(adopted_state, merged_state);
+  EXPECT_EQ(adopted.EstimateFractions(), a);
+  EXPECT_EQ(shard_a.report_count(), 0u);
 }
 
 TEST(Hrr, ReportBitsIsLogDPlusOne) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -22,9 +23,12 @@
 #include "net/snapshot_push.h"
 #include "net/tcp_client.h"
 #include "net/tcp_front_end.h"
+#include "obs/stats_wire.h"
+#include "protocol/ahead_protocol.h"
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/multidim_protocol.h"
 #include "protocol/tree_protocol.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
@@ -184,6 +188,7 @@ class GatedServer : public AggregatorServer {
   }
   double state_epsilon() const override { return 1.0; }
   void AppendStateBody(std::vector<uint8_t>&) const override {}
+  size_t StateBodyBytes() const override { return 0; }
   bool RestoreStateBody(std::span<const uint8_t>) override { return true; }
   std::unique_ptr<AggregatorServer> DoCloneEmpty() const override {
     return nullptr;
@@ -732,6 +737,237 @@ TEST(NetFanIn, WouldBlockRetriesReconcileWithServiceCounters) {
   EXPECT_EQ(stats.merges_completed, 2u);
   EXPECT_EQ(stats.merge_rejects, 0u);
   EXPECT_EQ(stats.merge_requests, 4u + b0.retries);
+}
+
+// --- Snapshot frames larger than the front-end's 64 KiB read chunk ----
+
+constexpr size_t kFrontEndReadChunk = 64 * 1024;
+
+// One spec per server kind, each sized so a shard snapshot spans many
+// socket reads (a D=2^16, B=4 tree snapshot is ~700 KB).
+std::vector<ServerSpec> LargeSnapshotSpecs() {
+  std::vector<ServerSpec> specs;
+  for (ServerKind kind : {ServerKind::kFlat, ServerKind::kHaar,
+                          ServerKind::kTree, ServerKind::kAhead}) {
+    specs.push_back(ServerSpec{kind, uint64_t{1} << 16, kEps});
+  }
+  ServerSpec grid{ServerKind::kGrid, 256, kEps};
+  grid.dimensions = 2;
+  specs.push_back(grid);
+  return specs;
+}
+
+// Two shard servers of `spec`, each holding a different half of one
+// population. AHEAD runs its whole two-phase flow: phase 1 on the shards,
+// the tree built from their merged snapshots, phase 2 on the shards.
+std::vector<std::unique_ptr<AggregatorServer>> IngestedShardPair(
+    const ServerSpec& spec) {
+  std::vector<std::unique_ptr<AggregatorServer>> shards;
+  for (int s = 0; s < 2; ++s) shards.push_back(MakeAggregatorServer(spec));
+  const uint64_t points = spec.kind == ServerKind::kGrid ? 12000 : 3000;
+  const uint64_t stride = spec.kind == ServerKind::kGrid ? spec.dimensions : 1;
+  const std::vector<uint64_t> values =
+      TestValues(points * stride, spec.domain);
+  const size_t half = values.size() / 2;
+  const std::span<const uint64_t> share[2] = {
+      std::span<const uint64_t>(values).first(half),
+      std::span<const uint64_t>(values).subspan(half)};
+  switch (spec.kind) {
+    case ServerKind::kGrid: {
+      protocol::MultiDimClient client(spec.domain, spec.dimensions, spec.eps,
+                                      spec.fanout);
+      for (int s = 0; s < 2; ++s) {
+        Rng rng(0x6A1D + s);
+        EXPECT_EQ(shards[s]->AbsorbBatchSerialized(
+                      client.EncodeUsersSerialized(share[s], rng)),
+                  protocol::ParseError::kOk);
+      }
+      break;
+    }
+    case ServerKind::kAhead: {
+      protocol::AheadClient client(spec.domain, spec.fanout, spec.eps);
+      std::unique_ptr<AggregatorServer> coordinator =
+          MakeAggregatorServer(spec);
+      for (int s = 0; s < 2; ++s) {
+        Rng rng(0xA1 + s);
+        std::vector<protocol::AheadWireReport> reports;
+        for (uint64_t v : share[s].first(share[s].size() / 2)) {
+          reports.push_back(client.EncodePhase1(v, rng));
+        }
+        EXPECT_EQ(shards[s]->AbsorbBatchSerialized(
+                      protocol::SerializeAheadReportBatch(reports)),
+                  protocol::ParseError::kOk);
+        EXPECT_EQ(
+            coordinator->MergeSerializedState(shards[s]->SerializeState()),
+            service::MergeStatus::kOk);
+      }
+      const std::vector<uint8_t> tree =
+          dynamic_cast<protocol::AheadServer&>(*coordinator).BuildTree();
+      EXPECT_TRUE(client.AbsorbTreeDescription(tree));
+      for (int s = 0; s < 2; ++s) {
+        EXPECT_TRUE(
+            dynamic_cast<protocol::AheadServer&>(*shards[s]).InstallTree(tree));
+        Rng rng(0xA2 + s);
+        EXPECT_EQ(shards[s]->AbsorbBatchSerialized(
+                      protocol::SerializeAheadReportBatch(
+                          client.EncodePhase2Users(
+                              share[s].subspan(share[s].size() / 2), rng))),
+                  protocol::ParseError::kOk);
+      }
+      break;
+    }
+    default: {
+      const auto chunks = EncodeChunks(spec, values, /*seed=*/0x1A26E);
+      for (size_t c = 0; c < chunks.size(); ++c) {
+        EXPECT_EQ(shards[c % 2]->AbsorbBatchSerialized(chunks[c]),
+                  protocol::ParseError::kOk);
+      }
+      break;
+    }
+  }
+  return shards;
+}
+
+// Writes `bytes` in small, growing pieces with a pause after each, so the
+// front-end assembles the frame (its 8-byte header included) over many
+// reads.
+void TrickleSend(TcpClient& client, std::span<const uint8_t> bytes) {
+  size_t piece = 3;
+  for (size_t sent = 0; sent < bytes.size();) {
+    const size_t n = std::min(piece, bytes.size() - sent);
+    ASSERT_TRUE(client.Send(bytes.subspan(sent, n)));
+    sent += n;
+    piece = std::min<size_t>(2 * piece + 1, 16 * 1024);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+}
+
+service::StateMergeResponse ReceiveAck(TcpClient& client) {
+  std::vector<uint8_t> bytes;
+  service::StateMergeResponse ack;
+  EXPECT_TRUE(client.ReceiveMessage(&bytes))
+      << net::RecvStatusName(client.last_receive_status());
+  EXPECT_EQ(service::ParseStateMergeResponse(bytes, &ack),
+            protocol::ParseError::kOk);
+  return ack;
+}
+
+uint64_t ReceiveMergeRequestsScrape(TcpClient& client) {
+  std::vector<uint8_t> bytes;
+  obs::StatsResponse scrape;
+  EXPECT_TRUE(client.ReceiveMessage(&bytes));
+  EXPECT_EQ(obs::ParseStatsResponse(bytes, &scrape), protocol::ParseError::kOk);
+  return scrape.metrics.CounterOr("service.merge_requests");
+}
+
+TEST(NetFanIn, LargeSnapshotFramesMergeBitIdenticalOverEveryDelivery) {
+  // Snapshots past the 64 KiB read chunk reach the merge plane through
+  // the front-end's large-frame handoff. Three deliveries of the same two
+  // shard snapshots, each into its own hosted server: PushStateSnapshot
+  // (header, then the snapshot buffer as is); the identical bytes
+  // trickled in small writes; and each push coalesced into one write
+  // between two small stats queries, so the frame starts after a
+  // consumed message and ends before the next one. Every merged state
+  // and answer must equal the in-process MergeSerializedState reference.
+  for (const ServerSpec& spec : LargeSnapshotSpecs()) {
+    SCOPED_TRACE(ServerKindName(spec.kind));
+    const auto shards = IngestedShardPair(spec);
+    std::vector<std::vector<uint8_t>> snaps;
+    for (const auto& shard : shards) {
+      snaps.push_back(shard->SerializeState());
+      ASSERT_GT(snaps.back().size(), kFrontEndReadChunk);
+    }
+    std::unique_ptr<AggregatorServer> reference = MakeAggregatorServer(spec);
+    for (const auto& snap : snaps) {
+      ASSERT_EQ(reference->MergeSerializedState(snap),
+                service::MergeStatus::kOk);
+    }
+    const std::vector<uint8_t> reference_state = reference->SerializeState();
+    reference->Finalize();
+
+    AggregatorService svc(/*worker_threads=*/2);
+    uint64_t ids[3];
+    for (uint64_t& id : ids) id = svc.AddServer(MakeAggregatorServer(spec));
+    TcpFrontEnd front(svc);
+    ASSERT_TRUE(front.Start());
+    TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
+    client.set_receive_timeout_ms(20'000);
+    auto merge_bytes = [&](uint64_t merge_id, uint64_t id, int s) {
+      service::StateMergeRequest request;
+      request.merge_id = merge_id;
+      request.server_id = id;
+      request.shard_index = static_cast<uint64_t>(s);
+      request.shard_count = 2;
+      return service::SerializeStateMerge(request, snaps[s]);
+    };
+    const std::vector<uint8_t> stats_query =
+        obs::SerializeStatsQuery(obs::StatsQuery{0x5CA9, 0});
+    uint64_t merge_requests = 0;
+    for (int s = 0; s < 2; ++s) {
+      net::SnapshotPushOptions options;
+      options.receive_timeout_ms = 20'000;
+      const net::SnapshotPushResult pushed = net::PushStateSnapshot(
+          client, /*merge_id=*/100, ids[0], s, 2, /*flags=*/0, snaps[s],
+          options);
+      ASSERT_TRUE(pushed.ok)
+          << net::RecvStatusName(client.last_receive_status());
+      EXPECT_EQ(pushed.shards_received, static_cast<uint64_t>(s) + 1);
+      ++merge_requests;
+
+      TrickleSend(client, merge_bytes(200, ids[1], s));
+      service::StateMergeResponse ack = ReceiveAck(client);
+      EXPECT_EQ(ack.merge_id, 200u);
+      EXPECT_EQ(ack.status, service::MergeStatus::kOk);
+      ++merge_requests;
+
+      std::vector<uint8_t> coalesced = stats_query;
+      const std::vector<uint8_t> merge = merge_bytes(300, ids[2], s);
+      coalesced.insert(coalesced.end(), merge.begin(), merge.end());
+      coalesced.insert(coalesced.end(), stats_query.begin(),
+                       stats_query.end());
+      ASSERT_TRUE(client.Send(coalesced));
+      // Request order is response order: the scrape before the push
+      // does not count it, the one after it does.
+      EXPECT_EQ(ReceiveMergeRequestsScrape(client), merge_requests);
+      ack = ReceiveAck(client);
+      EXPECT_EQ(ack.merge_id, 300u);
+      EXPECT_EQ(ack.status, service::MergeStatus::kOk);
+      ++merge_requests;
+      EXPECT_EQ(ReceiveMergeRequestsScrape(client), merge_requests);
+    }
+    front.Stop();
+
+    const service::ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.merge_requests, 6u);
+    EXPECT_EQ(stats.merges_completed, 3u);
+    EXPECT_EQ(stats.merge_rejects, 0u);
+    EXPECT_EQ(stats.merge_would_block, 0u);
+    EXPECT_EQ(stats.malformed_messages, 0u);
+    EXPECT_EQ(front.stats().protocol_errors, 0u);
+    EXPECT_EQ(svc.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
+              6u);
+    EXPECT_EQ(svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
+              3u);
+    std::vector<AxisInterval> box(reference->dimensions(),
+                                  AxisInterval{spec.domain / 8,
+                                               spec.domain / 2 + 3});
+    const RangeEstimate expected = reference->BoxQueryWithUncertainty(box);
+    for (uint64_t id : ids) {
+      SCOPED_TRACE(id);
+      EXPECT_EQ(svc.server(id).SerializeState(), reference_state);
+      ASSERT_TRUE(svc.FinalizeServer(id));
+      const RangeEstimate got = svc.server(id).BoxQueryWithUncertainty(box);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.value),
+                std::bit_cast<uint64_t>(expected.value));
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.stddev),
+                std::bit_cast<uint64_t>(expected.stddev));
+      if (reference->dimensions() == 1) {
+        EXPECT_EQ(svc.server(id).EstimateFrequencies(),
+                  reference->EstimateFrequencies());
+      }
+    }
+  }
 }
 
 TEST(NetProtocol, MalformedButFramedMessageSurvivesTheConnection) {

@@ -492,6 +492,7 @@ class GatedServer : public AggregatorServer {
   }
   double state_epsilon() const override { return 1.0; }
   void AppendStateBody(std::vector<uint8_t>&) const override {}
+  size_t StateBodyBytes() const override { return 0; }
   bool RestoreStateBody(std::span<const uint8_t>) override { return true; }
   std::unique_ptr<AggregatorServer> DoCloneEmpty() const override {
     return nullptr;

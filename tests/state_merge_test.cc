@@ -18,6 +18,7 @@
 #include "protocol/haar_protocol.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/tree_protocol.h"
+#include "protocol/wire.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
 #include "service/state_wire.h"
@@ -491,6 +492,17 @@ TEST(ServiceMergePlane, TypedErrorMatrix) {
     EXPECT_EQ(
         MustParseAck(MergePush(svc, 4, flat_id, 0, 1, 0, forged)).status,
         MergeStatus::kMalformedSnapshot);
+    // Complete, but an aggregate under a zero report count.
+    std::vector<uint8_t> body;
+    protocol::AppendVarU64(body, 0);        // reports
+    protocol::AppendVarU64(body, kDomain);  // padded
+    std::vector<uint64_t> sums(kDomain, 0);
+    sums[3] = 1;
+    protocol::AppendU64Array(body, sums);
+    forged = service::SerializeStateSnapshot(header, body);
+    EXPECT_EQ(
+        MustParseAck(MergePush(svc, 4, flat_id, 0, 1, 0, forged)).status,
+        MergeStatus::kMalformedSnapshot);
   }
   // Fan-in group hygiene: replayed shard, disagreeing geometry.
   EXPECT_EQ(MustParseAck(MergePush(svc, 5, flat_id, 0, 3, 0, flat_snapshot))
@@ -525,8 +537,8 @@ TEST(ServiceMergePlane, TypedErrorMatrix) {
   EXPECT_EQ(stats.merge_would_block, 1u);
   EXPECT_EQ(stats.merges_completed, 0u);
   // Every non-transient failure above, including the malformed request.
-  EXPECT_EQ(stats.merge_rejects, 8u);
-  EXPECT_EQ(stats.merge_requests, 11u);
+  EXPECT_EQ(stats.merge_rejects, 9u);
+  EXPECT_EQ(stats.merge_requests, 12u);
 }
 
 TEST(ServiceMergePlane, StreamedAndMergedIngestCompose) {

@@ -223,9 +223,16 @@ TEST(StatsWire, ForgedHistogramExtremesAreRejected) {
 TEST(StatsPlane, HandleStatsQueryServesServiceAndServerMetrics) {
   AggregatorService svc(/*worker_threads=*/0);
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
+  // A second, unfinalized server takes two state snapshots (a shard's
+  // hand-off), so the per-server serialize histogram has something to
+  // count.
+  uint64_t shard_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
   StreamSession(svc, /*session_id=*/1, server_id,
                 {EncodeBatch(200, 11), EncodeBatch(100, 12)});
   svc.Drain();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(svc.server(shard_id).SerializeState().empty());
+  }
 
   StatsResponse response = Scrape(svc);
   const MetricsSnapshot& m = response.metrics;
@@ -239,6 +246,14 @@ TEST(StatsPlane, HandleStatsQueryServesServiceAndServerMetrics) {
   const obs::HistogramValue* finalize = m.FindHistogram("server0.finalize_ns");
   ASSERT_NE(finalize, nullptr);
   EXPECT_EQ(finalize->histogram.count, 1u);
+  const obs::HistogramValue* serialize =
+      m.FindHistogram("server0.snapshot_serialize_ns");
+  ASSERT_NE(serialize, nullptr);
+  EXPECT_EQ(serialize->histogram.count, 0u);
+  serialize = m.FindHistogram("server1.snapshot_serialize_ns");
+  ASSERT_NE(serialize, nullptr);
+  EXPECT_EQ(serialize->histogram.count, 2u);
+  EXPECT_GT(serialize->histogram.sum, 0u);
   ASSERT_NE(m.FindHistogram("service.queue_wait_ns"), nullptr);
   const obs::GaugeValue* depth = m.FindGauge("service.queue_depth");
   ASSERT_NE(depth, nullptr);
@@ -293,10 +308,10 @@ TEST(StatsPlane, MalformedStatsQueryGetsTypedRejection) {
 TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
   AggregatorService svc(/*worker_threads=*/2);
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
-  StreamSession(svc, 1, server_id,
-                {EncodeBatch(100, 1), EncodeBatch(100, 2)});
-  // A second session with one duplicate chunk and a stray unknown-session
-  // chunk so the hygiene counters are non-zero.
+  // A session with one duplicate chunk and a stray unknown-session chunk
+  // so the hygiene counters are non-zero. It goes before the finalizing
+  // session: a chunk that reaches the server once its finalize has
+  // started is late, so sending it after would race the worker.
   svc.HandleMessage(service::SerializeStreamBegin({2, server_id}));
   std::vector<uint8_t> chunk = EncodeBatch(50, 3);
   svc.HandleMessage(service::SerializeStreamChunk(2, 0, chunk));
@@ -306,6 +321,8 @@ TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
   end.session_id = 2;
   end.chunk_count = 1;
   svc.HandleMessage(service::SerializeStreamEnd(end));
+  StreamSession(svc, 1, server_id,
+                {EncodeBatch(100, 1), EncodeBatch(100, 2)});
   svc.Drain();
 
   StatsResponse response = Scrape(svc);

@@ -153,6 +153,30 @@ std::vector<ParserUnderTest> AllParsers() {
          protocol::OlhWireReport r;
          return protocol::ParseOlhReport(bytes, &r);
        }});
+  // The bulk state-array reader behind every snapshot restore. The word
+  // count is the parser's own configuration (as a server's domain is),
+  // never read from the wire.
+  const std::vector<uint64_t> words = {0, 1, UINT64_MAX, 0x0123456789ABCDEF,
+                                       42};
+  std::vector<uint8_t> array_bytes;
+  protocol::AppendU64Array(array_bytes, words);
+  parsers.push_back(
+      {"u64_array", array_bytes,
+       [n = words.size()](std::span<const uint8_t> bytes) {
+         protocol::WireReader reader(bytes);
+         std::vector<uint64_t> out(n, 0);
+         if (!reader.ReadU64Array(n, out.data())) {
+           // All-or-nothing and sticky: nothing written or consumed, and
+           // no later read succeeds.
+           EXPECT_EQ(out, std::vector<uint64_t>(n, 0));
+           EXPECT_EQ(reader.Remaining(), bytes.size());
+           uint64_t word = 0;
+           EXPECT_FALSE(reader.ReadU64Array(0, &word));
+           EXPECT_FALSE(reader.ReadU64(&word));
+           return ParseError::kTruncated;
+         }
+         return reader.AtEnd() ? ParseError::kOk : ParseError::kTrailingJunk;
+       }});
   return parsers;
 }
 
@@ -209,6 +233,19 @@ TEST(WireAdversarial, ForgedPayloadLengthsNearUint32MaxFailCleanly) {
                                                : retagged[3];
       EXPECT_NE(p.parse(retagged), ParseError::kOk) << p.name;
     }
+  }
+  // The bulk state-array reader checks its word count by division: a
+  // forged count near SIZE_MAX / 8, where 8n wraps to a small length,
+  // fails without reading, writing or consuming anything.
+  const std::vector<uint8_t> few(64, 0xAB);
+  for (size_t forged : {SIZE_MAX / 8 + 1, SIZE_MAX / 8 + 2, SIZE_MAX / 8,
+                        SIZE_MAX}) {
+    protocol::WireReader reader(few);
+    uint64_t sink = 0;
+    EXPECT_FALSE(reader.ReadU64Array(forged, &sink)) << forged;
+    EXPECT_FALSE(reader.ok());
+    EXPECT_EQ(reader.Remaining(), few.size());
+    EXPECT_EQ(sink, 0u);
   }
 }
 

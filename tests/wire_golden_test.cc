@@ -500,6 +500,33 @@ TEST(WireGolden, V2StateSnapshotLayoutIsPinned) {
   EXPECT_EQ(std::vector<uint8_t>(back.body.begin(), back.body.end()), body);
 }
 
+TEST(WireGolden, V2FlatServerSnapshotBodyIsPinned) {
+  // A real server's SerializeState: the header above, then the HRR state
+  // body [reports varint][padded varint][padded x sum u64 LE, two's
+  // complement], written in place through the bulk array codec. Four
+  // reports over domain 4 leave coefficient sums {+1, 0, -2, +1}.
+  const std::vector<uint8_t> expected = {
+      0x4C, 0x52, 0x02, 0x30, 0x30, 0x00, 0x00, 0x00,
+      0x01, 0x01, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+      0x04, 0x00,
+      0x04, 0x04,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
+  protocol::FlatHrrServer server(4, 1.0);
+  const std::vector<HrrReport> reports = {{0, +1}, {2, -1}, {2, -1}, {3, +1}};
+  ASSERT_EQ(server.AbsorbBatchSerialized(
+                protocol::SerializeHrrReportBatch(reports)),
+            ParseError::kOk);
+  EXPECT_EQ(server.SerializeState(), expected);
+  protocol::FlatHrrServer restored(4, 1.0);
+  ASSERT_EQ(restored.MergeSerializedState(expected),
+            service::MergeStatus::kOk);
+  EXPECT_EQ(restored.SerializeState(), expected);
+}
+
 TEST(WireGolden, V2StateMergeLayoutIsPinned) {
   // "LR" | v2 | tag 0x31 | payload_len 41 | merge_id u64 LE |
   // server_id u64 LE | shard_index varint | shard_count varint |

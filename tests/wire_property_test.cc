@@ -204,11 +204,41 @@ TEST(WireProperty, VarintRoundTripIdentity) {
     std::vector<uint8_t> buf;
     protocol::AppendVarU64(buf, v);
     EXPECT_LE(buf.size(), 10u);
+    EXPECT_EQ(protocol::VarU64Size(v), buf.size()) << v;
     protocol::WireReader reader(buf);
     uint64_t back = 0;
     ASSERT_TRUE(reader.ReadVarU64(&back)) << v;
     EXPECT_TRUE(reader.AtEnd()) << v;
     EXPECT_EQ(back, v);
+  }
+}
+
+TEST(WireProperty, U64ArrayMatchesPerElementCodec) {
+  // The bulk state codec is a pure speedup: AppendU64Array writes exactly
+  // the bytes of an AppendU64 loop (after whatever the buffer already
+  // holds), and ReadU64Array reads them back, at every length.
+  Rng rng(3002);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{1000}}) {
+    std::vector<uint64_t> values(n);
+    for (uint64_t& v : values) {
+      v = rng.Next() >> static_cast<int>(rng.UniformInt(64));
+    }
+    if (n > 1) {
+      values[0] = 0;
+      values[1] = UINT64_MAX;
+    }
+    std::vector<uint8_t> loop = {0xEE};
+    std::vector<uint8_t> bulk = loop;
+    for (uint64_t v : values) protocol::AppendU64(loop, v);
+    protocol::AppendU64Array(bulk, values);
+    EXPECT_EQ(bulk, loop) << n;
+    protocol::WireReader reader(bulk);
+    uint8_t prefix = 0;
+    std::vector<uint64_t> back(n, 1);
+    ASSERT_TRUE(reader.ReadU8(&prefix));
+    ASSERT_TRUE(reader.ReadU64Array(n, back.data())) << n;
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(back, values);
   }
 }
 
