@@ -250,24 +250,57 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size) {
 
 namespace {
 
-// Shared absorb-path shape: feed the bytes down both the single-report
-// and batch ingestion paths, then finalize and query. The accounting
-// invariant — every byte buffer is either accepted or rejected, exactly
-// once per ingestion call — holds for all three servers.
-template <typename Server>
-int FuzzAbsorb(Server& server, std::span<const uint8_t> bytes,
-               uint64_t domain) {
-  server.AbsorbSerialized(bytes);
-  uint64_t ingested_once = server.accepted_reports() +
-                           server.rejected_reports();
-  LDP_FUZZ_ASSERT(ingested_once == 1);
+// Charges one rejection to `twin`: an empty message never parses.
+void ChargeRejection(service::AggregatorServer& twin) {
+  LDP_FUZZ_ASSERT(!twin.AbsorbSerialized(std::span<const uint8_t>()));
+}
 
+// Batch ingestion against its typed reference. `server` takes the bytes
+// through AbsorbBatchSerialized (the in-place slot walk); `twin` through
+// the typed Parse*ReportBatch and then per-report Absorb, with every
+// rejection the parser decides (the whole message on a structural
+// failure, one per malformed slot) charged as one unparseable message.
+// Both must reach the same error, accepted count, counters and snapshot
+// bytes.
+template <typename Server, typename Report>
+void CheckBatchAgainstTypedReference(
+    Server& server, Server& twin, std::span<const uint8_t> bytes,
+    ParseError (*parse)(std::span<const uint8_t>, std::vector<Report>*,
+                        uint64_t*)) {
   uint64_t accepted = 0;
-  protocol::ParseError err = server.AbsorbBatchSerialized(bytes, &accepted);
-  if (err != protocol::ParseError::kOk) {
-    LDP_FUZZ_ASSERT(accepted == 0);
+  ParseError err = server.AbsorbBatchSerialized(bytes, &accepted);
+  std::vector<Report> reports;
+  uint64_t malformed = 0;
+  ParseError reference = parse(bytes, &reports, &malformed);
+  uint64_t reference_accepted = 0;
+  if (reference != ParseError::kOk) {
+    ChargeRejection(twin);
+  } else {
+    for (uint64_t i = 0; i < malformed; ++i) ChargeRejection(twin);
+    for (const Report& report : reports) {
+      reference_accepted += twin.Absorb(report);
+    }
   }
-  LDP_FUZZ_ASSERT(server.accepted_reports() >= accepted);
+  LDP_FUZZ_ASSERT(err == reference);
+  LDP_FUZZ_ASSERT(accepted == reference_accepted);
+  LDP_FUZZ_ASSERT(server.stats() == twin.stats());
+  LDP_FUZZ_ASSERT(server.SerializeState() == twin.SerializeState());
+}
+
+// Shared absorb-path shape: feed the bytes down the single-report path
+// (exactly one accept-or-reject) and the batch path (checked against the
+// typed reference on a twin), then finalize and query.
+template <typename Server, typename Report>
+int FuzzAbsorb(Server& server, Server& twin, std::span<const uint8_t> bytes,
+               uint64_t domain,
+               ParseError (*parse)(std::span<const uint8_t>,
+                                   std::vector<Report>*, uint64_t*)) {
+  server.AbsorbSerialized(bytes);
+  twin.AbsorbSerialized(bytes);
+  LDP_FUZZ_ASSERT(server.accepted_reports() + server.rejected_reports() ==
+                  1);
+
+  CheckBatchAgainstTypedReference(server, twin, bytes, parse);
 
   server.Finalize();
   double total = server.RangeQuery(0, domain - 1);
@@ -279,32 +312,44 @@ int FuzzAbsorb(Server& server, std::span<const uint8_t> bytes,
 
 int FuzzFlatAbsorb(const uint8_t* data, size_t size) {
   protocol::FlatHrrServer server(/*domain=*/64, /*eps=*/1.0);
-  return FuzzAbsorb(server, AsSpan(data, size), 64);
+  protocol::FlatHrrServer twin(/*domain=*/64, /*eps=*/1.0);
+  return FuzzAbsorb(server, twin, AsSpan(data, size), 64,
+                    protocol::ParseHrrReportBatch);
 }
 
 int FuzzHaarAbsorb(const uint8_t* data, size_t size) {
   protocol::HaarHrrServer server(/*domain=*/64, /*eps=*/1.0);
-  return FuzzAbsorb(server, AsSpan(data, size), 64);
+  protocol::HaarHrrServer twin(/*domain=*/64, /*eps=*/1.0);
+  return FuzzAbsorb(server, twin, AsSpan(data, size), 64,
+                    protocol::ParseHaarHrrReportBatch);
 }
 
 int FuzzTreeAbsorb(const uint8_t* data, size_t size) {
   protocol::TreeHrrServer server(/*domain=*/128, /*fanout=*/4,
                                  /*eps=*/1.0);
-  return FuzzAbsorb(server, AsSpan(data, size), 128);
+  protocol::TreeHrrServer twin(/*domain=*/128, /*fanout=*/4, /*eps=*/1.0);
+  return FuzzAbsorb(server, twin, AsSpan(data, size), 128,
+                    protocol::ParseTreeHrrReportBatch);
 }
 
 int FuzzAheadAbsorb(const uint8_t* data, size_t size) {
   std::span<const uint8_t> bytes = AsSpan(data, size);
   protocol::AheadServer server(/*domain=*/64, /*fanout=*/4, /*eps=*/1.0);
+  protocol::AheadServer twin(/*domain=*/64, /*fanout=*/4, /*eps=*/1.0);
 
-  // Phase-1 era: exactly one accept-or-reject per single ingestion call.
+  // Phase-1 era: exactly one accept-or-reject per single ingestion call,
+  // then the batch path against its typed reference.
   server.AbsorbSerialized(bytes);
+  twin.AbsorbSerialized(bytes);
   LDP_FUZZ_ASSERT(server.accepted_reports() + server.rejected_reports() ==
                   1);
+  CheckBatchAgainstTypedReference(server, twin, bytes,
+                                  protocol::ParseAheadReportBatch);
 
   // The phase transition must be well-defined whatever arrived, and its
   // broadcast must parse back (server and client agree on the format).
   std::vector<uint8_t> tree_msg = server.BuildTree();
+  LDP_FUZZ_ASSERT(twin.BuildTree() == tree_msg);
   {
     uint64_t domain = 0;
     uint64_t fanout = 0;
@@ -318,12 +363,9 @@ int FuzzAheadAbsorb(const uint8_t* data, size_t size) {
   // must be rejected, a forged phase-2 report range-checked), then the
   // batch path.
   server.AbsorbSerialized(bytes);
-  uint64_t accepted = 0;
-  ParseError err = server.AbsorbBatchSerialized(bytes, &accepted);
-  if (err != ParseError::kOk) {
-    LDP_FUZZ_ASSERT(accepted == 0);
-  }
-  LDP_FUZZ_ASSERT(server.accepted_reports() >= accepted);
+  twin.AbsorbSerialized(bytes);
+  CheckBatchAgainstTypedReference(server, twin, bytes,
+                                  protocol::ParseAheadReportBatch);
 
   server.Finalize();
   double total = server.RangeQuery(0, 63);
@@ -371,15 +413,14 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size) {
   // Server ingestion contract, mirroring FuzzAbsorb for the 1-D servers.
   protocol::MultiDimServer server(/*domain_per_dim=*/16, /*dimensions=*/2,
                                   /*eps=*/1.0);
+  protocol::MultiDimServer twin(/*domain_per_dim=*/16, /*dimensions=*/2,
+                                /*eps=*/1.0);
   server.AbsorbSerialized(bytes);
+  twin.AbsorbSerialized(bytes);
   LDP_FUZZ_ASSERT(server.accepted_reports() + server.rejected_reports() ==
                   1);
-  uint64_t accepted = 0;
-  ParseError err = server.AbsorbBatchSerialized(bytes, &accepted);
-  if (err != ParseError::kOk) {
-    LDP_FUZZ_ASSERT(accepted == 0);
-  }
-  LDP_FUZZ_ASSERT(server.accepted_reports() >= accepted);
+  CheckBatchAgainstTypedReference(server, twin, bytes,
+                                  protocol::ParseMultiDimReportBatch);
 
   server.Finalize();
   const AxisInterval box[2] = {{0, 15}, {3, 12}};

@@ -32,6 +32,12 @@ namespace ldp::fuzz {
 /// family.
 int FuzzDecodeEnvelope(const uint8_t* data, size_t size);
 
+/// The absorb targets feed the bytes to a server's AbsorbSerialized and
+/// AbsorbBatchSerialized, and the batch result must match the typed
+/// reference on a twin server — Parse*ReportBatch, then per-report
+/// Absorb: the same ParseError, accepted count, counters and
+/// SerializeState() bytes.
+
 /// FlatHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize.
 int FuzzFlatAbsorb(const uint8_t* data, size_t size);
 
@@ -41,8 +47,8 @@ int FuzzHaarAbsorb(const uint8_t* data, size_t size);
 /// TreeHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize.
 int FuzzTreeAbsorb(const uint8_t* data, size_t size);
 
-/// AheadServer across both phase eras: absorb before BuildTree (phase-1
-/// era), again after (phase-2 era), batch ingest, ParseAheadTree
+/// AheadServer across both phase eras: single and batch ingest before
+/// BuildTree (phase-1 era), again after (phase-2 era), ParseAheadTree
 /// totality, then Finalize + query.
 int FuzzAheadAbsorb(const uint8_t* data, size_t size);
 

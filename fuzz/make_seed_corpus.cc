@@ -223,6 +223,78 @@ void EmitMultiDim() {
             ldp::service::SerializeMultiDimQueryRequest(query));
 }
 
+// One batch per absorb harness that holds every rejection class the
+// server decides next to valid items, so the corpus replay pins batch
+// ingestion against the typed reference on each of them. Parameters
+// replicate the harnesses (flat/haar D = 64, tree D = 128 B = 4, AHEAD
+// D = 64 B = 4, grid 16 x 16).
+void EmitEveryRejection() {
+  // Overwrites byte `offset` of item `k` (payload: [prefix][count varint,
+  // one byte][items]).
+  auto patch = [](std::vector<uint8_t>& msg, size_t prefix, size_t item_size,
+                  size_t k, size_t offset, uint8_t value) {
+    msg[kEnvelopeHeaderSize + prefix + 1 + k * item_size + offset] = value;
+  };
+  // Flat: index at the padded domain; bad sign byte.
+  std::vector<uint8_t> flat = SerializeHrrReportBatch(
+      std::vector<HrrReport>{{5, +1}, {63, -1}, {64, +1}, {7, +1}});
+  patch(flat, 0, 9, 3, 8, 0x55);
+  WriteFile("flat_absorb", "v2_batch_every_rejection", flat);
+  // Haar (height 6): level 0, level above the height, index at its
+  // level's size, bad sign.
+  std::vector<uint8_t> haar = SerializeHaarHrrReportBatch(
+      std::vector<HaarHrrReport>{{1, {5, +1}},
+                                 {6, {0, -1}},
+                                 {0, {0, +1}},
+                                 {7, {0, +1}},
+                                 {2, {16, +1}},
+                                 {3, {1, +1}}});
+  patch(haar, 0, 10, 5, 9, 2);
+  WriteFile("haar_absorb", "v2_batch_every_rejection", haar);
+  // Tree (height 4, 4^l nodes at level l): the same four classes.
+  std::vector<uint8_t> tree = SerializeTreeHrrReportBatch(
+      std::vector<TreeHrrReport>{{1, {2, +1}},
+                                 {4, {200, -1}},
+                                 {0, {0, +1}},
+                                 {5, {0, +1}},
+                                 {1, {4, +1}},
+                                 {2, {3, +1}}});
+  patch(tree, 0, 10, 5, 9, 2);
+  WriteFile("tree_absorb", "v2_batch_every_rejection", tree);
+  // AHEAD {phase, level, node}, items of both phases: the harness absorbs
+  // the batch in the phase-1 era (phase-2 items are early) and again in
+  // the phase-2 era (phase-1 items are late). Bad phases, level 0, levels
+  // above the height / any frontier count, nodes past a level / any
+  // frontier.
+  WriteFile("ahead_absorb", "v2_batch_every_rejection",
+            SerializeAheadReportBatch(std::vector<AheadWireReport>{
+                {1, 1, 3},
+                {1, 3, 63},
+                {2, 1, 3},
+                {3, 1, 0},
+                {0, 1, 0},
+                {1, 0, 0},
+                {2, 0, 0},
+                {1, 4, 0},
+                {2, 200, 0},
+                {1, 2, 16},
+                {2, 1, uint64_t{1} << 40}}));
+  // Grid (height 4, g = 4 at eps 1): the all-root tuple, a level above
+  // the height, a cell at the hash range. A batch carries one dims byte
+  // for all its items, so the foreign dimensionality gets its own batch.
+  WriteFile("multidim_absorb", "v2_batch_every_rejection",
+            SerializeMultiDimReportBatch(
+                2, std::vector<MultiDimReport>{{{1, 0}, 11, 1},
+                                               {{4, 4}, 12, 3},
+                                               {{0, 0}, 13, 0},
+                                               {{5, 0}, 14, 0},
+                                               {{1, 1}, 15, 4}}));
+  WriteFile("multidim_absorb", "v2_batch_foreign_dims",
+            SerializeMultiDimReportBatch(
+                3, std::vector<MultiDimReport>{{{1, 0, 2}, 16, 0},
+                                               {{0, 1, 0}, 17, 1}}));
+}
+
 void EmitAdversarial() {
   Rng rng(505);
   FlatHrrClient client(kFlatDomain, kEps);
@@ -550,6 +622,7 @@ int main(int argc, char** argv) {
   EmitTree();
   EmitAhead();
   EmitMultiDim();
+  EmitEveryRejection();
   EmitOracles();
   EmitAdversarial();
   EmitStream();

@@ -58,13 +58,6 @@ void HrrOracle::SubmitSignedValue(uint64_t value, int sign, Rng& rng) {
   AbsorbReport(HrrEncode(padded_, eps_, value, sign, rng));
 }
 
-void HrrOracle::AbsorbReport(const HrrReport& report) {
-  LDP_CHECK_LT(report.coefficient_index, padded_);
-  LDP_CHECK(report.sign == 1 || report.sign == -1);
-  coefficient_sums_[report.coefficient_index] += report.sign;
-  ++reports_;
-}
-
 std::vector<double> HrrOracle::EstimateFractions() const {
   if (reports_ == 0) {
     return std::vector<double>(domain_, 0.0);

@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "frequency/frequency_oracle.h"
 
 namespace ldp::protocol {
@@ -61,9 +62,22 @@ class HrrOracle final : public FrequencyOracle {
   void SubmitValue(uint64_t value, Rng& rng) override;
   void SubmitSignedValue(uint64_t value, int sign, Rng& rng) override;
   /// Server-side ingestion of an externally produced report (see
-  /// HrrEncode): the aggregation path used by the wire protocol. The
-  /// report's coefficient index must be < padded_domain().
-  void AbsorbReport(const HrrReport& report);
+  /// HrrEncode): the aggregation path used by the wire protocol.
+  /// CHECK-fails unless the coefficient index is < padded_domain() and
+  /// the sign is +/-1.
+  void AbsorbReport(const HrrReport& report) {
+    LDP_CHECK_LT(report.coefficient_index, padded_);
+    LDP_CHECK(report.sign == 1 || report.sign == -1);
+    AddValidatedReport(report);
+  }
+
+  /// AbsorbReport's add without its checks, inline for the wire servers'
+  /// per-slot fold, which has range-checked the report already (index <
+  /// padded_domain(), sign +/-1).
+  void AddValidatedReport(const HrrReport& report) {
+    coefficient_sums_[report.coefficient_index] += report.sign;
+    ++reports_;
+  }
   std::vector<double> EstimateFractions() const override;
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;

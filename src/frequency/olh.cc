@@ -137,15 +137,14 @@ void OlhOracle::IngestValue(uint64_t value, Rng& rng) {
 
 void OlhOracle::AbsorbReport(uint64_t seed, uint32_t cell) {
   LDP_CHECK_LT(cell, g_);
-  if (decode_ == OlhDecode::kEager) {
-    for (uint64_t j = 0; j < domain_; ++j) {
-      if (SeededHash(seed, j, g_) == cell) {
-        ++support_[j];
-      }
+  if (decode_ == OlhDecode::kDeferred) {
+    AppendPendingReport(seed, cell);
+    return;
+  }
+  for (uint64_t j = 0; j < domain_; ++j) {
+    if (SeededHash(seed, j, g_) == cell) {
+      ++support_[j];
     }
-  } else {
-    pending_seeds_.PushBack(seed);
-    pending_cells_.PushBack(cell);
   }
   ++reports_;
 }

@@ -84,6 +84,16 @@ class OlhOracle final : public FrequencyOracle {
   /// `cell` must be < hash_range() (validate before calling).
   void AbsorbReport(uint64_t seed, uint32_t cell);
 
+  /// AbsorbReport's deferred append, inline for the multidim server's
+  /// per-slot fold: queues one (seed, cell) report for the support scan.
+  /// Requires a kDeferred oracle and cell < hash_range(), both checked by
+  /// the caller.
+  void AppendPendingReport(uint64_t seed, uint32_t cell) {
+    pending_seeds_.PushBack(seed);
+    pending_cells_.PushBack(cell);
+    ++reports_;
+  }
+
   double ReportBits() const override;
   double EstimatorVariance() const override;
   void SubmitValue(uint64_t value, Rng& rng) override;

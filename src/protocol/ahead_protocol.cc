@@ -23,21 +23,16 @@ void AppendItem(std::vector<uint8_t>& out, const AheadWireReport& report) {
   AppendU64(out, report.node);
 }
 
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, AheadWireReport* report) {
-  uint8_t phase = 0;
-  uint8_t level = 0;
-  uint64_t node = 0;
-  if (!reader.ReadU8(&phase) || !reader.ReadU8(&level) ||
-      !reader.ReadU64(&node)) {
-    return false;
-  }
-  if (phase != 1 && phase != 2) return false;
-  if (level == 0) return false;
+// Decodes one fixed-size item slot ([phase u8][level u8][node u64]);
+// false on an unknown phase or level 0. The one decoder behind the
+// single-report parser, the typed batch parser and the server's slot loop.
+bool DecodeItem(const uint8_t* slot, AheadWireReport* report) {
+  const uint8_t phase = slot[0];
+  const uint8_t level = slot[1];
+  if ((phase != 1 && phase != 2) || level == 0) return false;
   report->phase = phase;
   report->level = level;
-  report->node = node;
+  report->node = LoadU64Le(slot + 2);
   return true;
 }
 
@@ -59,11 +54,10 @@ ParseError ParseAheadReportDetailed(std::span<const uint8_t> bytes,
   if (env.mechanism != MechanismTag::kAheadReport) {
     return ParseError::kBadPayload;
   }
-  if (env.payload.size() != kItemSize) return ParseError::kBadPayload;
-  WireReader reader(env.payload);
-  AheadWireReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (env.payload.size() != kItemSize ||
+      !DecodeItem(env.payload.data(), report)) {
+    return ParseError::kBadPayload;
+  }
   return ParseError::kOk;
 }
 
@@ -86,30 +80,11 @@ std::vector<uint8_t> SerializeAheadReportBatch(
 ParseError ParseAheadReportBatch(std::span<const uint8_t> bytes,
                                  std::vector<AheadWireReport>* reports,
                                  uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
+  ReportBatch batch;
+  ParseError err = OpenReportBatch(bytes, MechanismTag::kAheadReportBatch,
+                                   kItemSize, &batch);
   if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kAheadReportBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint64_t count = 0;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  if (count > reader.Remaining() / kItemSize ||
-      reader.Remaining() != count * kItemSize) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    AheadWireReport report;
-    if (ReadItem(reader, &report)) {
-      reports->push_back(report);
-    } else {
-      ++bad;
-    }
-  }
+  uint64_t bad = DecodeReportSlots(batch, DecodeItem, reports);
   if (malformed != nullptr) *malformed = bad;
   return ParseError::kOk;
 }
@@ -279,34 +254,30 @@ std::span<const uint8_t> AheadServer::AcceptedWireVersions() const {
   return kAccepted;
 }
 
-bool AheadServer::Absorb(const AheadWireReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.phase == 1) {
-    // Phase-1 reports after the tree broadcast are stale: accepting them
-    // would let a client influence a decomposition other clients already
-    // encode against.
-    if (tree_.has_value() || report.level == 0 ||
-        report.level > shape_.height() ||
-        report.node >= shape_.NodesAtLevel(report.level)) {
-      stats_.CountRejected();
-      return false;
-    }
-    ++phase1_counts_[report.level - 1][report.node];
-    ++phase1_reports_;
-  } else if (report.phase == 2) {
-    if (!tree_.has_value() || report.level == 0 ||
-        report.level > tree_->num_levels() ||
-        report.node >= tree_->FrontierSize(report.level)) {
-      stats_.CountRejected();
-      return false;
-    }
-    ++level_counts_[report.level - 1][report.node];
-    ++phase2_reports_;
-  } else {
-    stats_.CountRejected();
+AheadServer::OpenEra AheadServer::open_era() {
+  // Phase-1 reports after the tree broadcast are stale: accepting them
+  // would let a client influence a decomposition other clients already
+  // encode against. Phase-2 reports before it have no frontier to land in.
+  if (tree_.has_value()) return OpenEra{2, level_counts_, &phase2_reports_};
+  return OpenEra{1, phase1_counts_, &phase1_reports_};
+}
+
+bool AheadServer::Fold(const OpenEra& era, const AheadWireReport& report) {
+  if (report.phase != era.phase || report.level == 0 ||
+      report.level > era.levels.size()) {
     return false;
   }
-  stats_.CountAccepted();
+  std::vector<uint64_t>& counts = era.levels[report.level - 1];
+  if (report.node >= counts.size()) return false;
+  ++counts[report.node];
+  return true;
+}
+
+bool AheadServer::Absorb(const AheadWireReport& report) {
+  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+  OpenEra era = open_era();
+  if (!CountReport(Fold(era, report))) return false;
+  ++*era.reports;
   return true;
 }
 
@@ -319,22 +290,22 @@ bool AheadServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
   return Absorb(report);
 }
 
-uint64_t AheadServer::AbsorbBatch(std::span<const AheadWireReport> reports) {
-  uint64_t accepted = 0;
-  for (const AheadWireReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
 ParseError AheadServer::DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
-                                              uint64_t* accepted) {
-  return IngestBatchMessage<AheadWireReport>(
-      bytes,
-      [](std::span<const uint8_t> b, std::vector<AheadWireReport>* r,
-         uint64_t* m) { return ParseAheadReportBatch(b, r, m); },
-      [this](std::span<const AheadWireReport> r) { return AbsorbBatch(r); },
-      accepted);
+                                                uint64_t* accepted) {
+  ReportBatch batch;
+  ParseError open = OpenReportBatch(bytes, MechanismTag::kAheadReportBatch,
+                                    kItemSize, &batch);
+  // The era (and with it every level's node bound) is resolved once per
+  // batch, not per report.
+  const OpenEra era = open_era();
+  uint64_t folded = 0;
+  ParseError err = AbsorbReportSlots<AheadWireReport>(
+      open, batch, DecodeItem,
+      [&era](const AheadWireReport& report) { return Fold(era, report); },
+      &folded);
+  *era.reports += folded;
+  if (accepted != nullptr) *accepted = folded;
+  return err;
 }
 
 std::vector<uint8_t> AheadServer::BuildTree() {

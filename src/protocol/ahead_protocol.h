@@ -180,8 +180,6 @@ class AheadServer final : public service::AggregatorServer {
   bool Absorb(const AheadWireReport& report);
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
-  /// Batched ingestion; returns the number of accepted reports.
-  uint64_t AbsorbBatch(std::span<const AheadWireReport> reports);
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override;
 
@@ -210,6 +208,23 @@ class AheadServer final : public service::AggregatorServer {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  /// The open phase era: phase 1 until the tree exists, phase 2 after.
+  /// `levels` is that phase's count table, one vector per level sized to
+  /// the level's node bound — NodesAtLevel(l) in phase 1, FrontierSize(l)
+  /// in phase 2 — so a fold range-checks against the table itself.
+  struct OpenEra {
+    uint8_t phase;
+    std::span<std::vector<uint64_t>> levels;
+    uint64_t* reports;  // phase1_reports_ or phase2_reports_
+  };
+  OpenEra open_era();
+
+  /// Range checks + add: the one fold behind Absorb and the batch slot
+  /// loop. False (nothing added) for a report of the other phase era or
+  /// an out-of-range level/node. The era's report counter is the
+  /// caller's to bump.
+  static bool Fold(const OpenEra& era, const AheadWireReport& report);
+
   /// Builds the tree if phase 1 was never closed, then debiases and
   /// post-processes.
   void DoFinalize() override;

@@ -20,14 +20,13 @@ void AppendItem(std::vector<uint8_t>& out, const HrrReport& report) {
   AppendU8(out, report.sign > 0 ? 1 : 0);
 }
 
-// Decodes one fixed-size item; false on a bad sign byte (the only
-// value-level check the item layout admits).
-bool ReadItem(WireReader& reader, HrrReport* report) {
-  uint64_t index = 0;
-  uint8_t sign = 0;
-  if (!reader.ReadU64(&index) || !reader.ReadU8(&sign)) return false;
+// Decodes one fixed-size item slot; false on a bad sign byte (the only
+// value-level check the item layout admits). The one decoder behind both
+// single-report forms, the typed batch parser and the server's slot loop.
+bool DecodeItem(const uint8_t* slot, HrrReport* report) {
+  const uint8_t sign = slot[8];
   if (sign > 1) return false;
-  report->coefficient_index = index;
+  report->coefficient_index = LoadU64Le(slot);
   report->sign = sign == 1 ? +1 : -1;
   return true;
 }
@@ -36,10 +35,7 @@ ParseError ParseV1(std::span<const uint8_t> bytes, HrrReport* report) {
   if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
   if (bytes[0] != kFlatHrrTagV1) return ParseError::kBadMagic;
   if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  WireReader reader(bytes.subspan(1));
-  HrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
   return ParseError::kOk;
 }
 
@@ -69,11 +65,10 @@ ParseError ParseHrrReportDetailed(std::span<const uint8_t> bytes,
   if (env.mechanism != MechanismTag::kFlatHrr) {
     return ParseError::kBadPayload;
   }
-  if (env.payload.size() != kItemSize) return ParseError::kBadPayload;
-  WireReader reader(env.payload);
-  HrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (env.payload.size() != kItemSize ||
+      !DecodeItem(env.payload.data(), report)) {
+    return ParseError::kBadPayload;
+  }
   return ParseError::kOk;
 }
 
@@ -95,34 +90,11 @@ std::vector<uint8_t> SerializeHrrReportBatch(
 ParseError ParseHrrReportBatch(std::span<const uint8_t> bytes,
                                std::vector<HrrReport>* reports,
                                uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
+  ReportBatch batch;
+  ParseError err =
+      OpenReportBatch(bytes, MechanismTag::kFlatHrrBatch, kItemSize, &batch);
   if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kFlatHrrBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint64_t count = 0;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  // Bound count before the exact-size check so count * kItemSize cannot
-  // wrap; exact framing then bounds the reserve by bytes actually present.
-  if (count > reader.Remaining() / kItemSize ||
-      reader.Remaining() != count * kItemSize) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    // ReadItem consumes the full fixed-size slot before validating, so
-    // the reader stays aligned across a malformed item.
-    HrrReport report;
-    if (ReadItem(reader, &report)) {
-      reports->push_back(report);
-    } else {
-      ++bad;
-    }
-  }
+  uint64_t bad = DecodeReportSlots(batch, DecodeItem, reports);
   if (malformed != nullptr) *malformed = bad;
   return ParseError::kOk;
 }
@@ -168,16 +140,18 @@ FlatHrrServer::FlatHrrServer(uint64_t domain, double eps)
   LDP_CHECK_GE(domain, 2u);
 }
 
-bool FlatHrrServer::Absorb(const HrrReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+bool FlatHrrServer::Fold(const HrrReport& report) {
   if (report.coefficient_index >= padded_ ||
       (report.sign != 1 && report.sign != -1)) {
-    stats_.CountRejected();
     return false;
   }
-  oracle_->AbsorbReport(report);
-  stats_.CountAccepted();
+  oracle_->AddValidatedReport(report);
   return true;
+}
+
+bool FlatHrrServer::Absorb(const HrrReport& report) {
+  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+  return CountReport(Fold(report));
 }
 
 bool FlatHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
@@ -199,12 +173,12 @@ uint64_t FlatHrrServer::AbsorbBatch(std::span<const HrrReport> reports) {
 
 ParseError FlatHrrServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
-  return IngestBatchMessage<HrrReport>(
-      bytes,
-      [](std::span<const uint8_t> b, std::vector<HrrReport>* r,
-         uint64_t* m) { return ParseHrrReportBatch(b, r, m); },
-      [this](std::span<const HrrReport> r) { return AbsorbBatch(r); },
-      accepted);
+  ReportBatch batch;
+  ParseError open =
+      OpenReportBatch(bytes, MechanismTag::kFlatHrrBatch, kItemSize, &batch);
+  return AbsorbReportSlots<HrrReport>(
+      open, batch, DecodeItem,
+      [this](const HrrReport& report) { return Fold(report); }, accepted);
 }
 
 void FlatHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

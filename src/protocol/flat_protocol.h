@@ -103,6 +103,10 @@ class FlatHrrServer final : public service::AggregatorServer {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  /// Range checks + add: the one fold behind Absorb and the batch slot
+  /// loop. False (nothing added) when the report is out of range.
+  bool Fold(const HrrReport& report);
+
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kFlat;

@@ -24,19 +24,15 @@ void AppendItem(std::vector<uint8_t>& out, const HaarHrrReport& report) {
   AppendU8(out, SignToByte(report.inner.sign));
 }
 
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, HaarHrrReport* report) {
-  uint8_t level = 0;
-  uint64_t index = 0;
-  uint8_t sign = 0;
-  if (!reader.ReadU8(&level) || !reader.ReadU64(&index) ||
-      !reader.ReadU8(&sign)) {
-    return false;
-  }
+// Decodes one fixed-size item slot ([level u8][index u64][sign u8]);
+// false on a bad sign byte or level 0. The one decoder behind both
+// single-report forms, the typed batch parser and the server's slot loop.
+bool DecodeItem(const uint8_t* slot, HaarHrrReport* report) {
+  const uint8_t level = slot[0];
+  const uint8_t sign = slot[9];
   if (sign > 1 || level == 0) return false;
   report->level = level;
-  report->inner.coefficient_index = index;
+  report->inner.coefficient_index = LoadU64Le(slot + 1);
   report->inner.sign = sign == 1 ? +1 : -1;
   return true;
 }
@@ -45,10 +41,7 @@ ParseError ParseV1(std::span<const uint8_t> bytes, HaarHrrReport* report) {
   if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
   if (bytes[0] != kHaarHrrTagV1) return ParseError::kBadMagic;
   if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  WireReader reader(bytes.subspan(1));
-  HaarHrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
   return ParseError::kOk;
 }
 
@@ -78,11 +71,10 @@ ParseError ParseHaarHrrReportDetailed(std::span<const uint8_t> bytes,
   if (env.mechanism != MechanismTag::kHaarHrr) {
     return ParseError::kBadPayload;
   }
-  if (env.payload.size() != kItemSize) return ParseError::kBadPayload;
-  WireReader reader(env.payload);
-  HaarHrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (env.payload.size() != kItemSize ||
+      !DecodeItem(env.payload.data(), report)) {
+    return ParseError::kBadPayload;
+  }
   return ParseError::kOk;
 }
 
@@ -105,30 +97,11 @@ std::vector<uint8_t> SerializeHaarHrrReportBatch(
 ParseError ParseHaarHrrReportBatch(std::span<const uint8_t> bytes,
                                    std::vector<HaarHrrReport>* reports,
                                    uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
+  ReportBatch batch;
+  ParseError err =
+      OpenReportBatch(bytes, MechanismTag::kHaarHrrBatch, kItemSize, &batch);
   if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kHaarHrrBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint64_t count = 0;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  if (count > reader.Remaining() / kItemSize ||
-      reader.Remaining() != count * kItemSize) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    HaarHrrReport report;
-    if (ReadItem(reader, &report)) {
-      reports->push_back(report);
-    } else {
-      ++bad;
-    }
-  }
+  uint64_t bad = DecodeReportSlots(batch, DecodeItem, reports);
   if (malformed != nullptr) *malformed = bad;
   return ParseError::kOk;
 }
@@ -188,17 +161,19 @@ HaarHrrServer::HaarHrrServer(uint64_t domain, double eps)
   }
 }
 
-bool HaarHrrServer::Absorb(const HaarHrrReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+bool HaarHrrServer::Fold(const HaarHrrReport& report) {
   if (report.level == 0 || report.level > height_ ||
       report.inner.coefficient_index >= (padded_ >> report.level) ||
       (report.inner.sign != 1 && report.inner.sign != -1)) {
-    stats_.CountRejected();
     return false;
   }
-  level_oracles_[report.level - 1]->AbsorbReport(report.inner);
-  stats_.CountAccepted();
+  level_oracles_[report.level - 1]->AddValidatedReport(report.inner);
   return true;
+}
+
+bool HaarHrrServer::Absorb(const HaarHrrReport& report) {
+  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+  return CountReport(Fold(report));
 }
 
 bool HaarHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
@@ -220,12 +195,12 @@ uint64_t HaarHrrServer::AbsorbBatch(std::span<const HaarHrrReport> reports) {
 
 ParseError HaarHrrServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
-  return IngestBatchMessage<HaarHrrReport>(
-      bytes,
-      [](std::span<const uint8_t> b, std::vector<HaarHrrReport>* r,
-         uint64_t* m) { return ParseHaarHrrReportBatch(b, r, m); },
-      [this](std::span<const HaarHrrReport> r) { return AbsorbBatch(r); },
-      accepted);
+  ReportBatch batch;
+  ParseError open =
+      OpenReportBatch(bytes, MechanismTag::kHaarHrrBatch, kItemSize, &batch);
+  return AbsorbReportSlots<HaarHrrReport>(
+      open, batch, DecodeItem,
+      [this](const HaarHrrReport& report) { return Fold(report); }, accepted);
 }
 
 void HaarHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

@@ -132,6 +132,10 @@ class HaarHrrServer final : public service::AggregatorServer {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  /// Range checks + add: the one fold behind Absorb and the batch slot
+  /// loop. False (nothing added) when the report is out of range.
+  bool Fold(const HaarHrrReport& report);
+
   /// Debiases the aggregate into Haar coefficients.
   void DoFinalize() override;
   service::StateKind state_kind() const override {

@@ -35,21 +35,52 @@ void AppendItem(std::vector<uint8_t>& out, const MultiDimReport& report) {
   AppendU32(out, report.cell);
 }
 
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, uint32_t dims, MultiDimReport* report) {
-  report->levels.resize(dims);
+// One decoded item slot: the level tuple (borrowed from the slot, dims
+// bytes) and the OLH (seed, perturbed cell) pair.
+struct MultiDimItem {
+  const uint8_t* levels = nullptr;
+  uint64_t seed = 0;
+  uint32_t cell = 0;
+};
+
+// Decodes one fixed-size item slot ([dims x level u8][seed u64][cell u32]);
+// false on the all-root tuple, which carries no oracle report. The one
+// decoder behind the single-report parser, the typed batch parser and the
+// server's slot loop.
+bool DecodeItem(const uint8_t* slot, uint32_t dims, MultiDimItem* item) {
   bool nontrivial = false;
-  for (uint32_t dim = 0; dim < dims; ++dim) {
-    uint8_t level = 0;
-    if (!reader.ReadU8(&level)) return false;
-    report->levels[dim] = level;
-    if (level != 0) nontrivial = true;
-  }
-  if (!reader.ReadU64(&report->seed) || !reader.ReadU32(&report->cell)) {
-    return false;
-  }
-  return nontrivial;
+  for (uint32_t dim = 0; dim < dims; ++dim) nontrivial |= slot[dim] != 0;
+  if (!nontrivial) return false;
+  item->levels = slot;
+  item->seed = LoadU64Le(slot + dims);
+  item->cell = LoadU32Le(slot + dims + 8);
+  return true;
+}
+
+// DecodeItem into an owning MultiDimReport (the typed parsers' form).
+bool DecodeReport(const uint8_t* slot, uint32_t dims, MultiDimReport* report) {
+  MultiDimItem item;
+  if (!DecodeItem(slot, dims, &item)) return false;
+  report->levels.assign(item.levels, item.levels + dims);
+  report->seed = item.seed;
+  report->cell = item.cell;
+  return true;
+}
+
+// OpenReportBatch for kMultiDimReportBatch, whose payload leads with the
+// dims byte that sizes every item: dims is read first (the byte right
+// behind the envelope header), then the frame around it is validated.
+ParseError OpenMultiDimBatch(std::span<const uint8_t> bytes, uint32_t* dims,
+                             ReportBatch* batch) {
+  const uint8_t d =
+      bytes.size() > kEnvelopeHeaderSize ? bytes[kEnvelopeHeaderSize] : 0;
+  ParseError err = OpenReportBatch(bytes, MechanismTag::kMultiDimReportBatch,
+                                   size_t{d} + kItemTail, batch,
+                                   /*header_size=*/1);
+  if (err != ParseError::kOk) return err;
+  if (d == 0 || d > kMaxWireDimensions) return ParseError::kBadPayload;
+  *dims = d;
+  return ParseError::kOk;
 }
 
 }  // namespace
@@ -73,16 +104,13 @@ ParseError ParseMultiDimReport(std::span<const uint8_t> bytes,
   if (env.mechanism != MechanismTag::kMultiDimReport) {
     return ParseError::kBadPayload;
   }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  if (!reader.ReadU8(&dims)) return ParseError::kBadPayload;
-  if (dims == 0 || dims > kMaxWireDimensions) return ParseError::kBadPayload;
-  if (env.payload.size() != 1 + size_t{dims} + kItemTail) {
+  if (env.payload.empty()) return ParseError::kBadPayload;
+  const uint8_t dims = env.payload[0];
+  if (dims == 0 || dims > kMaxWireDimensions ||
+      env.payload.size() != 1 + size_t{dims} + kItemTail ||
+      !DecodeReport(env.payload.data() + 1, dims, report)) {
     return ParseError::kBadPayload;
   }
-  MultiDimReport out;
-  if (!ReadItem(reader, dims, &out)) return ParseError::kBadPayload;
-  *report = std::move(out);
   return ParseError::kOk;
 }
 
@@ -104,34 +132,16 @@ std::vector<uint8_t> SerializeMultiDimReportBatch(
 ParseError ParseMultiDimReportBatch(std::span<const uint8_t> bytes,
                                     std::vector<MultiDimReport>* reports,
                                     uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
+  uint32_t dims = 0;
+  ReportBatch batch;
+  ParseError err = OpenMultiDimBatch(bytes, &dims, &batch);
   if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kMultiDimReportBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  uint64_t count = 0;
-  if (!reader.ReadU8(&dims)) return ParseError::kBadPayload;
-  if (dims == 0 || dims > kMaxWireDimensions) return ParseError::kBadPayload;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  const uint64_t item_size = uint64_t{dims} + kItemTail;
-  if (count > reader.Remaining() / item_size ||
-      reader.Remaining() != count * item_size) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    MultiDimReport report;
-    if (ReadItem(reader, dims, &report)) {
-      reports->push_back(std::move(report));
-    } else {
-      ++bad;
-    }
-  }
+  uint64_t bad = DecodeReportSlots(
+      batch,
+      [dims](const uint8_t* slot, MultiDimReport* report) {
+        return DecodeReport(slot, dims, report);
+      },
+      reports);
   if (malformed != nullptr) *malformed = bad;
   return ParseError::kOk;
 }
@@ -296,31 +306,26 @@ uint64_t MultiDimServer::report_allocation_count() const {
   return total;
 }
 
-bool MultiDimServer::Absorb(const MultiDimReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  if (report.levels.size() != dims_ || report.cell >= g_) {
-    stats_.CountRejected();
-    return false;
-  }
+bool MultiDimServer::Fold(const uint8_t* levels, uint64_t seed,
+                          uint32_t cell) {
+  if (cell >= g_) return false;
   const uint64_t radix = uint64_t{shape_.height()} + 1;
   uint64_t tuple = 0;
   uint64_t tuple_stride = 1;
   for (uint32_t dim = 0; dim < dims_; ++dim) {
-    const uint8_t level = report.levels[dim];
-    if (level > shape_.height()) {
-      stats_.CountRejected();
-      return false;
-    }
-    tuple += uint64_t{level} * tuple_stride;
+    if (levels[dim] > shape_.height()) return false;
+    tuple += uint64_t{levels[dim]} * tuple_stride;
     tuple_stride *= radix;
   }
-  if (tuple == 0) {  // the all-root tuple carries no oracle report
-    stats_.CountRejected();
-    return false;
-  }
-  oracles_[tuple]->AbsorbReport(report.seed, report.cell);
-  stats_.CountAccepted();
+  if (tuple == 0) return false;  // the all-root tuple carries no report
+  oracles_[tuple]->AppendPendingReport(seed, cell);
   return true;
+}
+
+bool MultiDimServer::Absorb(const MultiDimReport& report) {
+  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+  return CountReport(report.levels.size() == dims_ &&
+                     Fold(report.levels.data(), report.seed, report.cell));
 }
 
 bool MultiDimServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
@@ -343,77 +348,21 @@ uint64_t MultiDimServer::AbsorbBatch(
 
 ParseError MultiDimServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  // In-place ingestion: items are decoded directly out of the caller's
-  // buffer (a streamed chunk's bytes) and appended straight into the
-  // per-tuple oracles' arena-backed report columns. No MultiDimReport is
-  // materialized and no per-report vector grows — the only allocations on
-  // this path are amortized arena blocks, flat per chunk at steady state.
-  // Accounting is identical to the Parse-then-Absorb route: a structural
-  // failure rejects the whole message; per-item failures (all-root tuple,
-  // bad level, cell >= g, foreign dims) are counted individually.
-  if (accepted != nullptr) *accepted = 0;
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
-  if (err == ParseError::kOk &&
-      env.mechanism != MechanismTag::kMultiDimReportBatch) {
-    err = ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint8_t dims = 0;
-  uint64_t count = 0;
-  if (err == ParseError::kOk) {
-    if (!reader.ReadU8(&dims) || dims == 0 || dims > kMaxWireDimensions ||
-        !reader.ReadVarU64(&count)) {
-      err = ParseError::kBadPayload;
-    } else {
-      const uint64_t item_size = uint64_t{dims} + kItemTail;
-      if (count > reader.Remaining() / item_size ||
-          reader.Remaining() != count * item_size) {
-        err = ParseError::kBadPayload;
-      }
-    }
-  }
-  if (err != ParseError::kOk) {
-    stats_.CountRejected();
-    return err;
-  }
-  if (dims != dims_) {
-    // Structurally valid batch for another dimensionality: every item is
-    // rejected, exactly as the Absorb loop would have.
-    stats_.CountRejected(count);
-    return ParseError::kOk;
-  }
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  uint64_t ok = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t tuple = 0;
-    uint64_t tuple_stride = 1;
-    bool levels_ok = true;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      uint8_t level = 0;
-      levels_ok = reader.ReadU8(&level) && levels_ok;
-      if (level > shape_.height()) {
-        levels_ok = false;
-      } else {
-        tuple += uint64_t{level} * tuple_stride;
-        tuple_stride *= radix;
-      }
-    }
-    uint64_t seed = 0;
-    uint32_t cell = 0;
-    // The size pre-check guarantees every fixed-width read succeeds.
-    LDP_CHECK(reader.ReadU64(&seed) && reader.ReadU32(&cell));
-    if (!levels_ok || tuple == 0 || cell >= g_) {
-      stats_.CountRejected();
-      continue;
-    }
-    oracles_[tuple]->AbsorbReport(seed, cell);
-    stats_.CountAccepted();
-    ++ok;
-  }
-  if (accepted != nullptr) *accepted = ok;
-  return ParseError::kOk;
+  uint32_t dims = 0;
+  ReportBatch batch;
+  ParseError open = OpenMultiDimBatch(bytes, &dims, &batch);
+  // A structurally valid batch for another dimensionality has every item
+  // rejected, exactly as the Absorb loop would.
+  const bool own_dims = dims == dims_;
+  return AbsorbReportSlots<MultiDimItem>(
+      open, batch,
+      [dims](const uint8_t* slot, MultiDimItem* item) {
+        return DecodeItem(slot, dims, item);
+      },
+      [this, own_dims](const MultiDimItem& item) {
+        return own_dims && Fold(item.levels, item.seed, item.cell);
+      },
+      accepted);
 }
 
 void MultiDimServer::AppendStateBody(std::vector<uint8_t>& out) const {

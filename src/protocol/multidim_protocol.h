@@ -167,6 +167,12 @@ class MultiDimServer final : public service::AggregatorServer {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  /// Range checks + add for one report of this server's dimensionality
+  /// (`levels` holds dimensions() bytes): the one fold behind Absorb and
+  /// the batch slot loop. False (nothing added) on an out-of-range level,
+  /// the all-root tuple, or a cell >= hash_range().
+  bool Fold(const uint8_t* levels, uint64_t seed, uint32_t cell);
+
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kGrid;

@@ -23,19 +23,15 @@ void AppendItem(std::vector<uint8_t>& out, const TreeHrrReport& report) {
   AppendU8(out, report.inner.sign > 0 ? 1 : 0);
 }
 
-// Decodes one fixed-size item, consuming the full slot before validating
-// so batch readers stay aligned across a malformed item.
-bool ReadItem(WireReader& reader, TreeHrrReport* report) {
-  uint8_t level = 0;
-  uint64_t index = 0;
-  uint8_t sign = 0;
-  if (!reader.ReadU8(&level) || !reader.ReadU64(&index) ||
-      !reader.ReadU8(&sign)) {
-    return false;
-  }
+// Decodes one fixed-size item slot ([level u8][index u64][sign u8]);
+// false on a bad sign byte or level 0. The one decoder behind both
+// single-report forms, the typed batch parser and the server's slot loop.
+bool DecodeItem(const uint8_t* slot, TreeHrrReport* report) {
+  const uint8_t level = slot[0];
+  const uint8_t sign = slot[9];
   if (sign > 1 || level == 0) return false;
   report->level = level;
-  report->inner.coefficient_index = index;
+  report->inner.coefficient_index = LoadU64Le(slot + 1);
   report->inner.sign = sign == 1 ? +1 : -1;
   return true;
 }
@@ -44,10 +40,7 @@ ParseError ParseV1(std::span<const uint8_t> bytes, TreeHrrReport* report) {
   if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
   if (bytes[0] != kTreeHrrTagV1) return ParseError::kBadMagic;
   if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  WireReader reader(bytes.subspan(1));
-  TreeHrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
   return ParseError::kOk;
 }
 
@@ -77,11 +70,10 @@ ParseError ParseTreeHrrReportDetailed(std::span<const uint8_t> bytes,
   if (env.mechanism != MechanismTag::kTreeHrr) {
     return ParseError::kBadPayload;
   }
-  if (env.payload.size() != kItemSize) return ParseError::kBadPayload;
-  WireReader reader(env.payload);
-  TreeHrrReport out;
-  if (!ReadItem(reader, &out)) return ParseError::kBadPayload;
-  *report = out;
+  if (env.payload.size() != kItemSize ||
+      !DecodeItem(env.payload.data(), report)) {
+    return ParseError::kBadPayload;
+  }
   return ParseError::kOk;
 }
 
@@ -104,30 +96,11 @@ std::vector<uint8_t> SerializeTreeHrrReportBatch(
 ParseError ParseTreeHrrReportBatch(std::span<const uint8_t> bytes,
                                    std::vector<TreeHrrReport>* reports,
                                    uint64_t* malformed) {
-  Envelope env;
-  ParseError err = DecodeEnvelope(bytes, &env);
+  ReportBatch batch;
+  ParseError err =
+      OpenReportBatch(bytes, MechanismTag::kTreeHrrBatch, kItemSize, &batch);
   if (err != ParseError::kOk) return err;
-  if (env.mechanism != MechanismTag::kTreeHrrBatch) {
-    return ParseError::kBadPayload;
-  }
-  WireReader reader(env.payload);
-  uint64_t count = 0;
-  if (!reader.ReadVarU64(&count)) return ParseError::kBadPayload;
-  if (count > reader.Remaining() / kItemSize ||
-      reader.Remaining() != count * kItemSize) {
-    return ParseError::kBadPayload;
-  }
-  reports->clear();
-  reports->reserve(count);
-  uint64_t bad = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    TreeHrrReport report;
-    if (ReadItem(reader, &report)) {
-      reports->push_back(report);
-    } else {
-      ++bad;
-    }
-  }
+  uint64_t bad = DecodeReportSlots(batch, DecodeItem, reports);
   if (malformed != nullptr) *malformed = bad;
   return ParseError::kOk;
 }
@@ -180,21 +153,20 @@ TreeHrrServer::TreeHrrServer(uint64_t domain, uint64_t fanout, double eps,
   }
 }
 
-bool TreeHrrServer::Absorb(const TreeHrrReport& report) {
-  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+bool TreeHrrServer::Fold(const TreeHrrReport& report) {
   if (report.level == 0 || report.level > shape_.height() ||
       (report.inner.sign != 1 && report.inner.sign != -1)) {
-    stats_.CountRejected();
     return false;
   }
   HrrOracle& oracle = *level_oracles_[report.level - 1];
-  if (report.inner.coefficient_index >= oracle.padded_domain()) {
-    stats_.CountRejected();
-    return false;
-  }
-  oracle.AbsorbReport(report.inner);
-  stats_.CountAccepted();
+  if (report.inner.coefficient_index >= oracle.padded_domain()) return false;
+  oracle.AddValidatedReport(report.inner);
   return true;
+}
+
+bool TreeHrrServer::Absorb(const TreeHrrReport& report) {
+  LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+  return CountReport(Fold(report));
 }
 
 bool TreeHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
@@ -216,12 +188,12 @@ uint64_t TreeHrrServer::AbsorbBatch(std::span<const TreeHrrReport> reports) {
 
 ParseError TreeHrrServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
-  return IngestBatchMessage<TreeHrrReport>(
-      bytes,
-      [](std::span<const uint8_t> b, std::vector<TreeHrrReport>* r,
-         uint64_t* m) { return ParseTreeHrrReportBatch(b, r, m); },
-      [this](std::span<const TreeHrrReport> r) { return AbsorbBatch(r); },
-      accepted);
+  ReportBatch batch;
+  ParseError open =
+      OpenReportBatch(bytes, MechanismTag::kTreeHrrBatch, kItemSize, &batch);
+  return AbsorbReportSlots<TreeHrrReport>(
+      open, batch, DecodeItem,
+      [this](const TreeHrrReport& report) { return Fold(report); }, accepted);
 }
 
 void TreeHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

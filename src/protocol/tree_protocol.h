@@ -114,6 +114,10 @@ class TreeHrrServer final : public service::AggregatorServer {
   std::vector<double> EstimateFrequencies() const override;
 
  private:
+  /// Range checks + add: the one fold behind Absorb and the batch slot
+  /// loop. False (nothing added) when the report is out of range.
+  bool Fold(const TreeHrrReport& report);
+
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kTree;

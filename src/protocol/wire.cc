@@ -79,22 +79,14 @@ bool WireReader::ReadU8(uint8_t* v) {
 bool WireReader::ReadU32(uint32_t* v) {
   const uint8_t* p = nullptr;
   if (!Take(4, &p)) return false;
-  uint32_t out = 0;
-  for (int i = 0; i < 4; ++i) {
-    out |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  *v = out;
+  *v = LoadU32Le(p);
   return true;
 }
 
 bool WireReader::ReadU64(uint64_t* v) {
   const uint8_t* p = nullptr;
   if (!Take(8, &p)) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  *v = out;
+  *v = LoadU64Le(p);
   return true;
 }
 
@@ -154,6 +146,32 @@ bool WireReader::ReadLengthPrefixedBytes(std::span<const uint8_t>* out) {
   uint32_t len = 0;
   if (!ReadU32(&len)) return false;
   return ReadBytes(len, out);
+}
+
+ParseError OpenReportBatch(std::span<const uint8_t> bytes, MechanismTag tag,
+                           size_t item_size, ReportBatch* batch,
+                           size_t header_size) {
+  LDP_CHECK_GT(item_size, size_t{0});
+  Envelope env;
+  ParseError err = DecodeEnvelope(bytes, &env);
+  if (err != ParseError::kOk) return err;
+  if (env.mechanism != tag) return ParseError::kBadPayload;
+  WireReader reader(env.payload);
+  std::span<const uint8_t> header;
+  uint64_t count = 0;
+  if (!reader.ReadBytes(header_size, &header) || !reader.ReadVarU64(&count)) {
+    return ParseError::kBadPayload;
+  }
+  // Division first so count * item_size cannot wrap; exact framing then
+  // bounds every later reserve by the bytes actually present.
+  const size_t remaining = reader.Remaining();
+  if (count > remaining / item_size || remaining != count * item_size) {
+    return ParseError::kBadPayload;
+  }
+  batch->count = count;
+  batch->item_size = item_size;
+  batch->slots = env.payload.data() + (env.payload.size() - remaining);
+  return ParseError::kOk;
 }
 
 }  // namespace ldp::protocol

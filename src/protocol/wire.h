@@ -10,10 +10,15 @@
 #ifndef LDPRANGE_PROTOCOL_WIRE_H_
 #define LDPRANGE_PROTOCOL_WIRE_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
+
+#include "protocol/envelope.h"
 
 namespace ldp::protocol {
 
@@ -34,6 +39,30 @@ void AppendF64(std::vector<uint8_t>& out, double v);
 /// AHEAD level counts) — see service/state_wire.h.
 void AppendU64Array(std::vector<uint8_t>& out,
                     std::span<const uint64_t> values);
+
+/// Little-endian loads from bytes the caller has already bounds-checked —
+/// the decode side of AppendU32/AppendU64, inline for the per-slot batch
+/// decoders. The same contract as AppendU64Array: one memcpy on
+/// little-endian hosts, the byte loop elsewhere.
+inline uint64_t LoadU64Le(const uint8_t* p) {
+  uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+inline uint32_t LoadU32Le(const uint8_t* p) {
+  uint32_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
 
 /// Appends `v` as an unsigned LEB128 varint (1..10 bytes, 7 bits per
 /// byte, low group first).
@@ -106,6 +135,50 @@ class WireReader {
   size_t position_ = 0;
   bool ok_ = true;
 };
+
+/// A structurally valid batch message, opened in place: `count`
+/// fixed-width report slots of `item_size` bytes each, laid end to end
+/// from `slots`. The slots borrow the buffer handed to OpenReportBatch.
+struct ReportBatch {
+  uint64_t count = 0;
+  size_t item_size = 0;
+  const uint8_t* slots = nullptr;
+};
+
+/// The one structural check of every report batch message, whose payload
+/// is [header_size bytes][count varint][count x item_size bytes]: the
+/// envelope decodes and carries `tag`, the count reads, and the items
+/// fill the rest of the payload exactly (the count is bounded by
+/// division first, so a forged count cannot wrap count * item_size).
+/// Returns the envelope's own error, or kBadPayload for everything after
+/// it; on kOk `*batch` names the slots. Per-item validation is the
+/// caller's: the typed Parse*ReportBatch parsers and the servers' batch
+/// ingestion decode the same slots with the same per-family DecodeItem.
+/// Requires item_size > 0.
+ParseError OpenReportBatch(std::span<const uint8_t> bytes, MechanismTag tag,
+                           size_t item_size, ReportBatch* batch,
+                           size_t header_size = 0);
+
+/// Decodes every slot of an opened batch with `decode` (a family's
+/// DecodeItem, bool(const uint8_t* slot, Report*)) into `reports`, and
+/// returns how many slots failed to decode.
+template <typename Report, typename DecodeFn>
+uint64_t DecodeReportSlots(const ReportBatch& batch, DecodeFn decode,
+                           std::vector<Report>* reports) {
+  reports->clear();
+  reports->reserve(batch.count);
+  uint64_t malformed = 0;
+  const uint8_t* slot = batch.slots;
+  for (uint64_t i = 0; i < batch.count; ++i, slot += batch.item_size) {
+    Report report;
+    if (decode(slot, &report)) {
+      reports->push_back(std::move(report));
+    } else {
+      ++malformed;
+    }
+  }
+  return malformed;
+}
 
 }  // namespace ldp::protocol
 

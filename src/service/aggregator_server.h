@@ -21,12 +21,13 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "core/range_mechanism.h"
 #include "obs/metrics.h"
 #include "protocol/envelope.h"
+#include "protocol/wire.h"
 #include "service/server_stats.h"
 #include "service/state_wire.h"
 
@@ -63,10 +64,13 @@ class AggregatorServer {
   /// bytes — a server must reject garbage, never crash on it.
   virtual bool AbsorbSerialized(std::span<const uint8_t> bytes) = 0;
 
-  /// Parses + ingests one framed v2 batch message. On kOk, per-item
+  /// Parses + ingests one framed v2 batch message in a single pass over
+  /// its report slots (AbsorbReportSlots). On kOk, per-item
   /// malformed/out-of-range reports are counted as rejections and
   /// `accepted` (may be null) receives the number absorbed; a structural
-  /// failure counts one rejection for the whole message. Non-virtual:
+  /// failure counts one rejection for the whole message. Decisions and
+  /// state are exactly those of the typed Parse*ReportBatch followed by
+  /// per-report Absorb; the counters move once per batch. Non-virtual:
   /// the base times every call into absorb_batch_latency() around the
   /// mechanism-specific DoAbsorbBatchSerialized.
   protocol::ParseError AbsorbBatchSerialized(std::span<const uint8_t> bytes,
@@ -153,7 +157,9 @@ class AggregatorServer {
   /// Shared ingestion accounting. accepted_reports()/rejected_reports()
   /// are the historical accessors; stats() is a coherent value snapshot
   /// of the live counters (lock-free — safe to call while another thread
-  /// is absorbing; exact once ingestion for this server quiesces).
+  /// is absorbing; exact once ingestion for this server quiesces). Batch
+  /// ingestion counts once per batch, so a concurrent reader sees the
+  /// counters move by whole batches.
   ServerStats stats() const { return stats_.Snapshot(); }
   uint64_t accepted_reports() const { return stats_.accepted(); }
   uint64_t rejected_reports() const { return stats_.rejected(); }
@@ -221,27 +227,44 @@ class AggregatorServer {
   /// AHEAD trees); the base handles the accept/reject accounting.
   virtual MergeStatus DoMergeFrom(AggregatorServer& other) = 0;
 
-  /// The batch-absorb accounting loop all four servers used to duplicate:
-  /// parse with `parse_batch` (signature of Parse*ReportBatch), reject the
-  /// whole message on a structural failure, otherwise count per-item
-  /// malformed slots as rejections and absorb the rest via `absorb_batch`.
-  template <typename Report, typename ParseBatchFn, typename AbsorbBatchFn>
-  protocol::ParseError IngestBatchMessage(std::span<const uint8_t> bytes,
-                                          ParseBatchFn&& parse_batch,
-                                          AbsorbBatchFn&& absorb_batch,
-                                          uint64_t* accepted) {
-    std::vector<Report> reports;
-    uint64_t malformed = 0;
-    protocol::ParseError err =
-        std::forward<ParseBatchFn>(parse_batch)(bytes, &reports, &malformed);
-    if (err != protocol::ParseError::kOk) {
+  /// Absorb's accounting after a family's Fold: one report accepted or
+  /// rejected. Returns `folded`.
+  bool CountReport(bool folded) {
+    if (folded) {
+      stats_.CountAccepted();
+    } else {
       stats_.CountRejected();
-      if (accepted != nullptr) *accepted = 0;
-      return err;
     }
-    stats_.CountRejected(malformed);
-    uint64_t ok = std::forward<AbsorbBatchFn>(absorb_batch)(
-        std::span<const Report>(reports));
+    return folded;
+  }
+
+  /// The batch-absorb loop every server shares. `open` is the server's
+  /// OpenReportBatch result for the message: a structural failure rejects
+  /// the whole message (one rejection). Otherwise every fixed-width slot
+  /// is decoded in place by `decode` (the family's DecodeItem,
+  /// bool(const uint8_t* slot, Report*)) and folded into the aggregate by
+  /// `fold` (bool(const Report&): range checks + add), with the counts
+  /// kept locally — the counters move once per batch, by its totals.
+  /// `accepted` (may be null) receives the number folded.
+  template <typename Report, typename DecodeFn, typename FoldFn>
+  protocol::ParseError AbsorbReportSlots(protocol::ParseError open,
+                                         const protocol::ReportBatch& batch,
+                                         DecodeFn decode, FoldFn fold,
+                                         uint64_t* accepted) {
+    LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
+    if (accepted != nullptr) *accepted = 0;
+    if (open != protocol::ParseError::kOk) {
+      stats_.CountRejected();
+      return open;
+    }
+    uint64_t ok = 0;
+    const uint8_t* slot = batch.slots;
+    for (uint64_t i = 0; i < batch.count; ++i, slot += batch.item_size) {
+      Report report;
+      if (decode(slot, &report) && fold(report)) ++ok;
+    }
+    stats_.CountAccepted(ok);
+    stats_.CountRejected(batch.count - ok);
     if (accepted != nullptr) *accepted = ok;
     return protocol::ParseError::kOk;
   }

@@ -229,6 +229,12 @@ void AggregatorService::SetQueueDrainHook(
 }
 
 void AggregatorService::NotifyQueueDrain(uint64_t server_id) {
+  // An inline service never pauses a reader: TryHandleMessage returns
+  // kWouldBlock only when there are workers (inline admission absorbs on
+  // the caller's thread, so no queue can fill). With nothing to re-arm,
+  // skip the hook — a front-end would otherwise wake its event loop for
+  // every absorbed chunk.
+  if (workers_.empty()) return;
   std::lock_guard<std::mutex> lock(hook_mu_);
   if (queue_drain_hook_) queue_drain_hook_(server_id);
 }

@@ -5,6 +5,12 @@
 // subtly copy-pasted bookkeeping. ServerStats is the one struct they all
 // report through now: a report (or a structurally-rejected message) is
 // counted exactly once, on the ingestion call that saw it.
+//
+// Granularity: a single-report Absorb moves a counter by one; a batch
+// (AbsorbBatchSerialized) keeps its accept/reject tallies locally and
+// moves each counter once, by the batch's totals. A lock-free scrape
+// taken while a batch is being absorbed therefore sees the counters step
+// by whole batches, never a partially counted one.
 
 #ifndef LDPRANGE_SERVICE_SERVER_STATS_H_
 #define LDPRANGE_SERVICE_SERVER_STATS_H_

@@ -670,5 +670,35 @@ TEST(ServiceBackpressure, InlineModeNeverQueuesOrWaits) {
   EXPECT_EQ(gated->batches(), 6u);
 }
 
+TEST(ServiceBackpressure, QueueDrainHookFiresOnlyWhenReadersCanPause) {
+  // The drain hook is a front-end's cue to re-arm paused reads. An inline
+  // service never pauses one (TryHandleMessage returns kWouldBlock only
+  // with workers), so across a whole session — every chunk and the
+  // finalize — the hook must stay silent; a pooled service still fires it.
+  ServerSpec spec;
+  spec.kind = ServerKind::kFlat;
+  spec.domain = kDomain;
+  spec.eps = kEps;
+  const auto chunks = EncodeChunks(spec, TestValues(kUsers, kDomain), 31);
+  for (unsigned workers : {0u, 2u}) {
+    SCOPED_TRACE(workers);
+    AggregatorService svc(workers);
+    std::atomic<uint64_t> calls{0};
+    svc.SetQueueDrainHook([&calls](uint64_t) { calls.fetch_add(1); });
+    const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
+    StreamSession(svc, /*session_id=*/1, server_id, chunks,
+                  /*finalize=*/true);
+    svc.Drain();
+    EXPECT_TRUE(svc.server_finalized(server_id));
+    EXPECT_EQ(svc.stats().chunks_absorbed, chunks.size());
+    svc.SetQueueDrainHook(nullptr);
+    if (workers == 0) {
+      EXPECT_EQ(calls.load(), 0u);
+    } else {
+      EXPECT_GE(calls.load(), 1u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ldp

@@ -10,16 +10,20 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "protocol/ahead_protocol.h"
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
+#include "protocol/multidim_protocol.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
+#include "service/aggregator_server.h"
 
 namespace ldp {
 namespace {
@@ -27,6 +31,137 @@ namespace {
 using protocol::Envelope;
 using protocol::MechanismTag;
 using protocol::ParseError;
+
+// --- Batch ingestion vs. the typed reference -------------------------
+//
+// A server's AbsorbBatchSerialized walks the report slots in place. Its
+// reference is the typed route: Parse*ReportBatch, then Absorb per report
+// on an identically configured twin. Every rejection the typed parser
+// decides — the whole message on a structural failure, one per malformed
+// slot — is charged to the twin as one unparseable message (an empty
+// message never parses).
+
+using ServerPtr = std::unique_ptr<service::AggregatorServer>;
+
+void ChargeRejection(service::AggregatorServer& twin) {
+  EXPECT_FALSE(twin.AbsorbSerialized(std::span<const uint8_t>()));
+}
+
+template <typename Report, typename Server>
+ParseError TypedReference(
+    Server& twin, std::span<const uint8_t> bytes,
+    ParseError (*parse)(std::span<const uint8_t>, std::vector<Report>*,
+                        uint64_t*),
+    uint64_t* accepted) {
+  std::vector<Report> reports;
+  uint64_t malformed = 0;
+  *accepted = 0;
+  ParseError err = parse(bytes, &reports, &malformed);
+  if (err != ParseError::kOk) {
+    ChargeRejection(twin);
+    return err;
+  }
+  for (uint64_t i = 0; i < malformed; ++i) ChargeRejection(twin);
+  for (const Report& report : reports) *accepted += twin.Absorb(report);
+  return err;
+}
+
+// One server kind (and, for AHEAD, phase era) under differential test.
+struct IngestKind {
+  std::string name;
+  // A fresh server in the era under test.
+  std::function<ServerPtr()> make;
+  // The typed reference on `twin` (made by `make`).
+  std::function<ParseError(service::AggregatorServer& twin,
+                           std::span<const uint8_t> bytes,
+                           uint64_t* accepted)>
+      reference;
+  std::vector<uint8_t> valid_batch;
+};
+
+template <typename Server, typename Report>
+std::function<ParseError(service::AggregatorServer&, std::span<const uint8_t>,
+                         uint64_t*)>
+ReferenceFor(ParseError (*parse)(std::span<const uint8_t>,
+                                 std::vector<Report>*, uint64_t*)) {
+  return [parse](service::AggregatorServer& twin,
+                 std::span<const uint8_t> bytes, uint64_t* accepted) {
+    return TypedReference(static_cast<Server&>(twin), bytes, parse,
+                          accepted);
+  };
+}
+
+std::vector<IngestKind> AllIngestKinds() {
+  Rng rng(77);
+  const std::vector<uint64_t> values = {1, 5, 60, 33, 2};
+  std::vector<IngestKind> kinds;
+  kinds.push_back(
+      {"flat", [] { return std::make_unique<protocol::FlatHrrServer>(64, 1.0); },
+       ReferenceFor<protocol::FlatHrrServer>(protocol::ParseHrrReportBatch),
+       protocol::FlatHrrClient(64, 1.0).EncodeUsersSerialized(values, rng)});
+  kinds.push_back(
+      {"haar", [] { return std::make_unique<protocol::HaarHrrServer>(64, 1.0); },
+       ReferenceFor<protocol::HaarHrrServer>(
+           protocol::ParseHaarHrrReportBatch),
+       protocol::HaarHrrClient(64, 1.0).EncodeUsersSerialized(values, rng)});
+  kinds.push_back(
+      {"tree",
+       [] { return std::make_unique<protocol::TreeHrrServer>(128, 4, 1.0); },
+       ReferenceFor<protocol::TreeHrrServer>(
+           protocol::ParseTreeHrrReportBatch),
+       protocol::TreeHrrClient(128, 4, 1.0)
+           .EncodeUsersSerialized(values, rng)});
+  // AHEAD in both eras: phase 1 on a fresh server, phase 2 once a
+  // report-free BuildTree has broadcast the full split of 64/4.
+  protocol::AheadClient ahead(64, 4, 1.0);
+  std::vector<protocol::AheadWireReport> phase1;
+  for (uint64_t v : values) phase1.push_back(ahead.EncodePhase1(v, rng));
+  kinds.push_back(
+      {"ahead_phase1",
+       [] { return std::make_unique<protocol::AheadServer>(64, 4, 1.0); },
+       ReferenceFor<protocol::AheadServer>(protocol::ParseAheadReportBatch),
+       protocol::SerializeAheadReportBatch(phase1)});
+  auto make_phase2 = [] {
+    auto server = std::make_unique<protocol::AheadServer>(64, 4, 1.0);
+    server->BuildTree();
+    return server;
+  };
+  ahead.AbsorbTreeDescription(make_phase2()->BuildTree());
+  kinds.push_back(
+      {"ahead_phase2", make_phase2,
+       ReferenceFor<protocol::AheadServer>(protocol::ParseAheadReportBatch),
+       ahead.EncodePhase2UsersSerialized(values, rng)});
+  const std::vector<uint64_t> coords = {0, 0, 3, 12, 15, 15, 7, 8};
+  kinds.push_back(
+      {"grid",
+       [] { return std::make_unique<protocol::MultiDimServer>(16, 2, 1.0); },
+       ReferenceFor<protocol::MultiDimServer>(
+           protocol::ParseMultiDimReportBatch),
+       protocol::MultiDimClient(16, 2, 1.0)
+           .EncodeUsersSerialized(coords, rng)});
+  return kinds;
+}
+
+// Runs `bytes` through AbsorbBatchSerialized on a fresh server and through
+// the typed reference on a fresh twin, and expects the same ParseError,
+// accepted count, counters and snapshot bytes. Returns the error; `stats`
+// (may be null) receives the server's counters.
+ParseError ExpectIngestMatchesTypedReference(
+    const IngestKind& kind, std::span<const uint8_t> bytes,
+    service::ServerStats* stats = nullptr) {
+  ServerPtr server = kind.make();
+  ServerPtr twin = kind.make();
+  uint64_t got = 0;
+  uint64_t want = 0;
+  ParseError err = server->AbsorbBatchSerialized(bytes, &got);
+  EXPECT_EQ(err, kind.reference(*twin, bytes, &want)) << kind.name;
+  EXPECT_EQ(got, want) << kind.name;
+  EXPECT_EQ(server->stats(), twin->stats()) << kind.name;
+  EXPECT_EQ(server->SerializeState(), twin->SerializeState()) << kind.name;
+  EXPECT_EQ(got, server->accepted_reports()) << kind.name;
+  if (stats != nullptr) *stats = server->stats();
+  return err;
+}
 
 // One parser under attack: returns kOk/err and, via `validate`, asserts
 // the parsed result is in-spec whenever it claims kOk.
@@ -177,6 +312,15 @@ std::vector<ParserUnderTest> AllParsers() {
          }
          return reader.AtEnd() ? ParseError::kOk : ParseError::kTrailingJunk;
        }});
+  // Each server kind's batch ingestion, checked against its typed
+  // reference on every input the sweeps below produce.
+  for (IngestKind& kind : AllIngestKinds()) {
+    parsers.push_back(
+        {kind.name + "_ingest", kind.valid_batch,
+         [kind](std::span<const uint8_t> bytes) {
+           return ExpectIngestMatchesTypedReference(kind, bytes);
+         }});
+  }
   return parsers;
 }
 
@@ -263,28 +407,117 @@ TEST(WireAdversarial, BatchCountCannotBeInflated) {
   EXPECT_TRUE(reports.empty());
 }
 
-TEST(WireAdversarial, BatchWithMalformedItemsSkipsAndCounts) {
-  Rng rng(5);
-  protocol::FlatHrrClient client(64, 1.0);
-  std::vector<uint64_t> values = {1, 2, 3, 4};
-  std::vector<uint8_t> msg = client.EncodeUsersSerialized(values, rng);
-  // Corrupt the sign byte of the second item: varint count "4" is 1
-  // byte, items are 9 bytes each, sign is each item's last byte.
-  size_t second_sign = protocol::kEnvelopeHeaderSize + 1 + 2 * 9 - 1;
-  msg[second_sign] = 0x55;
-  std::vector<HrrReport> reports;
-  uint64_t malformed = 0;
-  ASSERT_EQ(protocol::ParseHrrReportBatch(msg, &reports, &malformed),
-            ParseError::kOk);
-  EXPECT_EQ(reports.size(), 3u);
-  EXPECT_EQ(malformed, 1u);
+// Overwrites byte `offset` of item `k` in a batch message whose payload is
+// [prefix bytes][count varint, one byte][items of item_size bytes].
+void PatchItem(std::vector<uint8_t>& msg, size_t prefix, size_t item_size,
+               size_t k, size_t offset, uint8_t value) {
+  msg[protocol::kEnvelopeHeaderSize + prefix + 1 + k * item_size + offset] =
+      value;
+}
 
-  protocol::FlatHrrServer server(64, 1.0);
-  uint64_t accepted = 0;
-  ASSERT_EQ(server.AbsorbBatchSerialized(msg, &accepted), ParseError::kOk);
-  EXPECT_EQ(accepted, 3u);
-  EXPECT_EQ(server.accepted_reports(), 3u);
-  EXPECT_EQ(server.rejected_reports(), 1u);
+TEST(WireAdversarial, BatchWithMalformedItemsSkipsAndCounts) {
+  // One batch per server kind (and AHEAD era) carrying two valid items and
+  // one item of every rejection class — malformed slots the decoder skips
+  // and in-range-looking reports the fold refuses. Batch ingestion must
+  // count each exactly once and agree with the typed reference.
+  struct RejectionCase {
+    std::string kind;
+    std::vector<uint8_t> message;
+    uint64_t accepted;
+    uint64_t rejected;
+  };
+  std::vector<RejectionCase> cases;
+  {
+    // D = 64: index at the padded domain; a sign byte of 0x55.
+    std::vector<uint8_t> msg = protocol::SerializeHrrReportBatch(
+        std::vector<HrrReport>{{5, +1}, {63, -1}, {64, +1}, {7, +1}});
+    PatchItem(msg, 0, 9, 3, 8, 0x55);
+    cases.push_back({"flat", msg, 2, 2});
+  }
+  {
+    // D = 64, height 6: level 0, level above the height, index at its
+    // level's size (64 >> 2), bad sign.
+    std::vector<uint8_t> msg = protocol::SerializeHaarHrrReportBatch(
+        std::vector<protocol::HaarHrrReport>{{1, {5, +1}},
+                                             {6, {0, -1}},
+                                             {0, {0, +1}},
+                                             {7, {0, +1}},
+                                             {2, {16, +1}},
+                                             {3, {1, +1}}});
+    PatchItem(msg, 0, 10, 5, 9, 2);
+    cases.push_back({"haar", msg, 2, 4});
+  }
+  {
+    // D = 128, B = 4, height 4 (level l has 4^l nodes): level 0, level
+    // above the height, index at the level size, bad sign.
+    std::vector<uint8_t> msg = protocol::SerializeTreeHrrReportBatch(
+        std::vector<protocol::TreeHrrReport>{{1, {2, +1}},
+                                             {4, {200, -1}},
+                                             {0, {0, +1}},
+                                             {5, {0, +1}},
+                                             {1, {4, +1}},
+                                             {2, {3, +1}}});
+    PatchItem(msg, 0, 10, 5, 9, 2);
+    cases.push_back({"tree", msg, 2, 4});
+  }
+  // AHEAD, D = 64, B = 4, height 3. Items are {phase, level, node}: bad
+  // phase, level 0, level above the era's levels, node at the level's
+  // size, and a report of the other era.
+  cases.push_back({"ahead_phase1",
+                   protocol::SerializeAheadReportBatch(
+                       std::vector<protocol::AheadWireReport>{{1, 1, 3},
+                                                              {1, 3, 63},
+                                                              {3, 1, 0},
+                                                              {1, 0, 0},
+                                                              {1, 4, 0},
+                                                              {1, 2, 16},
+                                                              {2, 1, 0}}),
+                   2, 5});
+  // Phase 2 against the full split: frontiers of 4, 16 and 64 nodes; the
+  // other-era report is a late phase-1 one.
+  cases.push_back({"ahead_phase2",
+                   protocol::SerializeAheadReportBatch(
+                       std::vector<protocol::AheadWireReport>{{2, 1, 3},
+                                                              {2, 3, 63},
+                                                              {0, 1, 0},
+                                                              {2, 0, 0},
+                                                              {2, 4, 0},
+                                                              {2, 1, 4},
+                                                              {1, 1, 0}}),
+                   2, 5});
+  {
+    // 16 x 16 grid, height 4: the all-root tuple, a level above the
+    // height, a cell at the OLH hash range; then a batch of foreign
+    // dimensionality, every item of which is rejected.
+    const uint32_t g = static_cast<uint32_t>(
+        protocol::MultiDimServer(16, 2, 1.0).hash_range());
+    std::vector<protocol::MultiDimReport> items = {{{1, 0}, 11, 1},
+                                                   {{4, 4}, 12, g - 1},
+                                                   {{0, 0}, 13, 0},
+                                                   {{5, 0}, 14, 0},
+                                                   {{1, 1}, 15, g}};
+    cases.push_back(
+        {"grid", protocol::SerializeMultiDimReportBatch(2, items), 2, 3});
+    std::vector<protocol::MultiDimReport> foreign = {{{1, 0, 2}, 16, 0},
+                                                     {{0, 1, 0}, 17, 0}};
+    cases.push_back(
+        {"grid", protocol::SerializeMultiDimReportBatch(3, foreign), 0, 2});
+  }
+
+  const std::vector<IngestKind> kinds = AllIngestKinds();
+  for (const RejectionCase& c : cases) {
+    const IngestKind* kind = nullptr;
+    for (const IngestKind& k : kinds) {
+      if (k.name == c.kind) kind = &k;
+    }
+    ASSERT_NE(kind, nullptr) << c.kind;
+    service::ServerStats stats;
+    ASSERT_EQ(ExpectIngestMatchesTypedReference(*kind, c.message, &stats),
+              ParseError::kOk)
+        << c.kind;
+    EXPECT_EQ(stats.accepted, c.accepted) << c.kind;
+    EXPECT_EQ(stats.rejected, c.rejected) << c.kind;
+  }
 }
 
 TEST(WireAdversarial, UnaryBitCountMustMatchPackedBytes) {

@@ -1,9 +1,11 @@
 // The zero-copy ingestion contract, asserted at the allocator: absorbing a
-// streamed report chunk into a MultiDimServer parses the wire bytes in
-// place and appends straight into the per-tuple arena columns, so at
-// steady state (arenas warmed by earlier chunks) a chunk's absorption
-// performs ZERO heap allocations — no staging std::vector of decoded
-// reports, no second copy of the chunk payload.
+// streamed report chunk walks its fixed-width report slots in place and
+// folds each report straight into the aggregate — HRR coefficient sums
+// (flat, haar, tree), AHEAD node tallies, or the multidim per-tuple arena
+// columns — so at steady state (arenas warmed by earlier chunks) a chunk's
+// absorption performs ZERO heap allocations, for every server kind: no
+// staging std::vector of decoded reports, no second copy of the chunk
+// payload.
 //
 // This file overrides the global operator new/delete to count allocations,
 // so it deliberately contains ONLY this test. The override is disabled
@@ -16,10 +18,17 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
+#include "common/random.h"
+#include "protocol/ahead_protocol.h"
+#include "protocol/flat_protocol.h"
+#include "protocol/haar_protocol.h"
 #include "protocol/multidim_protocol.h"
+#include "protocol/tree_protocol.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define LDP_ALLOC_COUNTING 0
@@ -59,43 +68,90 @@ using protocol::MultiDimReport;
 using protocol::MultiDimServer;
 using protocol::ParseError;
 
-TEST(ZeroCopyIngestion, SteadyStateChunkAbsorbIsAllocationFree) {
-#if !LDP_ALLOC_COUNTING
-  GTEST_SKIP() << "allocation counting disabled under sanitizers";
-#else
-  MultiDimServer server(/*domain_per_dim=*/8, /*dimensions=*/2, /*eps=*/1.0);
-  // One chunk: 64 reports, all for level tuple (1, 0) so the arena ramp is
+// One server kind and a 64-report chunk it accepts in full.
+struct ChunkCase {
+  std::string name;
+  std::unique_ptr<service::AggregatorServer> server;
+  std::vector<uint8_t> chunk;
+};
+
+std::vector<ChunkCase> AllChunkCases() {
+  Rng rng(9);
+  std::vector<uint64_t> values(64);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = (i * 37) % 64;
+  std::vector<ChunkCase> cases;
+  cases.push_back(
+      {"flat", std::make_unique<protocol::FlatHrrServer>(64, 1.0),
+       protocol::FlatHrrClient(64, 1.0).EncodeUsersSerialized(values, rng)});
+  cases.push_back(
+      {"haar", std::make_unique<protocol::HaarHrrServer>(64, 1.0),
+       protocol::HaarHrrClient(64, 1.0).EncodeUsersSerialized(values, rng)});
+  cases.push_back({"tree",
+                   std::make_unique<protocol::TreeHrrServer>(64, 4, 1.0),
+                   protocol::TreeHrrClient(64, 4, 1.0)
+                       .EncodeUsersSerialized(values, rng)});
+  protocol::AheadClient ahead(64, 4, 1.0);
+  std::vector<protocol::AheadWireReport> phase1;
+  for (uint64_t v : values) phase1.push_back(ahead.EncodePhase1(v, rng));
+  cases.push_back({"ahead_phase1",
+                   std::make_unique<protocol::AheadServer>(64, 4, 1.0),
+                   protocol::SerializeAheadReportBatch(phase1)});
+  auto phase2 = std::make_unique<protocol::AheadServer>(64, 4, 1.0);
+  ahead.AbsorbTreeDescription(phase2->BuildTree());
+  cases.push_back({"ahead_phase2", std::move(phase2),
+                   ahead.EncodePhase2UsersSerialized(values, rng)});
+  // All 64 grid reports for level tuple (1, 0), so the arena ramp is
   // confined to one oracle's columns and warms up quickly.
+  auto grid = std::make_unique<MultiDimServer>(/*domain_per_dim=*/8,
+                                               /*dimensions=*/2, /*eps=*/1.0);
   std::vector<MultiDimReport> reports(64);
   for (size_t i = 0; i < reports.size(); ++i) {
     reports[i].levels = {1, 0};
     reports[i].seed = 0x9E3779B97F4A7C15ULL * (i + 1);
-    reports[i].cell = static_cast<uint32_t>(i % server.hash_range());
+    reports[i].cell = static_cast<uint32_t>(i % grid->hash_range());
   }
-  const std::vector<uint8_t> chunk =
-      protocol::SerializeMultiDimReportBatch(2, reports);
+  cases.push_back({"grid", std::move(grid),
+                   protocol::SerializeMultiDimReportBatch(2, reports)});
+  return cases;
+}
 
-  // Warmup: the first chunks carve the oracle's first arena blocks.
-  for (int i = 0; i < 2; ++i) {
-    uint64_t accepted = 0;
-    ASSERT_EQ(server.AbsorbBatchSerialized(chunk, &accepted), ParseError::kOk);
-    ASSERT_EQ(accepted, reports.size());
-  }
-  const uint64_t arena_allocs = server.report_allocation_count();
+TEST(ZeroCopyIngestion, SteadyStateChunkAbsorbIsAllocationFree) {
+#if !LDP_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  for (ChunkCase& c : AllChunkCases()) {
+    SCOPED_TRACE(c.name);
+    // Warmup: the first chunks carve the grid oracle's first arena blocks
+    // (the other kinds fold into state sized at construction).
+    for (int i = 0; i < 2; ++i) {
+      uint64_t accepted = 0;
+      ASSERT_EQ(c.server->AbsorbBatchSerialized(c.chunk, &accepted),
+                ParseError::kOk);
+      ASSERT_EQ(accepted, 64u);
+    }
+    auto* grid = dynamic_cast<MultiDimServer*>(c.server.get());
+    const uint64_t arena_allocs =
+        grid != nullptr ? grid->report_allocation_count() : 0;
 
-  // Steady state: 8 more chunks (512 reports, well inside the first
-  // 1024-element chunk pair) must not allocate AT ALL.
-  const uint64_t heap_before = g_allocations.load(std::memory_order_relaxed);
-  for (int i = 0; i < 8; ++i) {
-    uint64_t accepted = 0;
-    ASSERT_EQ(server.AbsorbBatchSerialized(chunk, &accepted), ParseError::kOk);
-    ASSERT_EQ(accepted, reports.size());
+    // Steady state: 8 more chunks (512 reports, well inside the grid's
+    // first 1024-element chunk pair) must not allocate AT ALL.
+    const uint64_t heap_before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (int i = 0; i < 8; ++i) {
+      uint64_t accepted = 0;
+      ASSERT_EQ(c.server->AbsorbBatchSerialized(c.chunk, &accepted),
+                ParseError::kOk);
+      ASSERT_EQ(accepted, 64u);
+    }
+    const uint64_t heap_after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(heap_after - heap_before, 0u)
+        << "absorbing a streamed chunk allocated on the heap: batch "
+           "ingestion must fold reports in place, not stage or copy them";
+    if (grid != nullptr) {
+      EXPECT_EQ(grid->report_allocation_count(), arena_allocs);
+    }
+    EXPECT_EQ(c.server->accepted_reports(), 10u * 64u);
   }
-  const uint64_t heap_after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(heap_after - heap_before, 0u)
-      << "absorbing a streamed chunk allocated on the heap: the zero-copy "
-         "wire -> arena path must not stage or copy reports";
-  EXPECT_EQ(server.report_allocation_count(), arena_allocs);
 #endif
 }
 
