@@ -184,7 +184,11 @@ void BM_FastWalshHadamard(benchmark::State& state) {
   }
   state.SetComplexityN(d);
 }
-BENCHMARK(BM_FastWalshHadamard)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_FastWalshHadamard)
+    ->Arg(1 << 10)
+    ->Arg(1 << 16)
+    ->Arg(1 << 18)
+    ->Arg(1 << 20);
 
 }  // namespace
 

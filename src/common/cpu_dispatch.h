@@ -1,32 +1,22 @@
 // Runtime CPU dispatch for hot kernels.
 //
-// Two complementary layers:
+// SimdTier is an explicit manual dispatch layer for the heavy decode
+// kernels: the OLH support scan (which also serves the deferred multidim
+// decode) and the fast Walsh–Hadamard passes behind every HRR decode. Each
+// kernel is compiled once per tier with __attribute__((target(...))) and
+// selected through ResolvedSimdTier(), which honors the --dispatch= flag /
+// LDP_DISPATCH env override and logs the selected tier once at first use:
 //
-//  1. LDP_TARGET_CLONES — GCC function multi-versioning for light
-//     auto-vectorized loops (debias sweeps, estimate scans): the compiler
-//     emits a baseline x86-64 version plus AVX2, x86-64-v3 and x86-64-v4
-//     (AVX-512F/BW/DQ/VL) variants and picks one at load time via an ifunc
-//     resolver. Zero per-call overhead, but the choice is invisible and
-//     cannot be overridden at runtime, and ifunc resolvers do not compose
-//     with clang or AddressSanitizer — hence layer 2 for the kernels that
-//     matter.
+//   ldp [info] simd dispatch tier=avx512 (detected=avx512, override=auto)
 //
-//  2. SimdTier — explicit manual dispatch for the heavy decode kernels
-//     (the OLH support scan, the deferred multidim decode). Each kernel is
-//     compiled once per tier with __attribute__((target(...))) and selected
-//     through ResolvedSimdTier(), which honors the --dispatch= flag /
-//     LDP_DISPATCH env override and logs the selected tier once at first
-//     use:
-//
-//       ldp [info] simd dispatch tier=avx512 (detected=avx512, override=auto)
-//
-//     Tiers: scalar < avx2 < avx512 on x86-64 (on AVX-512 the 64-bit
-//     multiplies of the seeded hash map directly onto vpmullq, which is
-//     what makes the OLH support scan vectorize at all); neon < sve on
-//     aarch64 (NEON is the aarch64 baseline, so its "variant" is the
-//     portable body; an SVE tier exists when the build targets SVE).
-//     An override above what the CPU supports clamps to the detected tier,
-//     so the resolved tier is always safe to execute.
+// Tiers: scalar < avx2 < avx512 on x86-64 (on AVX-512 the 64-bit
+// multiplies of the seeded hash map directly onto vpmullq, which is what
+// makes the OLH support scan vectorize at all); neon < sve on aarch64
+// (NEON is the aarch64 baseline, so its "variant" is the portable body; an
+// SVE tier exists when the build targets SVE). An override above what the
+// CPU supports clamps to the detected tier, so the resolved tier is always
+// safe to execute. The choice is visible and can be overridden at runtime,
+// and it works under clang and the sanitizers alike (no ifunc resolvers).
 //
 // The checked-in build stays portable: no -march flags leak into the
 // global build, every variant carries its own target attribute, and
@@ -37,15 +27,6 @@
 
 #include <span>
 #include <string_view>
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_ADDRESS__)
-#define LDP_TARGET_CLONES                                          \
-  __attribute__((target_clones("default", "avx2", "arch=x86-64-v3", \
-                               "arch=x86-64-v4")))
-#else
-#define LDP_TARGET_CLONES
-#endif
 
 // True when this translation unit can compile per-tier x86 variants with
 // __attribute__((target(...))) — GCC and clang, any sanitizer (manual

@@ -5,10 +5,22 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace ldp {
 
 namespace {
+
+// Threads for one level step of either pass, which ParallelFor splits over
+// the parents: each parent reads and writes only itself and its own
+// children, so the split cannot change the result. A step whose child level
+// holds at least 2^18 nodes fans out over HardwareThreads(); smaller ones
+// (every level of AHEAD's BuildTree among them) run on the caller's thread
+// and spawn nothing.
+unsigned LevelThreads(size_t children) {
+  constexpr size_t kParallelFloor = size_t{1} << 18;
+  return children >= kParallelFloor ? HardwareThreads() : 1;
+}
 
 void CheckShape(const std::vector<std::vector<double>>& levels,
                 uint64_t fanout) {
@@ -33,13 +45,18 @@ void WeightedAverageBottomUp(std::vector<std::vector<double>>& levels,
     double bi = bi_minus1 * b;
     double self_w = (bi - bi_minus1) / (bi - 1.0);
     double child_w = (bi_minus1 - 1.0) / (bi - 1.0);
-    for (size_t k = 0; k < levels[l].size(); ++k) {
-      double child_sum = 0.0;
-      for (uint64_t c = 0; c < fanout; ++c) {
-        child_sum += levels[l + 1][k * fanout + c];
+    std::vector<double>& level = levels[l];
+    const std::vector<double>& child = levels[l + 1];
+    ParallelFor(level.size(), LevelThreads(child.size()),
+                [&](unsigned, uint64_t k0, uint64_t k1) {
+      for (size_t k = k0; k < k1; ++k) {
+        double child_sum = 0.0;
+        for (uint64_t c = 0; c < fanout; ++c) {
+          child_sum += child[k * fanout + c];
+        }
+        level[k] = self_w * level[k] + child_w * child_sum;
       }
-      levels[l][k] = self_w * levels[l][k] + child_w * child_sum;
-    }
+    });
   }
 }
 
@@ -55,16 +72,21 @@ void MeanConsistencyTopDown(std::vector<std::vector<double>>& levels,
     levels[0][0] = *root_pin;
   }
   for (size_t l = 0; l + 1 < levels.size(); ++l) {
-    for (size_t k = 0; k < levels[l].size(); ++k) {
-      double child_sum = 0.0;
-      for (uint64_t c = 0; c < fanout; ++c) {
-        child_sum += levels[l + 1][k * fanout + c];
+    const std::vector<double>& level = levels[l];
+    std::vector<double>& child = levels[l + 1];
+    ParallelFor(level.size(), LevelThreads(child.size()),
+                [&](unsigned, uint64_t k0, uint64_t k1) {
+      for (size_t k = k0; k < k1; ++k) {
+        double child_sum = 0.0;
+        for (uint64_t c = 0; c < fanout; ++c) {
+          child_sum += child[k * fanout + c];
+        }
+        double adjust = (level[k] - child_sum) / b;
+        for (uint64_t c = 0; c < fanout; ++c) {
+          child[k * fanout + c] += adjust;
+        }
       }
-      double adjust = (levels[l][k] - child_sum) / b;
-      for (uint64_t c = 0; c < fanout; ++c) {
-        levels[l + 1][k * fanout + c] += adjust;
-      }
-    }
+    });
   }
 }
 

@@ -47,6 +47,11 @@ namespace ldp {
 /// before the top-down pass — the local model pins it to 1 (every user's
 /// path contains the root); the centralized baselines leave it unset and
 /// keep the root's weighted-average estimate (Hay et al.'s original form).
+///
+/// Both passes go level by level; a level step whose child level holds at
+/// least 2^18 nodes is split over HardwareThreads() by parent (each parent
+/// touches only itself and its own children), smaller ones run on the
+/// caller's thread. The result is bit-identical to the serial passes.
 void EnforceHierarchicalConsistency(std::vector<std::vector<double>>& levels,
                                     uint64_t fanout,
                                     std::optional<double> root_pin = 1.0);

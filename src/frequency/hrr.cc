@@ -62,18 +62,14 @@ std::vector<double> HrrOracle::EstimateFractions() const {
   if (reports_ == 0) {
     return std::vector<double>(domain_, 0.0);
   }
-  // One allocation: the transform and the scaling run in the vector that
-  // is returned, which is then cut from padded_ down to domain_ entries
-  // (a shrink, never a reallocation).
-  std::vector<double> est(coefficient_sums_.begin(), coefficient_sums_.end());
   // theta_hat[z] = FWHT(O)[z] / (N (2p-1)): the index-sampling factor D and
-  // the two 1/sqrt(D) normalizations cancel exactly.
-  FastWalshHadamard(est);
+  // the two 1/sqrt(D) normalizations cancel exactly. One transform loads
+  // the sums, decodes and applies the debias factor (frequency/hadamard.h);
+  // the padded tail is then cut off (a shrink, never a reallocation).
+  std::vector<double> est(padded_);
   double scale =
       1.0 / (static_cast<double>(reports_) * (2.0 * KeepProbability() - 1.0));
-  for (uint64_t z = 0; z < domain_; ++z) {
-    est[z] *= scale;
-  }
+  ScaledWalshHadamard(coefficient_sums_, scale, est);
   est.resize(domain_);
   return est;
 }

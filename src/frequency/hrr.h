@@ -5,8 +5,14 @@
 // coefficient is +/-1. The user samples one coefficient index j uniformly,
 // perturbs its sign with binary randomized response (keep probability
 // p = e^eps/(1+e^eps)) and reports (j, sign): ceil(log2 D) + 1 bits total.
-// The aggregator sums reports per coefficient, unbiases by 1/(2p-1), and
-// inverts the transform in O(D log D).
+// The aggregator sums reports per coefficient, and EstimateFractions
+// inverts the transform in O(D log D) and unbiases by 1/(N(2p-1)) in one
+// call: ScaledWalshHadamard (frequency/hadamard.h) loads the int64 sums in
+// its first, cache-blocked phase and multiplies each final value once by
+// the debias factor. It uses the per-tier pass kernels and fans out over
+// HardwareThreads() from 2^18 coefficients up; the estimates are
+// bit-identical to converting, transforming and scaling one step at a
+// time (the sums are integers below 2^53, so the transform is exact).
 //
 // HRR natively supports *signed* one-hot inputs (-e_v as well as e_v), which
 // is exactly what the Haar levels of the paper's HaarHRR mechanism emit —

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
+#include "decode_reference.h"
 
 namespace ldp {
 namespace {
@@ -158,6 +162,30 @@ TEST(Consistency, WeightedAverageLeavesLeavesUntouched) {
   auto leaves_before = levels[2];
   WeightedAverageBottomUp(levels, 4);
   EXPECT_EQ(levels[2], leaves_before);
+}
+
+TEST(Consistency, ParallelLevelsMatchSerialReference) {
+  // 2^20 leaves puts the two lowest level steps above the 2^18 parallel
+  // floor for both fanouts; the levels above stay serial.
+  for (auto [fanout, height] : {std::make_tuple(uint64_t{2}, uint32_t{20}),
+                                std::make_tuple(uint64_t{4}, uint32_t{10})}) {
+    Rng rng(fanout);
+    const auto noisy = NoisyTree(ExactTree(fanout, height), 1e-3, rng);
+    for (std::optional<double> root_pin : {std::optional<double>(1.0),
+                                           std::optional<double>()}) {
+      auto levels = noisy;
+      auto expected = noisy;
+      EnforceHierarchicalConsistency(levels, fanout, root_pin);
+      testing_reference::SerialConsistency(expected, fanout, root_pin);
+      for (size_t l = 0; l < levels.size(); ++l) {
+        EXPECT_EQ(std::memcmp(levels[l].data(), expected[l].data(),
+                              levels[l].size() * sizeof(double)),
+                  0)
+            << "B=" << fanout << " level=" << l
+            << " pinned=" << root_pin.has_value();
+      }
+    }
+  }
 }
 
 TEST(Consistency, RejectsMalformedShape) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
+#include "common/cpu_dispatch.h"
 #include "common/random.h"
+#include "decode_reference.h"
 
 namespace ldp {
 namespace {
@@ -74,6 +77,54 @@ TEST(Hadamard, SizeOneIsIdentity) {
   std::vector<double> x = {3.25};
   FastWalshHadamard(x);
   EXPECT_DOUBLE_EQ(x[0], 3.25);
+}
+
+TEST(Hadamard, BlockedMatchesRadix2ReferenceOnEveryTier) {
+  // Non-integer inputs make every addition round, so any reordering of a
+  // butterfly or of the passes would show. 2^0..2^21 crosses the 4096-
+  // element block (phase 2 appears at 2^13, with an odd and an even
+  // number of its passes) and the 2^18 parallel floor.
+  Rng rng(21);
+  std::vector<std::vector<double>> inputs;
+  std::vector<std::vector<double>> expected;
+  for (int m = 0; m <= 21; ++m) {
+    std::vector<double> x(size_t{1} << m);
+    for (double& v : x) v = rng.UniformDouble() - 0.5;
+    inputs.push_back(x);
+    testing_reference::Radix2Fwht(x);
+    expected.push_back(std::move(x));
+  }
+  for (SimdTier tier : CompiledSimdTiers()) {
+    ASSERT_TRUE(SetSimdTierOverride(SimdTierName(tier)));
+    for (size_t m = 0; m < inputs.size(); ++m) {
+      std::vector<double> x = inputs[m];
+      FastWalshHadamard(x);
+      EXPECT_EQ(std::memcmp(x.data(), expected[m].data(),
+                            x.size() * sizeof(double)),
+                0)
+          << "tier=" << SimdTierName(tier) << " n=2^" << m;
+    }
+  }
+  ASSERT_TRUE(SetSimdTierOverride("auto"));
+}
+
+TEST(Hadamard, ScaledTransformMatchesConvertTransformScale) {
+  // The HRR decode path: int64 sums in, one scale per final value.
+  Rng rng(22);
+  const double scale = 1.0 / 3.0;
+  for (int m : {0, 3, 12, 13, 14, 19}) {
+    const size_t n = size_t{1} << m;
+    std::vector<int64_t> sums(n);
+    for (int64_t& s : sums) s = rng.UniformIntInRange(-1000, 1000);
+    std::vector<double> expected(sums.begin(), sums.end());
+    testing_reference::Radix2Fwht(expected);
+    for (double& v : expected) v *= scale;
+    std::vector<double> out(n);
+    ScaledWalshHadamard(sums, scale, out);
+    EXPECT_EQ(std::memcmp(out.data(), expected.data(), n * sizeof(double)),
+              0)
+        << "n=2^" << m;
+  }
 }
 
 TEST(Hadamard, RowsAreOrthogonal) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "core/hierarchical.h"
+#include "decode_reference.h"
+#include "frequency/hrr.h"
 
 namespace ldp {
 namespace {
@@ -129,6 +133,75 @@ TEST(TreeProtocol, ConsistencyTogglesParentChildAgreement) {
     leaf_sum += leaves[z];
   }
   EXPECT_NEAR(with_ci.RangeQuery(10, 42), leaf_sum, 1e-9);
+}
+
+TEST(TreeProtocol, FinalizeMatchesReferenceDecodeAtLargeDomain) {
+  // D = 2^20, B = 4: the leaf level's transform and the two lowest
+  // consistency steps cross the parallel floors, so this covers the
+  // blocked, per-tier, threaded decode end to end against a reference
+  // rebuilt here from the same reports.
+  const uint64_t d = uint64_t{1} << 20;
+  const uint64_t fanout = 4;
+  const double eps = 1.0;
+  TreeHrrClient client(d, fanout, eps);
+  const uint32_t height = client.shape().height();
+  Rng rng(15);
+  std::vector<uint64_t> values(200000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = (i * i * 2654435761ULL) % d;
+  }
+  const std::vector<TreeHrrReport> reports = client.EncodeUsers(values, rng);
+
+  // Reference raw estimates: per-level +/-1 sums, converted to double,
+  // radix-2 FWHT, then the HRR debias factor.
+  const double keep = HrrOracle(1, eps).KeepProbability();
+  std::vector<std::vector<int64_t>> sums(height + 1);
+  std::vector<uint64_t> counts(height + 1, 0);
+  for (uint32_t l = 1; l <= height; ++l) {
+    sums[l].assign(client.shape().NodesAtLevel(l), 0);
+  }
+  for (const TreeHrrReport& r : reports) {
+    sums[r.level][r.inner.coefficient_index] += r.inner.sign;
+    ++counts[r.level];
+  }
+  std::vector<std::vector<double>> raw(height + 1);
+  raw[0] = {1.0};
+  for (uint32_t l = 1; l <= height; ++l) {
+    ASSERT_GT(counts[l], 0u);
+    raw[l].assign(sums[l].begin(), sums[l].end());
+    testing_reference::Radix2Fwht(raw[l]);
+    const double scale =
+        1.0 / (static_cast<double>(counts[l]) * (2.0 * keep - 1.0));
+    for (double& v : raw[l]) v *= scale;
+  }
+
+  for (bool consistency : {true, false}) {
+    std::vector<std::vector<double>> expected = raw;
+    if (consistency) {
+      testing_reference::SerialConsistency(expected, fanout, 1.0);
+    }
+    TreeHrrServer server(d, fanout, eps, consistency);
+    ASSERT_EQ(server.AbsorbBatch(reports), reports.size());
+    server.Finalize();
+    const std::vector<double> leaves = server.EstimateFrequencies();
+    ASSERT_EQ(leaves.size(), d);
+    EXPECT_EQ(std::memcmp(leaves.data(), expected[height].data(),
+                          d * sizeof(double)),
+              0)
+        << "consistency=" << consistency;
+    Rng query_rng(16);
+    for (int q = 0; q < 500; ++q) {
+      uint64_t a = query_rng.UniformInt(d);
+      uint64_t b = query_rng.UniformInt(d);
+      if (a > b) std::swap(a, b);
+      double want = 0.0;
+      for (const TreeNode& node : client.shape().Decompose(a, b)) {
+        want += expected[node.level][node.index];
+      }
+      EXPECT_EQ(server.RangeQuery(a, b), want)
+          << "[" << a << "," << b << "] consistency=" << consistency;
+    }
+  }
 }
 
 TEST(TreeProtocol, FuzzedBytesNeverCrashServer) {
