@@ -1,13 +1,10 @@
 // Microbenchmarks for the wire serialization layer: what does the v2
-// envelope (envelope.h) cost over the seed's raw v1 framing on the
-// report hot path? Batch sizes match PR 2's ingest baselines
-// (BENCH_baseline.json: 32768 and 262144 users) — the guard for the
-// claim that framing costs < 2% versus the raw v1 path at those sizes.
-// Measured on the baseline box the claim holds with margin: the batch
-// frame (one 8-byte header + count varint amortized over the whole
-// batch, one allocation) encodes ~1.6x and decodes ~1.5x FASTER than
-// the per-report v1 loop; only the per-report v2 path — one envelope
-// per 9-byte payload, which no batch caller ships — pays real overhead.
+// envelope (envelope.h) cost per report, and what does batch framing
+// save? Batch sizes match the ingest baselines (BENCH_baseline.json:
+// 32768 and 262144 users). The batch frame (one 8-byte header + count
+// varint amortized over the whole batch, one allocation) is the
+// deployment shape; the per-report path — one envelope per 9-byte
+// payload, which no batch caller ships — pays real overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -35,19 +32,7 @@ std::vector<HrrReport> MakeReports(int64_t n) {
   return client.EncodeUsers(values, rng);
 }
 
-// --- encode: per-report framing, v1 vs v2 --------------------------------
-
-void BM_WireEncodeReportsV1(benchmark::State& state) {
-  std::vector<HrrReport> reports = MakeReports(state.range(0));
-  for (auto _ : state) {
-    for (const HrrReport& report : reports) {
-      benchmark::DoNotOptimize(
-          protocol::SerializeHrrReport(report, protocol::kWireVersionV1));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WireEncodeReportsV1)->Arg(32768)->Arg(262144);
+// --- encode: per-report vs batch framing --------------------------------
 
 void BM_WireEncodeReportsV2(benchmark::State& state) {
   std::vector<HrrReport> reports = MakeReports(state.range(0));
@@ -71,25 +56,7 @@ void BM_WireEncodeBatchV2(benchmark::State& state) {
 }
 BENCHMARK(BM_WireEncodeBatchV2)->Arg(32768)->Arg(262144);
 
-// --- decode: per-report parsing, v1 vs v2 --------------------------------
-
-void BM_WireDecodeReportsV1(benchmark::State& state) {
-  std::vector<HrrReport> reports = MakeReports(state.range(0));
-  std::vector<std::vector<uint8_t>> wire;
-  wire.reserve(reports.size());
-  for (const HrrReport& report : reports) {
-    wire.push_back(
-        protocol::SerializeHrrReport(report, protocol::kWireVersionV1));
-  }
-  for (auto _ : state) {
-    HrrReport out;
-    for (const std::vector<uint8_t>& bytes : wire) {
-      benchmark::DoNotOptimize(protocol::ParseHrrReport(bytes, &out));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WireDecodeReportsV1)->Arg(32768)->Arg(262144);
+// --- decode: per-report vs batch parsing --------------------------------
 
 void BM_WireDecodeReportsV2(benchmark::State& state) {
   std::vector<HrrReport> reports = MakeReports(state.range(0));

@@ -68,10 +68,6 @@ void EmitFlat() {
   // range rejection rather than the parser.
   WriteFile("flat_absorb", "v2_out_of_range",
             SerializeHrrReport(HrrReport{1u << 20, +1}));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("flat_absorb", "v1_single", client.EncodeSerialized(12, rng));
-  WriteFile("decode_envelope", "flat_single_v1",
-            client.EncodeSerialized(9, rng));
 }
 
 void EmitHaar() {
@@ -85,10 +81,6 @@ void EmitHaar() {
             client.EncodeSerialized(5, rng));
   WriteFile("decode_envelope", "haar_batch",
             client.EncodeUsersSerialized(values, rng));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("haar_absorb", "v1_single", client.EncodeSerialized(40, rng));
-  WriteFile("decode_envelope", "haar_single_v1",
-            client.EncodeSerialized(33, rng));
 }
 
 void EmitTree() {
@@ -100,10 +92,6 @@ void EmitTree() {
             client.EncodeUsersSerialized(values, rng));
   WriteFile("decode_envelope", "tree_single",
             client.EncodeSerialized(11, rng));
-  client.set_wire_version(kWireVersionV1);
-  WriteFile("tree_absorb", "v1_single", client.EncodeSerialized(77, rng));
-  WriteFile("decode_envelope", "tree_single_v1",
-            client.EncodeSerialized(60, rng));
 }
 
 void EmitOracles() {

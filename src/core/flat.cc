@@ -6,6 +6,27 @@
 
 namespace ldp {
 
+FlatEstimate::FlatEstimate(const FrequencyOracle& oracle)
+    : frequencies_(oracle.EstimateFractions()),
+      prefix_(frequencies_.size() + 1, 0.0),
+      item_variance_(oracle.EstimatorVariance()) {
+  for (size_t i = 0; i < frequencies_.size(); ++i) {
+    prefix_[i + 1] = prefix_[i] + frequencies_[i];
+  }
+}
+
+double FlatEstimate::RangeQuery(uint64_t a, uint64_t b) const {
+  LDP_CHECK_LE(a, b);
+  LDP_CHECK_LT(b, frequencies_.size());
+  return prefix_[b + 1] - prefix_[a];
+}
+
+RangeEstimate FlatEstimate::RangeQueryWithUncertainty(uint64_t a,
+                                                      uint64_t b) const {
+  double r = static_cast<double>(b - a + 1);
+  return RangeEstimate{RangeQuery(a, b), std::sqrt(r * item_variance_)};
+}
+
 FlatMechanism::FlatMechanism(uint64_t domain, double eps, OracleKind oracle)
     : RangeMechanism(domain, eps),
       oracle_kind_(oracle),
@@ -50,33 +71,24 @@ void FlatMechanism::MergeFrom(const RangeMechanism& other) {
 void FlatMechanism::Finalize(Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "Finalize called twice");
   oracle_->Finalize(rng);
-  frequencies_ = oracle_->EstimateFractions();
-  prefix_.assign(domain_ + 1, 0.0);
-  for (uint64_t i = 0; i < domain_; ++i) {
-    prefix_[i + 1] = prefix_[i] + frequencies_[i];
-  }
+  estimate_.emplace(*oracle_);
   finalized_ = true;
 }
 
 double FlatMechanism::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  return prefix_[b + 1] - prefix_[a];
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate FlatMechanism::RangeQueryWithUncertainty(uint64_t a,
                                                        uint64_t b) const {
-  // Fact 1: Var = r * (per-item oracle variance); items are estimated
-  // from independent randomness per position.
-  double r = static_cast<double>(b - a + 1);
-  return RangeEstimate{RangeQuery(a, b),
-                       std::sqrt(r * oracle_->EstimatorVariance())};
+  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> FlatMechanism::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return frequencies_;
+  return estimate_->frequencies();
 }
 
 }  // namespace ldp

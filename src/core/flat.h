@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,30 @@
 #include "frequency/frequency_oracle.h"
 
 namespace ldp {
+
+/// The finalized half of the flat method: per-item estimates, their prefix
+/// sums (O(1) ranges) and the per-item variance. FlatMechanism and the wire
+/// server (protocol/flat_protocol.h) both answer through it.
+class FlatEstimate {
+ public:
+  /// Debiases a Finalize()d oracle, with its variance at the reports it
+  /// holds (+inf when it holds none).
+  explicit FlatEstimate(const FrequencyOracle& oracle);
+
+  /// Estimated fraction of users in [a, b]; requires a <= b < domain.
+  double RangeQuery(uint64_t a, uint64_t b) const;
+
+  /// Fact 1: a length-r range has variance r * (per-item variance).
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a, uint64_t b) const;
+
+  const std::vector<double>& frequencies() const { return frequencies_; }
+
+ private:
+  std::vector<double> frequencies_;
+  // prefix_[i] = sum of frequencies_[0..i-1].
+  std::vector<double> prefix_;
+  double item_variance_;
+};
 
 /// Flat mechanism over any frequency oracle.
 class FlatMechanism final : public RangeMechanism {
@@ -41,9 +66,7 @@ class FlatMechanism final : public RangeMechanism {
   OracleKind oracle_kind_;
   std::unique_ptr<FrequencyOracle> oracle_;
   bool finalized_ = false;
-  std::vector<double> frequencies_;
-  // prefix_[i] = sum of frequencies_[0..i-1]; makes RangeQuery O(1).
-  std::vector<double> prefix_;
+  std::optional<FlatEstimate> estimate_;
 };
 
 }  // namespace ldp

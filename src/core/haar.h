@@ -52,8 +52,8 @@ double HaarRangeWeight(uint32_t level, uint64_t block, uint64_t a, uint64_t b);
 /// Range mass reconstruction from (possibly noisy) coefficients: combines
 /// the average coefficient with the <= 2 boundary-cut detail coefficients
 /// per level. `padded_domain` = 2^coefficients.height; requires
-/// a <= b < padded_domain. Shared by HaarHrrMechanism, the centralized
-/// wavelet and the wire-protocol server.
+/// a <= b < padded_domain. HaarHrrEstimate sums its answers in the same
+/// order, so the two agree bit for bit.
 double HaarRangeEstimate(const HaarCoefficients& coefficients,
                          uint64_t padded_domain, uint64_t a, uint64_t b);
 

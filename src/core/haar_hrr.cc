@@ -7,6 +7,64 @@
 
 namespace ldp {
 
+HaarHrrEstimate::HaarHrrEstimate(
+    uint64_t domain, std::span<const FrequencyOracle* const> levels)
+    : domain_(domain),
+      padded_(uint64_t{1} << levels.size()),
+      coefficient_variance_(levels.size()) {
+  const uint32_t height = static_cast<uint32_t>(levels.size());
+  coefficients_.height = height;
+  // c0 is the scaled total mass — exactly 1/sqrt(D) for fractions, no
+  // perturbation required (paper: "hardcoded ... since it does not require
+  // perturbation").
+  coefficients_.average = 1.0 / std::sqrt(static_cast<double>(padded_));
+  coefficients_.detail.resize(height);
+  for (uint32_t l = 1; l <= height; ++l) {
+    // The oracle estimates the signed fraction vector g with
+    // g[k] = S_L - S_R for block k; the orthonormal coefficient adds the
+    // 2^{-l/2} scale.
+    std::vector<double> g = levels[l - 1]->EstimateFractions();
+    double scale = std::exp2(-0.5 * static_cast<double>(l));
+    for (double& v : g) {
+      v *= scale;
+    }
+    coefficients_.detail[l - 1] = std::move(g);
+    coefficient_variance_[l - 1] = std::exp2(-static_cast<double>(l)) *
+                                   levels[l - 1]->EstimatorVariance();
+  }
+}
+
+RangeEstimate HaarHrrEstimate::RangeQueryWithUncertainty(uint64_t a,
+                                                         uint64_t b) const {
+  LDP_CHECK_LE(a, b);
+  LDP_CHECK_LT(b, domain_);
+  double r = static_cast<double>(b - a + 1);
+  double total = r * coefficients_.average /
+                 std::sqrt(static_cast<double>(padded_));
+  double variance = 0.0;
+  for (uint32_t l = 1; l <= coefficients_.height; ++l) {
+    const std::vector<double>& detail = coefficients_.detail[l - 1];
+    const double coeff_var = coefficient_variance_[l - 1];
+    uint64_t ka = a >> l;
+    uint64_t kb = b >> l;
+    double wa = HaarRangeWeight(l, ka, a, b);
+    total += wa * detail[ka];
+    if (wa != 0.0) variance += wa * wa * coeff_var;
+    if (kb != ka) {
+      double wb = HaarRangeWeight(l, kb, a, b);
+      total += wb * detail[kb];
+      if (wb != 0.0) variance += wb * wb * coeff_var;
+    }
+  }
+  return RangeEstimate{total, std::sqrt(variance)};
+}
+
+std::vector<double> HaarHrrEstimate::EstimateFrequencies() const {
+  std::vector<double> leaves = HaarInverse(coefficients_);
+  leaves.resize(domain_);
+  return leaves;
+}
+
 HaarHrrMechanism::HaarHrrMechanism(uint64_t domain, double eps)
     : RangeMechanism(domain, eps),
       padded_(NextPowerOfTwo(domain)),
@@ -70,70 +128,35 @@ void HaarHrrMechanism::MergeFrom(const RangeMechanism& other) {
 
 void HaarHrrMechanism::Finalize(Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "Finalize called twice");
-  coefficients_.height = height_;
-  // c0 is the scaled total mass — exactly 1/sqrt(D) for fractions, no
-  // perturbation required (paper: "hardcoded ... since it does not require
-  // perturbation").
-  coefficients_.average = 1.0 / std::sqrt(static_cast<double>(padded_));
-  coefficients_.detail.resize(height_);
-  for (uint32_t l = 1; l <= height_; ++l) {
-    level_oracles_[l - 1]->Finalize(rng);
-    // The oracle estimates the signed fraction vector g with
-    // g[k] = S_L - S_R for block k; the orthonormal coefficient adds the
-    // 2^{-l/2} scale.
-    std::vector<double> g = level_oracles_[l - 1]->EstimateFractions();
-    double scale = std::exp2(-0.5 * static_cast<double>(l));
-    for (double& v : g) {
-      v *= scale;
-    }
-    coefficients_.detail[l - 1] = std::move(g);
+  std::vector<const FrequencyOracle*> levels;
+  levels.reserve(level_oracles_.size());
+  for (const auto& oracle : level_oracles_) {
+    oracle->Finalize(rng);
+    levels.push_back(oracle.get());
   }
+  estimate_.emplace(domain_, levels);
   finalized_ = true;
 }
 
 double HaarHrrMechanism::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  return HaarRangeEstimate(coefficients_, padded_, a, b);
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate HaarHrrMechanism::RangeQueryWithUncertainty(
     uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  // Var = sum over boundary-cut coefficients of
-  //   weight^2 * Var(c_hat) with Var(c_hat) = 2^-l * Var(g_hat)
-  // (the level oracle estimates g; the orthonormal coefficient rescales
-  // by 2^{-l/2}). c0 is exact and contributes nothing.
-  double variance = 0.0;
-  for (uint32_t l = 1; l <= height_; ++l) {
-    double coeff_var = std::exp2(-static_cast<double>(l)) *
-                       level_oracles_[l - 1]->EstimatorVariance();
-    uint64_t ka = a >> l;
-    uint64_t kb = b >> l;
-    double wa = HaarRangeWeight(l, ka, a, b);
-    variance += wa * wa * coeff_var;
-    if (kb != ka) {
-      double wb = HaarRangeWeight(l, kb, a, b);
-      variance += wb * wb * coeff_var;
-    }
-  }
-  return RangeEstimate{HaarRangeEstimate(coefficients_, padded_, a, b),
-                       std::sqrt(variance)};
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> HaarHrrMechanism::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  std::vector<double> leaves = HaarInverse(coefficients_);
-  leaves.resize(domain_);
-  return leaves;
+  return estimate_->EstimateFrequencies();
 }
 
 const HaarCoefficients& HaarHrrMechanism::coefficients() const {
   LDP_CHECK_MSG(finalized_, "coefficients before Finalize");
-  return coefficients_;
+  return estimate_->coefficients();
 }
 
 }  // namespace ldp

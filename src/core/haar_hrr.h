@@ -20,6 +20,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,43 @@
 #include "frequency/hrr.h"
 
 namespace ldp {
+
+/// The finalized half of HaarHRR: the orthonormal coefficient estimates and
+/// each level's coefficient variance. HaarHrrMechanism and the wire server
+/// (protocol/haar_protocol.h) both answer through it.
+class HaarHrrEstimate {
+ public:
+  /// Debiases the Finalize()d level oracles of a `domain`-item range:
+  /// levels[l-1] estimates level l's signed fraction vector g (one entry
+  /// per block of 2^l leaves); the padded domain is 2^levels.size().
+  HaarHrrEstimate(uint64_t domain,
+                  std::span<const FrequencyOracle* const> levels);
+
+  /// Estimated fraction of users in [a, b]; requires a <= b < domain.
+  double RangeQuery(uint64_t a, uint64_t b) const {
+    return RangeQueryWithUncertainty(a, b).value;
+  }
+
+  /// The value (summed as HaarRangeEstimate sums it) and, from the same
+  /// walk over the boundary blocks, its variance: weight^2 * Var(c_hat)
+  /// summed over the cut coefficients, each at its level's report count
+  /// (Eq. 3 bounds it). Zero weights are skipped, so a level with no
+  /// reports (+inf) counts only where the range reads it; c0 is exact.
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a, uint64_t b) const;
+
+  std::vector<double> EstimateFrequencies() const;
+
+  const HaarCoefficients& coefficients() const { return coefficients_; }
+
+ private:
+  uint64_t domain_;
+  uint64_t padded_;
+  HaarCoefficients coefficients_;
+  // coefficient_variance_[l-1] = Var(c_hat) at level l = 2^-l * Var(g_hat):
+  // the oracle estimates g, the orthonormal coefficient rescales it by
+  // 2^{-l/2}.
+  std::vector<double> coefficient_variance_;
+};
 
 /// The HaarHRR range mechanism.
 class HaarHrrMechanism final : public RangeMechanism {
@@ -62,7 +101,7 @@ class HaarHrrMechanism final : public RangeMechanism {
   std::vector<std::unique_ptr<HrrOracle>> level_oracles_;
   uint64_t users_ = 0;
   bool finalized_ = false;
-  HaarCoefficients coefficients_;
+  std::optional<HaarHrrEstimate> estimate_;
 };
 
 }  // namespace ldp

@@ -8,6 +8,52 @@
 
 namespace ldp {
 
+HierarchicalEstimate::HierarchicalEstimate(
+    const TreeShape& shape, std::span<const FrequencyOracle* const> levels,
+    bool consistency)
+    : shape_(shape), estimates_(shape.height() + 1) {
+  const uint32_t h = shape_.height();
+  LDP_CHECK_EQ(levels.size(), static_cast<size_t>(h));
+  const double ci_factor =
+      consistency ? static_cast<double>(shape_.fanout()) /
+                        (shape_.fanout() + 1.0)
+                  : 1.0;
+  estimates_[0] = {1.0};  // the root fraction is known exactly
+  node_variance_.assign(h + 1, 0.0);
+  for (uint32_t l = 1; l <= h; ++l) {
+    estimates_[l] = levels[l - 1]->EstimateFractions();
+    node_variance_[l] = ci_factor * levels[l - 1]->EstimatorVariance();
+  }
+  if (consistency) {
+    EnforceHierarchicalConsistency(estimates_, shape_.fanout());
+  }
+}
+
+RangeEstimate HierarchicalEstimate::RangeQueryWithUncertainty(
+    uint64_t a, uint64_t b) const {
+  LDP_CHECK_LE(a, b);
+  LDP_CHECK_LT(b, shape_.domain());
+  double total = 0.0;
+  double variance = 0.0;
+  for (const TreeNode& node : shape_.Decompose(a, b)) {
+    total += estimates_[node.level][node.index];
+    variance += node_variance_[node.level];
+  }
+  return RangeEstimate{total, std::sqrt(variance)};
+}
+
+double HierarchicalEstimate::NodeEstimate(const TreeNode& node) const {
+  LDP_CHECK_LE(node.level, shape_.height());
+  LDP_CHECK_LT(node.index, shape_.NodesAtLevel(node.level));
+  return estimates_[node.level][node.index];
+}
+
+std::vector<double> HierarchicalEstimate::EstimateFrequencies() const {
+  const std::vector<double>& leaves = estimates_[shape_.height()];
+  return std::vector<double>(leaves.begin(),
+                             leaves.begin() + shape_.domain());
+}
+
 HierarchicalMechanism::HierarchicalMechanism(uint64_t domain, double eps,
                                              const HierarchicalConfig& config)
     : RangeMechanism(domain, eps),
@@ -122,24 +168,19 @@ void HierarchicalMechanism::MergeFrom(const RangeMechanism& other) {
 
 void HierarchicalMechanism::Finalize(Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "Finalize called twice");
-  const uint32_t h = shape_.height();
-  estimates_.assign(h + 1, {});
-  estimates_[0] = {1.0};  // the root fraction is known exactly
-  for (uint32_t l = 1; l <= h; ++l) {
-    level_oracles_[l - 1]->Finalize(rng);
-    estimates_[l] = level_oracles_[l - 1]->EstimateFractions();
+  std::vector<const FrequencyOracle*> levels;
+  levels.reserve(level_oracles_.size());
+  for (const auto& oracle : level_oracles_) {
+    oracle->Finalize(rng);
+    levels.push_back(oracle.get());
   }
-  if (config_.consistency) {
-    EnforceHierarchicalConsistency(estimates_, shape_.fanout());
-  }
+  estimate_.emplace(shape_, levels, config_.consistency);
   finalized_ = true;
 }
 
 double HierarchicalMechanism::NodeEstimate(const TreeNode& node) const {
   LDP_CHECK_MSG(finalized_, "NodeEstimate before Finalize");
-  LDP_CHECK_LE(node.level, shape_.height());
-  LDP_CHECK_LT(node.index, shape_.NodesAtLevel(node.level));
-  return estimates_[node.level][node.index];
+  return estimate_->NodeEstimate(node);
 }
 
 uint64_t HierarchicalMechanism::LevelReportCount(uint32_t level) const {
@@ -150,43 +191,18 @@ uint64_t HierarchicalMechanism::LevelReportCount(uint32_t level) const {
 
 double HierarchicalMechanism::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  double total = 0.0;
-  for (const TreeNode& node : shape_.Decompose(a, b)) {
-    total += estimates_[node.level][node.index];
-  }
-  return total;
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate HierarchicalMechanism::RangeQueryWithUncertainty(
     uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  // Sum the per-node estimator variances of the B-adic assembly
-  // (Theorem 4.3's accounting); after constrained inference each node's
-  // variance is bounded by the Lemma 4.6 factor B/(B+1).
-  double ci_factor =
-      config_.consistency
-          ? static_cast<double>(config_.fanout) / (config_.fanout + 1.0)
-          : 1.0;
-  double variance = 0.0;
-  double total = 0.0;
-  for (const TreeNode& node : shape_.Decompose(a, b)) {
-    total += estimates_[node.level][node.index];
-    if (node.level > 0) {
-      variance +=
-          ci_factor * level_oracles_[node.level - 1]->EstimatorVariance();
-    }
-  }
-  return RangeEstimate{total, std::sqrt(variance)};
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> HierarchicalMechanism::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  const std::vector<double>& leaves = estimates_[shape_.height()];
-  return std::vector<double>(leaves.begin(), leaves.begin() + domain_);
+  return estimate_->EstimateFrequencies();
 }
 
 }  // namespace ldp

@@ -21,6 +21,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,6 +53,45 @@ struct HierarchicalConfig {
   /// Index 0 corresponds to tree level 1 (the root needs no reports).
   /// Only meaningful under kSampling.
   std::vector<double> level_weights;
+};
+
+/// The finalized half of HH_B: per-level node fractions (after Section 4.5
+/// consistency when enabled) and each level's per-node variance.
+/// HierarchicalMechanism and the wire server (protocol/tree_protocol.h)
+/// both answer through it.
+class HierarchicalEstimate {
+ public:
+  /// Debiases the Finalize()d level oracles of `shape` (levels[l-1] covers
+  /// tree level l), then runs constrained inference when `consistency` is
+  /// set. The root fraction is known exactly.
+  HierarchicalEstimate(const TreeShape& shape,
+                       std::span<const FrequencyOracle* const> levels,
+                       bool consistency);
+
+  /// Estimated fraction of users in [a, b] (a <= b < domain): the sum of
+  /// its B-adic decomposition.
+  double RangeQuery(uint64_t a, uint64_t b) const {
+    return RangeQueryWithUncertainty(a, b).value;
+  }
+
+  /// The value and, from the same Decompose, its variance: the per-node
+  /// variances of the nodes summed (Theorem 4.3's accounting), each at its
+  /// level's report count and, after constrained inference, times the
+  /// Lemma 4.6 bound B/(B+1). The root is exact; a level with no reports
+  /// is +inf.
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a, uint64_t b) const;
+
+  double NodeEstimate(const TreeNode& node) const;
+
+  /// The leaf level cut to the domain.
+  std::vector<double> EstimateFrequencies() const;
+
+ private:
+  TreeShape shape_;
+  // estimates_[l] = per-node fractions at depth l; estimates_[0] = {1}.
+  std::vector<std::vector<double>> estimates_;
+  // node_variance_[l] = variance of one depth-l node; 0 for the root.
+  std::vector<double> node_variance_;
 };
 
 /// Hierarchical histogram mechanism HH_B / HHc_B.
@@ -89,8 +130,7 @@ class HierarchicalMechanism final : public RangeMechanism {
   std::vector<double> sampling_weights_;
   uint64_t users_ = 0;
   bool finalized_ = false;
-  // estimates_[l] = per-node fractions at depth l; estimates_[0] = {1}.
-  std::vector<std::vector<double>> estimates_;
+  std::optional<HierarchicalEstimate> estimate_;
 };
 
 }  // namespace ldp

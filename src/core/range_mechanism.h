@@ -144,9 +144,13 @@ class RangeMechanism : public MechanismBase {
   virtual double RangeQuery(uint64_t a, uint64_t b) const = 0;
 
   /// RangeQuery plus the analytically-derived standard deviation of the
-  /// estimate (from each mechanism's exact variance accounting; for
-  /// consistency-processed hierarchies the Lemma 4.6 B/(B+1) factor is
-  /// applied per node, making the reported stddev a slight over-estimate).
+  /// estimate: the variance of exactly the terms the answer sums, each at
+  /// its own report count (for consistency-processed hierarchies the
+  /// Lemma 4.6 B/(B+1) factor is applied per node, making the reported
+  /// stddev a slight over-estimate). Never NaN: +inf where the answer
+  /// reads a level with no reports, 0 where it is exact. The flat, Haar
+  /// and hierarchical families compute it in their *Estimate types, which
+  /// the wire servers (src/protocol) answer through as well.
   virtual RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                                   uint64_t b) const = 0;
 

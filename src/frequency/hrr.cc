@@ -143,4 +143,39 @@ bool HrrOracle::RestoreState(protocol::WireReader& reader) {
   return true;
 }
 
+std::vector<const FrequencyOracle*> HrrLevels::Views() const {
+  std::vector<const FrequencyOracle*> views;
+  views.reserve(levels_.size());
+  for (const auto& level : levels_) views.push_back(level.get());
+  return views;
+}
+
+void HrrLevels::AppendState(std::vector<uint8_t>& out) const {
+  protocol::AppendVarU64(out, levels_.size());
+  for (const auto& level : levels_) level->AppendState(out);
+}
+
+size_t HrrLevels::StateBytes() const {
+  size_t bytes = protocol::VarU64Size(levels_.size());
+  for (const auto& level : levels_) bytes += level->StateBytes();
+  return bytes;
+}
+
+bool HrrLevels::RestoreState(std::span<const uint8_t> body) {
+  protocol::WireReader reader(body);
+  uint64_t levels = 0;
+  if (!reader.ReadVarU64(&levels) || levels != levels_.size()) return false;
+  for (auto& level : levels_) {
+    if (!level->RestoreState(reader)) return false;
+  }
+  return reader.AtEnd();
+}
+
+void HrrLevels::MergeFromShard(HrrLevels& other) {
+  LDP_CHECK_EQ(levels_.size(), other.levels_.size());
+  for (size_t l = 0; l < levels_.size(); ++l) {
+    levels_[l]->MergeFromShard(*other.levels_[l]);
+  }
+}
+
 }  // namespace ldp

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -116,6 +117,37 @@ class HrrOracle final : public FrequencyOracle {
   uint64_t padded_;
   // coefficient_sums_[j] = sum of reported +/-1 values for coefficient j.
   std::vector<int64_t> coefficient_sums_;
+};
+
+/// The per-level HRR oracles of a level-sampling wire server (HaarHRR,
+/// TreeHRR), level l at index l-1, with the state codec and shard merge
+/// both share. State body: [levels varint][one HrrOracle record per level,
+/// level 1 first].
+class HrrLevels {
+ public:
+  /// Appends an empty oracle over `domain` items as the next level.
+  void AddLevel(uint64_t domain, double eps) {
+    levels_.push_back(std::make_unique<HrrOracle>(domain, eps));
+  }
+
+  HrrOracle& operator[](size_t i) { return *levels_[i]; }
+
+  /// The levels as the shared estimators (core/) read them.
+  std::vector<const FrequencyOracle*> Views() const;
+
+  void AppendState(std::vector<uint8_t>& out) const;
+  size_t StateBytes() const;
+
+  /// Restores a whole state body. Total over adversarial bytes: the level
+  /// count is a cross-check against this stack's own, never an allocation
+  /// size; false on any mismatch, truncation or trailing byte.
+  bool RestoreState(std::span<const uint8_t> body);
+
+  /// HrrOracle::MergeFromShard, level by level.
+  void MergeFromShard(HrrLevels& other);
+
+ private:
+  std::vector<std::unique_ptr<HrrOracle>> levels_;
 };
 
 }  // namespace ldp

@@ -249,11 +249,6 @@ const AdaptiveTree& AheadServer::tree() const {
   return *tree_;
 }
 
-std::span<const uint8_t> AheadServer::AcceptedWireVersions() const {
-  static constexpr uint8_t kAccepted[] = {kWireVersionV2};
-  return kAccepted;
-}
-
 AheadServer::OpenEra AheadServer::open_era() {
   // Phase-1 reports after the tree broadcast are stale: accepting them
   // would let a client influence a decomposition other clients already

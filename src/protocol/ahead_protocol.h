@@ -25,8 +25,7 @@
 // GRR is the inner oracle on the wire: its report *is* a single node id,
 // which keeps every AHEAD report a fixed 10-byte payload (and batch items
 // realignable); the in-process simulation (core/ahead.h) runs better
-// oracles for large domains. All AHEAD messages are v2-only — the
-// mechanism postdates the envelope, there is no legacy unframed form.
+// oracles for large domains.
 //
 // Every parser is total over adversarial bytes: forged phases, forged
 // node ids (out of the coarse domain or a frontier), reports for the
@@ -170,9 +169,6 @@ class AheadServer final : public service::AggregatorServer {
   uint64_t domain() const override { return shape_.domain(); }
   bool tree_built() const { return tree_.has_value(); }
   const AdaptiveTree& tree() const;
-
-  /// AHEAD messages are v2-only (the mechanism postdates the envelope).
-  std::span<const uint8_t> AcceptedWireVersions() const override;
 
   /// Ingests one report; false (counted in rejected_reports) on a phase
   /// that does not match the current era — phase 2 before BuildTree,

@@ -1,7 +1,5 @@
 #include "protocol/envelope.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "protocol/wire.h"
 
@@ -145,39 +143,6 @@ ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out) {
 bool LooksLikeEnvelope(std::span<const uint8_t> bytes) {
   return bytes.size() >= 2 && bytes[0] == kEnvelopeMagic0 &&
          bytes[1] == kEnvelopeMagic1;
-}
-
-std::span<const uint8_t> ServerAcceptedVersions() {
-  static constexpr uint8_t kAccepted[] = {kWireVersionV1, kWireVersionV2};
-  return kAccepted;
-}
-
-uint8_t NegotiateWireVersion(std::span<const uint8_t> client_supported,
-                             std::span<const uint8_t> server_accepted) {
-  uint8_t best = 0;
-  for (uint8_t c : client_supported) {
-    if (c > best &&
-        std::find(server_accepted.begin(), server_accepted.end(), c) !=
-            server_accepted.end()) {
-      best = c;
-    }
-  }
-  return best;
-}
-
-void DowngradableClient::set_wire_version(uint8_t version) {
-  LDP_CHECK_MSG(version == kWireVersionV1 || version == kWireVersionV2,
-                "unknown wire version");
-  wire_version_ = version;
-}
-
-bool DowngradableClient::NegotiateWireVersion(
-    std::span<const uint8_t> server_accepted) {
-  static constexpr uint8_t kSpoken[] = {kWireVersionV1, kWireVersionV2};
-  uint8_t version = protocol::NegotiateWireVersion(kSpoken, server_accepted);
-  if (version == 0) return false;
-  wire_version_ = version;
-  return true;
 }
 
 }  // namespace ldp::protocol

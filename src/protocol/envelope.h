@@ -10,11 +10,9 @@
 //   4       4     payload_len, u32 little-endian
 //   8       ...   payload (exactly payload_len bytes, layout per tag)
 //
-// Version 1 is the seed's unframed fixed-width format (a bare mechanism
-// tag byte followed by the report fields, see src/protocol/*_protocol.cc);
-// it has no envelope, and servers keep a legacy decode path for it so old
-// captures still parse. The v1 tag bytes (0x01..0x03) can never collide
-// with a v2 message because the first magic byte is 0x4C.
+// v2 is the only wire version. A legacy unframed v1 report (a bare tag
+// byte 0x01..0x03 followed by the report fields) never starts with the
+// magic 0x4C, so every parser rejects it as kBadMagic.
 //
 // Decoding is total over arbitrary bytes: every failure maps to an
 // explicit ParseError, never a crash or an out-of-bounds read, and no
@@ -32,9 +30,7 @@
 
 namespace ldp::protocol {
 
-/// Wire protocol versions. kWireVersionV1 is the seed's unframed format
-/// (kept decodable forever); kWireVersionV2 is the framed envelope above.
-inline constexpr uint8_t kWireVersionV1 = 1;
+/// The wire protocol version: the framed envelope above.
 inline constexpr uint8_t kWireVersionV2 = 2;
 
 /// The two magic bytes every v2 message starts with.
@@ -165,41 +161,9 @@ void PatchEnvelopePayloadLength(std::vector<uint8_t>& out,
 /// header plus exactly payload_len payload bytes.
 ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out);
 
-/// True when `bytes` starts with the v2 magic — the cheap dispatch test
-/// servers use to route between the v2 and legacy v1 decode paths.
+/// True when `bytes` starts with the v2 magic — a cheap test for callers
+/// that split a buffer holding more than one message.
 bool LooksLikeEnvelope(std::span<const uint8_t> bytes);
-
-/// The wire versions this build's servers accept, newest last. Publish
-/// out-of-band (or in a hello message) so clients can downgrade.
-std::span<const uint8_t> ServerAcceptedVersions();
-
-/// Version negotiation: the highest version present in both lists, or 0
-/// when the sets are disjoint (client and server cannot talk).
-uint8_t NegotiateWireVersion(std::span<const uint8_t> client_supported,
-                             std::span<const uint8_t> server_accepted);
-
-/// Client-side wire-version state shared by the downgradable protocol
-/// clients (flat/haar/tree) — each used to carry its own copy of this
-/// logic. Subclasses emit `wire_version()` from their Encode*Serialized
-/// paths; NegotiateWireVersion() is the downgrade hook against a server's
-/// advertised AcceptedWireVersions().
-class DowngradableClient {
- public:
-  /// Wire version the client's serializers emit (default kWireVersionV2).
-  uint8_t wire_version() const { return wire_version_; }
-  void set_wire_version(uint8_t version);
-
-  /// Picks the highest version this client speaks that the server
-  /// accepts. Returns false — leaving the current version untouched —
-  /// when no common version exists.
-  bool NegotiateWireVersion(std::span<const uint8_t> server_accepted);
-
- protected:
-  DowngradableClient() = default;
-  ~DowngradableClient() = default;
-
-  uint8_t wire_version_ = kWireVersionV2;
-};
 
 }  // namespace ldp::protocol
 

@@ -1,18 +1,13 @@
 #include "protocol/flat_protocol.h"
 
-#include <cmath>
-#include <limits>
-
 #include "common/bit_util.h"
 #include "common/check.h"
-#include "core/variance.h"
 #include "protocol/wire.h"
 
 namespace ldp::protocol {
 
 namespace {
 
-constexpr uint8_t kFlatHrrTagV1 = 0x01;
 constexpr size_t kItemSize = 9;  // [index u64][sign u8]
 
 void AppendItem(std::vector<uint8_t>& out, const HrrReport& report) {
@@ -31,34 +26,18 @@ bool DecodeItem(const uint8_t* slot, HrrReport* report) {
   return true;
 }
 
-ParseError ParseV1(std::span<const uint8_t> bytes, HrrReport* report) {
-  if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
-  if (bytes[0] != kFlatHrrTagV1) return ParseError::kBadMagic;
-  if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
-  return ParseError::kOk;
-}
-
 }  // namespace
 
-std::vector<uint8_t> SerializeHrrReport(const HrrReport& report,
-                                        uint8_t wire_version) {
+std::vector<uint8_t> SerializeHrrReport(const HrrReport& report) {
   std::vector<uint8_t> out;
-  if (wire_version == kWireVersionV1) {
-    out.reserve(1 + kItemSize);
-    AppendU8(out, kFlatHrrTagV1);
-  } else {
-    LDP_CHECK_EQ(wire_version, kWireVersionV2);
-    out.reserve(kEnvelopeHeaderSize + kItemSize);
-    AppendEnvelopeHeader(out, MechanismTag::kFlatHrr, kItemSize);
-  }
+  out.reserve(kEnvelopeHeaderSize + kItemSize);
+  AppendEnvelopeHeader(out, MechanismTag::kFlatHrr, kItemSize);
   AppendItem(out, report);
   return out;
 }
 
 ParseError ParseHrrReportDetailed(std::span<const uint8_t> bytes,
                                   HrrReport* report) {
-  if (!LooksLikeEnvelope(bytes)) return ParseV1(bytes, report);
   Envelope env;
   ParseError err = DecodeEnvelope(bytes, &env);
   if (err != ParseError::kOk) return err;
@@ -112,7 +91,7 @@ HrrReport FlatHrrClient::Encode(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> FlatHrrClient::EncodeSerialized(uint64_t value,
                                                      Rng& rng) const {
-  return SerializeHrrReport(Encode(value, rng), wire_version_);
+  return SerializeHrrReport(Encode(value, rng));
 }
 
 std::vector<HrrReport> FlatHrrClient::EncodeUsers(
@@ -127,8 +106,6 @@ std::vector<HrrReport> FlatHrrClient::EncodeUsers(
 
 std::vector<uint8_t> FlatHrrClient::EncodeUsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  LDP_CHECK_MSG(wire_version_ == kWireVersionV2,
-                "batch framing requires wire v2");
   return SerializeHrrReportBatch(EncodeUsers(values, rng));
 }
 
@@ -161,14 +138,6 @@ bool FlatHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
     return false;
   }
   return Absorb(report);
-}
-
-uint64_t FlatHrrServer::AbsorbBatch(std::span<const HrrReport> reports) {
-  uint64_t accepted = 0;
-  for (const HrrReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
 }
 
 ParseError FlatHrrServer::DoAbsorbBatchSerialized(
@@ -208,36 +177,22 @@ service::MergeStatus FlatHrrServer::DoMergeFrom(
   return service::MergeStatus::kOk;
 }
 
-void FlatHrrServer::DoFinalize() {
-  frequencies_ = oracle_->EstimateFractions();
-  prefix_.assign(domain_ + 1, 0.0);
-  for (uint64_t i = 0; i < domain_; ++i) {
-    prefix_[i + 1] = prefix_[i] + frequencies_[i];
-  }
-}
+void FlatHrrServer::DoFinalize() { estimate_.emplace(*oracle_); }
 
 double FlatHrrServer::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  return prefix_[b + 1] - prefix_[a];
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate FlatHrrServer::RangeQueryWithUncertainty(uint64_t a,
                                                        uint64_t b) const {
-  // No accepted reports: the estimate is vacuous, its uncertainty
-  // infinite (the bounds are undefined at n = 0).
-  double variance =
-      accepted_reports() == 0
-          ? std::numeric_limits<double>::infinity()
-          : FlatRangeVarianceBound(b - a + 1, eps_,
-                                   static_cast<double>(accepted_reports()));
-  return RangeEstimate{RangeQuery(a, b), std::sqrt(variance)};
+  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> FlatHrrServer::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return frequencies_;
+  return estimate_->frequencies();
 }
 
 }  // namespace ldp::protocol

@@ -1,33 +1,35 @@
 // Deployable client/server split of the flat HRR point-query protocol —
 // the frequency-oracle analogue of haar_protocol.h, useful when only
 // point/short-range queries are needed (paper Section 4.2 shows flat wins
-// there). Each report is one HRR coefficient sample, framed under the
-// versioned v2 envelope (envelope.h); the seed's unframed 10-byte v1
-// format stays decodable so old captures still parse.
+// there). Each report is one HRR coefficient sample, framed under the v2
+// envelope (envelope.h). The server folds reports into one HrrOracle and
+// answers through core's FlatEstimate — the estimator the paper
+// simulations run — so its stddev is Fact 1's per-query accounting at the
+// oracle's own report count.
 
 #ifndef LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_FLAT_PROTOCOL_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
+#include "core/flat.h"
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
 #include "service/aggregator_server.h"
 
 namespace ldp::protocol {
 
-/// Serializes an HRR report. v2 (default): 8-byte envelope + payload
-/// [index u64][sign u8], 17 bytes. v1: legacy [tag 0x01][index u64]
-/// [sign u8], 10 bytes.
-std::vector<uint8_t> SerializeHrrReport(const HrrReport& report,
-                                        uint8_t wire_version = kWireVersionV2);
+/// Serializes an HRR report: 8-byte envelope + payload [index u64]
+/// [sign u8], 17 bytes.
+std::vector<uint8_t> SerializeHrrReport(const HrrReport& report);
 
-/// Parses + validates either wire version, routed by the leading bytes.
-/// Returns an explicit error code; total over arbitrary input.
+/// Parses + validates one framed report. Returns an explicit error code;
+/// total over arbitrary input.
 ParseError ParseHrrReportDetailed(std::span<const uint8_t> bytes,
                                   HrrReport* report);
 
@@ -46,9 +48,8 @@ ParseError ParseHrrReportBatch(std::span<const uint8_t> bytes,
                                std::vector<HrrReport>* reports,
                                uint64_t* malformed = nullptr);
 
-/// Client-side flat HRR encoder. Wire-version selection and downgrade
-/// negotiation come from DowngradableClient.
-class FlatHrrClient : public DowngradableClient {
+/// Client-side flat HRR encoder.
+class FlatHrrClient {
  public:
   FlatHrrClient(uint64_t domain, double eps);
 
@@ -63,8 +64,7 @@ class FlatHrrClient : public DowngradableClient {
   std::vector<HrrReport> EncodeUsers(std::span<const uint64_t> values,
                                      Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only: the batch
-  /// frame does not exist in v1).
+  /// Batched encode + one framed v2 batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 
@@ -88,16 +88,12 @@ class FlatHrrServer final : public service::AggregatorServer {
   bool Absorb(const HrrReport& report);
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const HrrReport> reports);
-
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override;
 
   double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// Uncertainty from Fact 1: a length-r range answers with variance
-  /// r * V_F over the accepted-report population.
+  /// FlatEstimate's Fact 1 accounting: r times HRR's exact per-item
+  /// variance at the accepted-report count; +inf before any report.
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                           uint64_t b) const override;
   std::vector<double> EstimateFrequencies() const override;
@@ -122,8 +118,7 @@ class FlatHrrServer final : public service::AggregatorServer {
   uint64_t padded_;
   double eps_;
   std::unique_ptr<HrrOracle> oracle_;
-  std::vector<double> frequencies_;
-  std::vector<double> prefix_;
+  std::optional<FlatEstimate> estimate_;
 };
 
 }  // namespace ldp::protocol

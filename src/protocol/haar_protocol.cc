@@ -1,18 +1,13 @@
 #include "protocol/haar_protocol.h"
 
-#include <cmath>
-#include <limits>
-
 #include "common/bit_util.h"
 #include "common/check.h"
-#include "core/variance.h"
 #include "protocol/wire.h"
 
 namespace ldp::protocol {
 
 namespace {
 
-constexpr uint8_t kHaarHrrTagV1 = 0x02;
 constexpr size_t kItemSize = 10;  // [level u8][index u64][sign u8]
 
 // Sign byte encoding: 0 -> -1, 1 -> +1.
@@ -37,34 +32,18 @@ bool DecodeItem(const uint8_t* slot, HaarHrrReport* report) {
   return true;
 }
 
-ParseError ParseV1(std::span<const uint8_t> bytes, HaarHrrReport* report) {
-  if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
-  if (bytes[0] != kHaarHrrTagV1) return ParseError::kBadMagic;
-  if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
-  return ParseError::kOk;
-}
-
 }  // namespace
 
-std::vector<uint8_t> SerializeHaarHrrReport(const HaarHrrReport& report,
-                                            uint8_t wire_version) {
+std::vector<uint8_t> SerializeHaarHrrReport(const HaarHrrReport& report) {
   std::vector<uint8_t> out;
-  if (wire_version == kWireVersionV1) {
-    out.reserve(1 + kItemSize);
-    AppendU8(out, kHaarHrrTagV1);
-  } else {
-    LDP_CHECK_EQ(wire_version, kWireVersionV2);
-    out.reserve(kEnvelopeHeaderSize + kItemSize);
-    AppendEnvelopeHeader(out, MechanismTag::kHaarHrr, kItemSize);
-  }
+  out.reserve(kEnvelopeHeaderSize + kItemSize);
+  AppendEnvelopeHeader(out, MechanismTag::kHaarHrr, kItemSize);
   AppendItem(out, report);
   return out;
 }
 
 ParseError ParseHaarHrrReportDetailed(std::span<const uint8_t> bytes,
                                       HaarHrrReport* report) {
-  if (!LooksLikeEnvelope(bytes)) return ParseV1(bytes, report);
   Envelope env;
   ParseError err = DecodeEnvelope(bytes, &env);
   if (err != ParseError::kOk) return err;
@@ -127,7 +106,7 @@ HaarHrrReport HaarHrrClient::Encode(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> HaarHrrClient::EncodeSerialized(uint64_t value,
                                                      Rng& rng) const {
-  return SerializeHaarHrrReport(Encode(value, rng), wire_version_);
+  return SerializeHaarHrrReport(Encode(value, rng));
 }
 
 std::vector<HaarHrrReport> HaarHrrClient::EncodeUsers(
@@ -142,8 +121,6 @@ std::vector<HaarHrrReport> HaarHrrClient::EncodeUsers(
 
 std::vector<uint8_t> HaarHrrClient::EncodeUsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  LDP_CHECK_MSG(wire_version_ == kWireVersionV2,
-                "batch framing requires wire v2");
   return SerializeHaarHrrReportBatch(EncodeUsers(values, rng));
 }
 
@@ -154,10 +131,8 @@ HaarHrrServer::HaarHrrServer(uint64_t domain, double eps)
       eps_(eps) {
   LDP_CHECK_GE(domain, 2u);
   LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  level_oracles_.reserve(height_);
   for (uint32_t l = 1; l <= height_; ++l) {
-    level_oracles_.push_back(
-        std::make_unique<HrrOracle>(padded_ >> l, eps));
+    levels_.AddLevel(padded_ >> l, eps);
   }
 }
 
@@ -167,7 +142,7 @@ bool HaarHrrServer::Fold(const HaarHrrReport& report) {
       (report.inner.sign != 1 && report.inner.sign != -1)) {
     return false;
   }
-  level_oracles_[report.level - 1]->AddValidatedReport(report.inner);
+  levels_[report.level - 1].AddValidatedReport(report.inner);
   return true;
 }
 
@@ -185,14 +160,6 @@ bool HaarHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
   return Absorb(report);
 }
 
-uint64_t HaarHrrServer::AbsorbBatch(std::span<const HaarHrrReport> reports) {
-  uint64_t accepted = 0;
-  for (const HaarHrrReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
 ParseError HaarHrrServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
   ReportBatch batch;
@@ -204,30 +171,13 @@ ParseError HaarHrrServer::DoAbsorbBatchSerialized(
 }
 
 void HaarHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
-  // [levels varint][levels x HrrOracle record, finest (l = 1) first].
-  AppendVarU64(out, level_oracles_.size());
-  for (const auto& oracle : level_oracles_) {
-    oracle->AppendState(out);
-  }
+  levels_.AppendState(out);
 }
 
-size_t HaarHrrServer::StateBodyBytes() const {
-  size_t bytes = VarU64Size(level_oracles_.size());
-  for (const auto& oracle : level_oracles_) bytes += oracle->StateBytes();
-  return bytes;
-}
+size_t HaarHrrServer::StateBodyBytes() const { return levels_.StateBytes(); }
 
 bool HaarHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  WireReader reader(body);
-  uint64_t levels = 0;
-  if (!reader.ReadVarU64(&levels)) return false;
-  // The level count is a cross-check against this server's own shape,
-  // never an allocation size.
-  if (levels != level_oracles_.size()) return false;
-  for (auto& oracle : level_oracles_) {
-    if (!oracle->RestoreState(reader)) return false;
-  }
-  return reader.AtEnd();
+  return levels_.RestoreState(body);
 }
 
 std::unique_ptr<service::AggregatorServer> HaarHrrServer::DoCloneEmpty()
@@ -237,51 +187,28 @@ std::unique_ptr<service::AggregatorServer> HaarHrrServer::DoCloneEmpty()
 
 service::MergeStatus HaarHrrServer::DoMergeFrom(
     service::AggregatorServer& other) {
-  auto& o = static_cast<HaarHrrServer&>(other);
-  for (size_t l = 0; l < level_oracles_.size(); ++l) {
-    level_oracles_[l]->MergeFromShard(*o.level_oracles_[l]);
-  }
+  levels_.MergeFromShard(static_cast<HaarHrrServer&>(other).levels_);
   return service::MergeStatus::kOk;
 }
 
 void HaarHrrServer::DoFinalize() {
-  coefficients_.height = height_;
-  coefficients_.average = 1.0 / std::sqrt(static_cast<double>(padded_));
-  coefficients_.detail.resize(height_);
-  for (uint32_t l = 1; l <= height_; ++l) {
-    std::vector<double> g = level_oracles_[l - 1]->EstimateFractions();
-    double scale = std::exp2(-0.5 * static_cast<double>(l));
-    for (double& v : g) {
-      v *= scale;
-    }
-    coefficients_.detail[l - 1] = std::move(g);
-  }
+  estimate_.emplace(domain_, levels_.Views());
 }
 
 double HaarHrrServer::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, domain_);
-  return HaarRangeEstimate(coefficients_, padded_, a, b);
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate HaarHrrServer::RangeQueryWithUncertainty(uint64_t a,
                                                        uint64_t b) const {
-  // No accepted reports: the estimate is vacuous, its uncertainty
-  // infinite (the bounds are undefined at n = 0).
-  double variance =
-      accepted_reports() == 0
-          ? std::numeric_limits<double>::infinity()
-          : HaarRangeVarianceBound(padded_, eps_,
-                                   static_cast<double>(accepted_reports()));
-  return RangeEstimate{RangeQuery(a, b), std::sqrt(variance)};
+  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> HaarHrrServer::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  std::vector<double> leaves = HaarInverse(coefficients_);
-  leaves.resize(domain_);
-  return leaves;
+  return estimate_->EstimateFrequencies();
 }
 
 }  // namespace ldp::protocol

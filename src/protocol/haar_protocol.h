@@ -6,27 +6,28 @@
 //   * HaarHrrClient lives on the user's device, holds only public
 //     parameters, and turns the private value into one serialized report
 //     (level id + Hadamard coefficient index + 1 randomized sign bit,
-//     framed under the versioned v2 envelope — 18 bytes on the wire, or
-//     the legacy unframed 11-byte v1 format after a downgrade). The
-//     report is eps-LDP before it leaves the device.
+//     framed under the v2 envelope — 18 bytes on the wire). The report is
+//     eps-LDP before it leaves the device.
 //   * HaarHrrServer ingests serialized reports — rejecting malformed or
 //     out-of-range ones instead of crashing — and answers range / prefix /
 //     quantile queries after Finalize().
 //
-// The in-process mechanism and this split produce identically distributed
-// estimates (tests/protocol_test.cc checks exact agreement under a shared
-// RNG stream).
+// Only ingestion is protocol-specific: the server finalizes and answers
+// through core's HaarHrrEstimate, the code HaarHrrMechanism runs, so on
+// the same reports both give bit-identical values and stddevs
+// (tests/protocol_test.cc).
 
 #ifndef LDPRANGE_PROTOCOL_HAAR_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_HAAR_PROTOCOL_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
-#include "core/haar.h"
+#include "core/haar_hrr.h"
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
 #include "service/aggregator_server.h"
@@ -40,13 +41,11 @@ struct HaarHrrReport {
   HrrReport inner;
 };
 
-/// Serializes one report. v2 (default): envelope + payload [level u8]
-/// [index u64][sign u8], 18 bytes. v1: legacy [tag 0x02][level][index]
-/// [sign], 11 bytes.
-std::vector<uint8_t> SerializeHaarHrrReport(
-    const HaarHrrReport& report, uint8_t wire_version = kWireVersionV2);
+/// Serializes one report: envelope + payload [level u8][index u64]
+/// [sign u8], 18 bytes.
+std::vector<uint8_t> SerializeHaarHrrReport(const HaarHrrReport& report);
 
-/// Parses and validates either wire version with an explicit error code
+/// Parses and validates one framed report with an explicit error code
 /// (range checks against the tree shape happen server side).
 ParseError ParseHaarHrrReportDetailed(std::span<const uint8_t> bytes,
                                       HaarHrrReport* report);
@@ -67,9 +66,8 @@ ParseError ParseHaarHrrReportBatch(std::span<const uint8_t> bytes,
                                    std::vector<HaarHrrReport>* reports,
                                    uint64_t* malformed = nullptr);
 
-/// Client-side encoder (stateless between users). Wire-version selection
-/// and downgrade negotiation come from DowngradableClient.
-class HaarHrrClient : public DowngradableClient {
+/// Client-side encoder (stateless between users).
+class HaarHrrClient {
  public:
   HaarHrrClient(uint64_t domain, double eps);
 
@@ -88,7 +86,7 @@ class HaarHrrClient : public DowngradableClient {
   std::vector<HaarHrrReport> EncodeUsers(std::span<const uint64_t> values,
                                          Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only).
+  /// Batched encode + one framed v2 batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 
@@ -114,17 +112,14 @@ class HaarHrrServer final : public service::AggregatorServer {
 
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const HaarHrrReport> reports);
-
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override;
 
   /// Estimated fraction of users in [a, b] (inclusive; b < domain).
   double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// Uncertainty from Eq. 3: any range answers within the
-  /// (1/2) log2(D)^2 V_F worst-case envelope.
+  /// HaarHrrEstimate's per-query accounting: the boundary coefficients
+  /// the range reads, each at its level's report count (Eq. 3 is the
+  /// worst case over ranges).
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                           uint64_t b) const override;
 
@@ -136,7 +131,6 @@ class HaarHrrServer final : public service::AggregatorServer {
   /// loop. False (nothing added) when the report is out of range.
   bool Fold(const HaarHrrReport& report);
 
-  /// Debiases the aggregate into Haar coefficients.
   void DoFinalize() override;
   service::StateKind state_kind() const override {
     return service::StateKind::kHaar;
@@ -152,8 +146,8 @@ class HaarHrrServer final : public service::AggregatorServer {
   uint64_t padded_;
   uint32_t height_;
   double eps_;
-  std::vector<std::unique_ptr<HrrOracle>> level_oracles_;
-  HaarCoefficients coefficients_;
+  HrrLevels levels_;
+  std::optional<HaarHrrEstimate> estimate_;
 };
 
 }  // namespace ldp::protocol

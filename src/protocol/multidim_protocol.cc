@@ -293,11 +293,6 @@ std::string MultiDimServer::Name() const {
   return "MultiDim" + std::to_string(dims_) + "D";
 }
 
-std::span<const uint8_t> MultiDimServer::AcceptedWireVersions() const {
-  static constexpr uint8_t kV2Only[] = {kWireVersionV2};
-  return kV2Only;
-}
-
 uint64_t MultiDimServer::report_allocation_count() const {
   uint64_t total = 0;
   for (const auto& oracle : oracles_) {
@@ -335,15 +330,6 @@ bool MultiDimServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
     return false;
   }
   return Absorb(report);
-}
-
-uint64_t MultiDimServer::AbsorbBatch(
-    std::span<const MultiDimReport> reports) {
-  uint64_t accepted = 0;
-  for (const MultiDimReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
 }
 
 ParseError MultiDimServer::DoAbsorbBatchSerialized(

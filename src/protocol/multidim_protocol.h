@@ -47,8 +47,7 @@ struct MultiDimReport {
   bool operator==(const MultiDimReport&) const = default;
 };
 
-/// Serializes one report as a framed v2 kMultiDimReport message
-/// (multidim is v2-native; there is no v1 downgrade form).
+/// Serializes one report as a framed v2 kMultiDimReport message.
 std::vector<uint8_t> SerializeMultiDimReport(const MultiDimReport& report);
 
 /// Total parser; kBadPayload on a wrong tag, a dims outside
@@ -69,8 +68,7 @@ ParseError ParseMultiDimReportBatch(std::span<const uint8_t> bytes,
                                     std::vector<MultiDimReport>* reports,
                                     uint64_t* malformed = nullptr);
 
-/// Client-side encoder. v2-only (no DowngradableClient): the multidim
-/// messages have no v1 form to downgrade to.
+/// Client-side encoder.
 class MultiDimClient {
  public:
   MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions, double eps,
@@ -134,17 +132,10 @@ class MultiDimServer final : public service::AggregatorServer {
   uint32_t dimensions() const override { return dims_; }
   uint64_t hash_range() const { return g_; }
 
-  /// v2 only: there is no v1 encoding of a multidim report.
-  std::span<const uint8_t> AcceptedWireVersions() const override;
-
   /// Ingests one report; false (counted) on a dims mismatch, an
   /// out-of-range level, an all-root tuple, or a cell >= hash_range().
   bool Absorb(const MultiDimReport& report);
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
-
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const MultiDimReport> reports);
 
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override;

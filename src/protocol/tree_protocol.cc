@@ -1,20 +1,13 @@
 #include "protocol/tree_protocol.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 #include "common/bit_util.h"
 #include "common/check.h"
-#include "core/consistency.h"
-#include "core/variance.h"
 #include "protocol/wire.h"
 
 namespace ldp::protocol {
 
 namespace {
 
-constexpr uint8_t kTreeHrrTagV1 = 0x03;
 constexpr size_t kItemSize = 10;  // [level u8][index u64][sign u8]
 
 void AppendItem(std::vector<uint8_t>& out, const TreeHrrReport& report) {
@@ -36,34 +29,18 @@ bool DecodeItem(const uint8_t* slot, TreeHrrReport* report) {
   return true;
 }
 
-ParseError ParseV1(std::span<const uint8_t> bytes, TreeHrrReport* report) {
-  if (bytes.size() < 1 + kItemSize) return ParseError::kTruncated;
-  if (bytes[0] != kTreeHrrTagV1) return ParseError::kBadMagic;
-  if (bytes.size() > 1 + kItemSize) return ParseError::kTrailingJunk;
-  if (!DecodeItem(bytes.data() + 1, report)) return ParseError::kBadPayload;
-  return ParseError::kOk;
-}
-
 }  // namespace
 
-std::vector<uint8_t> SerializeTreeHrrReport(const TreeHrrReport& report,
-                                            uint8_t wire_version) {
+std::vector<uint8_t> SerializeTreeHrrReport(const TreeHrrReport& report) {
   std::vector<uint8_t> out;
-  if (wire_version == kWireVersionV1) {
-    out.reserve(1 + kItemSize);
-    AppendU8(out, kTreeHrrTagV1);
-  } else {
-    LDP_CHECK_EQ(wire_version, kWireVersionV2);
-    out.reserve(kEnvelopeHeaderSize + kItemSize);
-    AppendEnvelopeHeader(out, MechanismTag::kTreeHrr, kItemSize);
-  }
+  out.reserve(kEnvelopeHeaderSize + kItemSize);
+  AppendEnvelopeHeader(out, MechanismTag::kTreeHrr, kItemSize);
   AppendItem(out, report);
   return out;
 }
 
 ParseError ParseTreeHrrReportDetailed(std::span<const uint8_t> bytes,
                                       TreeHrrReport* report) {
-  if (!LooksLikeEnvelope(bytes)) return ParseV1(bytes, report);
   Envelope env;
   ParseError err = DecodeEnvelope(bytes, &env);
   if (err != ParseError::kOk) return err;
@@ -122,7 +99,7 @@ TreeHrrReport TreeHrrClient::Encode(uint64_t value, Rng& rng) const {
 
 std::vector<uint8_t> TreeHrrClient::EncodeSerialized(uint64_t value,
                                                      Rng& rng) const {
-  return SerializeTreeHrrReport(Encode(value, rng), wire_version_);
+  return SerializeTreeHrrReport(Encode(value, rng));
 }
 
 std::vector<TreeHrrReport> TreeHrrClient::EncodeUsers(
@@ -137,8 +114,6 @@ std::vector<TreeHrrReport> TreeHrrClient::EncodeUsers(
 
 std::vector<uint8_t> TreeHrrClient::EncodeUsersSerialized(
     std::span<const uint64_t> values, Rng& rng) const {
-  LDP_CHECK_MSG(wire_version_ == kWireVersionV2,
-                "batch framing requires wire v2");
   return SerializeTreeHrrReportBatch(EncodeUsers(values, rng));
 }
 
@@ -146,10 +121,8 @@ TreeHrrServer::TreeHrrServer(uint64_t domain, uint64_t fanout, double eps,
                              bool consistency)
     : shape_(domain, fanout), eps_(eps), consistency_(consistency) {
   LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  level_oracles_.reserve(shape_.height());
   for (uint32_t l = 1; l <= shape_.height(); ++l) {
-    level_oracles_.push_back(
-        std::make_unique<HrrOracle>(shape_.NodesAtLevel(l), eps));
+    levels_.AddLevel(shape_.NodesAtLevel(l), eps);
   }
 }
 
@@ -158,7 +131,7 @@ bool TreeHrrServer::Fold(const TreeHrrReport& report) {
       (report.inner.sign != 1 && report.inner.sign != -1)) {
     return false;
   }
-  HrrOracle& oracle = *level_oracles_[report.level - 1];
+  HrrOracle& oracle = levels_[report.level - 1];
   if (report.inner.coefficient_index >= oracle.padded_domain()) return false;
   oracle.AddValidatedReport(report.inner);
   return true;
@@ -178,14 +151,6 @@ bool TreeHrrServer::AbsorbSerialized(std::span<const uint8_t> bytes) {
   return Absorb(report);
 }
 
-uint64_t TreeHrrServer::AbsorbBatch(std::span<const TreeHrrReport> reports) {
-  uint64_t accepted = 0;
-  for (const TreeHrrReport& report : reports) {
-    if (Absorb(report)) ++accepted;
-  }
-  return accepted;
-}
-
 ParseError TreeHrrServer::DoAbsorbBatchSerialized(
     std::span<const uint8_t> bytes, uint64_t* accepted) {
   ReportBatch batch;
@@ -197,29 +162,13 @@ ParseError TreeHrrServer::DoAbsorbBatchSerialized(
 }
 
 void TreeHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
-  // [levels varint][levels x HrrOracle record, level 1 first].
-  AppendVarU64(out, level_oracles_.size());
-  for (const auto& oracle : level_oracles_) {
-    oracle->AppendState(out);
-  }
+  levels_.AppendState(out);
 }
 
-size_t TreeHrrServer::StateBodyBytes() const {
-  size_t bytes = VarU64Size(level_oracles_.size());
-  for (const auto& oracle : level_oracles_) bytes += oracle->StateBytes();
-  return bytes;
-}
+size_t TreeHrrServer::StateBodyBytes() const { return levels_.StateBytes(); }
 
 bool TreeHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  WireReader reader(body);
-  uint64_t levels = 0;
-  if (!reader.ReadVarU64(&levels)) return false;
-  // Cross-check against this server's own shape, never an allocation size.
-  if (levels != level_oracles_.size()) return false;
-  for (auto& oracle : level_oracles_) {
-    if (!oracle->RestoreState(reader)) return false;
-  }
-  return reader.AtEnd();
+  return levels_.RestoreState(body);
 }
 
 std::unique_ptr<service::AggregatorServer> TreeHrrServer::DoCloneEmpty()
@@ -236,61 +185,28 @@ service::MergeStatus TreeHrrServer::DoMergeFrom(
   if (o.consistency_ != consistency_) {
     return service::MergeStatus::kConfigMismatch;
   }
-  for (size_t l = 0; l < level_oracles_.size(); ++l) {
-    level_oracles_[l]->MergeFromShard(*o.level_oracles_[l]);
-  }
+  levels_.MergeFromShard(o.levels_);
   return service::MergeStatus::kOk;
 }
 
 void TreeHrrServer::DoFinalize() {
-  const uint32_t h = shape_.height();
-  estimates_.assign(h + 1, {});
-  estimates_[0] = {1.0};  // root known exactly in the local model
-  for (uint32_t l = 1; l <= h; ++l) {
-    estimates_[l] = level_oracles_[l - 1]->EstimateFractions();
-  }
-  if (consistency_) {
-    EnforceHierarchicalConsistency(estimates_, shape_.fanout());
-  }
+  estimate_.emplace(shape_, levels_.Views(), consistency_);
 }
 
 double TreeHrrServer::RangeQuery(uint64_t a, uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, shape_.domain());
-  double total = 0.0;
-  for (const TreeNode& node : shape_.Decompose(a, b)) {
-    total += estimates_[node.level][node.index];
-  }
-  return total;
+  return estimate_->RangeQuery(a, b);
 }
 
 RangeEstimate TreeHrrServer::RangeQueryWithUncertainty(uint64_t a,
                                                        uint64_t b) const {
-  double n = static_cast<double>(accepted_reports());
-  // The bounds are stated for r >= 2 (log_B(1) = 0 would degenerate);
-  // answer point queries with the length-2 envelope, a slight
-  // over-estimate. No accepted reports: infinite uncertainty (the
-  // bounds are undefined at n = 0).
-  uint64_t r = std::max<uint64_t>(b - a + 1, 2);
-  double variance;
-  if (accepted_reports() == 0) {
-    variance = std::numeric_limits<double>::infinity();
-  } else if (consistency_) {
-    variance = HhConsistentRangeVarianceBound(shape_.domain(),
-                                              shape_.fanout(), r, eps_, n);
-  } else {
-    variance =
-        HhRangeVarianceBound(shape_.domain(), shape_.fanout(), r, eps_, n);
-  }
-  return RangeEstimate{RangeQuery(a, b), std::sqrt(variance)};
+  LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> TreeHrrServer::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  const std::vector<double>& leaves = estimates_[shape_.height()];
-  return std::vector<double>(leaves.begin(),
-                             leaves.begin() + shape_.domain());
+  return estimate_->EstimateFrequencies();
 }
 
 }  // namespace ldp::protocol

@@ -5,21 +5,25 @@
 // the cost of only a slight increase in error" versus TreeOUECI.
 //
 // Each report: sampled tree level + one HRR coefficient sample for that
-// level's one-hot node indicator — framed under the versioned v2 envelope
-// (18 bytes, or the legacy unframed 11-byte v1 format after a downgrade).
-// The server validates, aggregates per level, debiases, applies Section
-// 4.5 consistency, and serves range / prefix / quantile queries.
+// level's one-hot node indicator, framed under the v2 envelope (18
+// bytes). The server validates and aggregates per level; it debiases,
+// applies Section 4.5 consistency and answers range / prefix / quantile
+// queries through core's HierarchicalEstimate, the code
+// HierarchicalMechanism runs, so its stddev is the per-node accounting of
+// the nodes each query reads.
 
 #ifndef LDPRANGE_PROTOCOL_TREE_PROTOCOL_H_
 #define LDPRANGE_PROTOCOL_TREE_PROTOCOL_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "core/badic.h"
+#include "core/hierarchical.h"
 #include "frequency/hrr.h"
 #include "protocol/envelope.h"
 #include "service/aggregator_server.h"
@@ -32,13 +36,11 @@ struct TreeHrrReport {
   HrrReport inner;
 };
 
-/// Serializes one report. v2 (default): envelope + payload [level u8]
-/// [index u64][sign u8], 18 bytes. v1: legacy [tag 0x03][level][index]
-/// [sign], 11 bytes.
-std::vector<uint8_t> SerializeTreeHrrReport(
-    const TreeHrrReport& report, uint8_t wire_version = kWireVersionV2);
+/// Serializes one report: envelope + payload [level u8][index u64]
+/// [sign u8], 18 bytes.
+std::vector<uint8_t> SerializeTreeHrrReport(const TreeHrrReport& report);
 
-/// Parses and validates either wire version with an explicit error code.
+/// Parses and validates one framed report with an explicit error code.
 ParseError ParseTreeHrrReportDetailed(std::span<const uint8_t> bytes,
                                       TreeHrrReport* report);
 
@@ -58,9 +60,8 @@ ParseError ParseTreeHrrReportBatch(std::span<const uint8_t> bytes,
                                    std::vector<TreeHrrReport>* reports,
                                    uint64_t* malformed = nullptr);
 
-/// Client-side encoder. Wire-version selection and downgrade negotiation
-/// come from DowngradableClient.
-class TreeHrrClient : public DowngradableClient {
+/// Client-side encoder.
+class TreeHrrClient {
  public:
   TreeHrrClient(uint64_t domain, uint64_t fanout, double eps);
 
@@ -74,7 +75,7 @@ class TreeHrrClient : public DowngradableClient {
   std::vector<TreeHrrReport> EncodeUsers(std::span<const uint64_t> values,
                                          Rng& rng) const;
 
-  /// Batched encode + one framed v2 batch message (v2-only).
+  /// Batched encode + one framed v2 batch message.
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> values,
                                              Rng& rng) const;
 
@@ -99,16 +100,13 @@ class TreeHrrServer final : public service::AggregatorServer {
   bool Absorb(const TreeHrrReport& report);
   bool AbsorbSerialized(std::span<const uint8_t> bytes) override;
 
-  /// Batched ingestion; returns the number of accepted reports (rejects
-  /// are counted per report, exactly as the Absorb loop would).
-  uint64_t AbsorbBatch(std::span<const TreeHrrReport> reports);
-
   ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override;
 
   double RangeQuery(uint64_t a, uint64_t b) const override;
-  /// Uncertainty from Theorem 4.3 (Eq. 2 after constrained inference):
-  /// the HH_B worst-case envelope for a length-r range.
+  /// HierarchicalEstimate's per-node accounting over the nodes the range
+  /// decomposes into, each at its level's report count (Theorem 4.3 is
+  /// the worst case; Lemma 4.6's factor applies under consistency).
   RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                           uint64_t b) const override;
   std::vector<double> EstimateFrequencies() const override;
@@ -133,8 +131,8 @@ class TreeHrrServer final : public service::AggregatorServer {
   TreeShape shape_;
   double eps_;
   bool consistency_;
-  std::vector<std::unique_ptr<HrrOracle>> level_oracles_;
-  std::vector<std::vector<double>> estimates_;
+  HrrLevels levels_;
+  std::optional<HierarchicalEstimate> estimate_;
 };
 
 }  // namespace ldp::protocol

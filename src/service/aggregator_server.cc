@@ -17,10 +17,6 @@ bool SameEpsilonBits(double a, double b) {
 
 }  // namespace
 
-std::span<const uint8_t> AggregatorServer::AcceptedWireVersions() const {
-  return protocol::ServerAcceptedVersions();
-}
-
 double AggregatorServer::BoxQuery(std::span<const AxisInterval> box) const {
   LDP_CHECK_EQ(box.size(), size_t{1});
   return RangeQuery(box[0].lo, box[0].hi);

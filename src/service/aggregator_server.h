@@ -5,9 +5,10 @@
 // shape, extracted from the four mechanism servers that used to be
 // copy-alike siblings (FlatHrrServer, HaarHrrServer, TreeHrrServer,
 // AheadServer). Everything a deployment routes by — serialized ingestion,
-// accept/reject accounting, wire-version acceptance, finalize-once
-// discipline, range/frequency/quantile queries — lives here; subclasses
-// only supply the mechanism-specific decode + aggregate + estimate math.
+// accept/reject accounting, finalize-once discipline,
+// range/frequency/quantile queries — lives here; subclasses only supply
+// the mechanism-specific decode + aggregate, and answer through their
+// family's estimator.
 //
 // The streaming service (service/aggregator_service.h) hosts any number
 // of AggregatorServer instances and drives them entirely through this
@@ -55,10 +56,6 @@ class AggregatorServer {
   /// servers. Boxes handed to BoxQuery* carry dimensions() intervals.
   virtual uint32_t dimensions() const { return 1; }
 
-  /// Wire versions this server's ingestion path accepts (newest last).
-  /// Defaults to the build-wide set; v2-only mechanisms override.
-  virtual std::span<const uint8_t> AcceptedWireVersions() const;
-
   /// Parses + ingests one serialized report; false (counted as a
   /// rejection) on any parse or range failure. Total over arbitrary
   /// bytes — a server must reject garbage, never crash on it.
@@ -85,13 +82,16 @@ class AggregatorServer {
   /// [a, b]; requires a <= b < domain() and a finalized server.
   virtual double RangeQuery(uint64_t a, uint64_t b) const = 0;
 
-  /// RangeQuery plus the mechanism's analytic uncertainty for that range
-  /// (worst-case variance envelope for the fixed-shape mechanisms, the
-  /// exact per-node accounting for AHEAD). The wire query plane ships
-  /// this as (estimate, variance) pairs. Pure virtual on purpose: a
-  /// defaulted 0 (or even +inf) here would let a new mechanism silently
-  /// ship a wrong confidence bound — deciding the envelope is part of
-  /// implementing a server.
+  /// RangeQuery plus the mechanism's analytic uncertainty for that range:
+  /// the variance of exactly the terms the answer sums, each at its own
+  /// report count. Flat, haar and tree answer through their family's
+  /// core/ estimator, the stddev the paper simulations measure: +inf where
+  /// an answer reads a level with no reports, 0 where it is exact (the
+  /// Haar full domain, the tree root). AHEAD ships its per-node
+  /// accounting. The wire query plane ships this as (estimate, variance)
+  /// pairs. Pure virtual on purpose: a defaulted 0 (or even +inf) here
+  /// would let a new mechanism silently ship a wrong confidence bound —
+  /// deciding it is part of implementing a server.
   virtual RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                                   uint64_t b) const = 0;
 

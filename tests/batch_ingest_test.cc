@@ -150,8 +150,8 @@ TEST(BatchIngest, ShardedEstimatesAgreeWithSequentialStatistically) {
 }
 
 TEST(BatchIngest, ProtocolBatchRoundTripMatchesLoop) {
-  // Wire-protocol layer: client EncodeUsers + server AbsorbBatch must be
-  // indistinguishable from the per-report Encode/Absorb loop.
+  // Wire-protocol layer: client EncodeUsers + one framed batch message
+  // must be indistinguishable from the per-report Encode/Absorb loop.
   const uint64_t d = 100;
   const uint64_t fanout = 4;
   const double eps = 1.1;
@@ -166,9 +166,11 @@ TEST(BatchIngest, ProtocolBatchRoundTripMatchesLoop) {
     loop_server.Absorb(client.Encode(v, rng_l));
   }
   Rng rng_b(13);
-  std::vector<protocol::TreeHrrReport> reports = client.EncodeUsers(values,
-                                                                    rng_b);
-  EXPECT_EQ(batch_server.AbsorbBatch(reports), values.size());
+  uint64_t accepted = 0;
+  ASSERT_EQ(batch_server.AbsorbBatchSerialized(
+                client.EncodeUsersSerialized(values, rng_b), &accepted),
+            protocol::ParseError::kOk);
+  EXPECT_EQ(accepted, values.size());
 
   loop_server.Finalize();
   batch_server.Finalize();

@@ -179,8 +179,10 @@ TEST(MultiDimClientServer, RecoversRectangleMass) {
                      static_cast<uint64_t>((i / 2) % 16)});
     }
   }
-  EXPECT_EQ(server.AbsorbBatch(client.EncodeUsers(coords, rng)),
-            static_cast<uint64_t>(n));
+  for (const MultiDimReport& report : client.EncodeUsers(coords, rng)) {
+    ASSERT_TRUE(server.Absorb(report));
+  }
+  EXPECT_EQ(server.accepted_reports(), static_cast<uint64_t>(n));
   server.Finalize();
   const AxisInterval point[2] = {{5, 5}, {9, 9}};
   const AxisInterval quadrant[2] = {{16, 31}, {0, 15}};
@@ -228,10 +230,19 @@ TEST(MultiDimClientServer, RejectsInvalidReportsWithAccounting) {
 }
 
 TEST(MultiDimClientServer, ServerIsV2Only) {
+  // A message under any other version byte is refused before its payload
+  // is read, and counted once.
   MultiDimServer server(16, 2, 1.0);
-  std::span<const uint8_t> versions = server.AcceptedWireVersions();
-  ASSERT_EQ(versions.size(), 1u);
-  EXPECT_EQ(versions[0], protocol::kWireVersionV2);
+  MultiDimClient client(16, 2, 1.0);
+  Rng rng(33);
+  const std::vector<uint64_t> coords = {1, 2, 3, 4};
+  std::vector<uint8_t> batch = client.EncodeUsersSerialized(coords, rng);
+  ASSERT_EQ(batch[2], protocol::kWireVersionV2);
+  batch[2] = 1;
+  EXPECT_EQ(server.AbsorbBatchSerialized(batch),
+            ParseError::kUnsupportedVersion);
+  EXPECT_EQ(server.accepted_reports(), 0u);
+  EXPECT_EQ(server.rejected_reports(), 1u);
 }
 
 // --- Query plane wire structs -------------------------------------------
@@ -315,7 +326,9 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
       client.EncodeUsersSharded(coords, /*seed=*/17);
 
   MultiDimServer in_process(kDomain, 2, kEps);
-  EXPECT_EQ(in_process.AbsorbBatch(reports), reports.size());
+  for (const MultiDimReport& report : reports) {
+    ASSERT_TRUE(in_process.Absorb(report));
+  }
   in_process.Finalize();
 
   const std::vector<std::pair<AxisInterval, AxisInterval>> rects = {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/random.h"
+#include "core/flat.h"
 #include "core/haar_hrr.h"
 #include "protocol/flat_protocol.h"
 #include "protocol/haar_protocol.h"
@@ -188,35 +190,30 @@ TEST(ProtocolSerialization, RejectsMalformedBuffers) {
   report.level = 3;
   report.inner = {5, +1};
   HaarHrrReport out;
-  for (uint8_t version :
-       {protocol::kWireVersionV1, protocol::kWireVersionV2}) {
-    SCOPED_TRACE(int(version));
-    std::vector<uint8_t> good = SerializeHaarHrrReport(report, version);
-    // v2 payload starts after the 8-byte envelope header; v1 after the
-    // 1-byte tag.
-    size_t body = version == protocol::kWireVersionV2 ? 8 : 1;
-    // Truncations at every length.
-    for (size_t len = 0; len < good.size(); ++len) {
-      std::vector<uint8_t> cut(good.begin(), good.begin() + len);
-      EXPECT_FALSE(ParseHaarHrrReport(cut, &out)) << "len=" << len;
-    }
-    // Trailing garbage.
-    std::vector<uint8_t> extended = good;
-    extended.push_back(0);
-    EXPECT_FALSE(ParseHaarHrrReport(extended, &out));
-    // Wrong leading byte (magic in v2, tag in v1).
-    std::vector<uint8_t> wrong_tag = good;
-    wrong_tag[0] = 0x7F;
-    EXPECT_FALSE(ParseHaarHrrReport(wrong_tag, &out));
-    // Bad sign byte.
-    std::vector<uint8_t> bad_sign = good;
-    bad_sign.back() = 2;
-    EXPECT_FALSE(ParseHaarHrrReport(bad_sign, &out));
-    // Level zero is invalid.
-    std::vector<uint8_t> bad_level = good;
-    bad_level[body] = 0;
-    EXPECT_FALSE(ParseHaarHrrReport(bad_level, &out));
+  std::vector<uint8_t> good = SerializeHaarHrrReport(report);
+  // The payload starts after the 8-byte envelope header.
+  const size_t body = 8;
+  // Truncations at every length.
+  for (size_t len = 0; len < good.size(); ++len) {
+    std::vector<uint8_t> cut(good.begin(), good.begin() + len);
+    EXPECT_FALSE(ParseHaarHrrReport(cut, &out)) << "len=" << len;
   }
+  // Trailing garbage.
+  std::vector<uint8_t> extended = good;
+  extended.push_back(0);
+  EXPECT_FALSE(ParseHaarHrrReport(extended, &out));
+  // Wrong leading (magic) byte.
+  std::vector<uint8_t> wrong_magic = good;
+  wrong_magic[0] = 0x7F;
+  EXPECT_FALSE(ParseHaarHrrReport(wrong_magic, &out));
+  // Bad sign byte.
+  std::vector<uint8_t> bad_sign = good;
+  bad_sign.back() = 2;
+  EXPECT_FALSE(ParseHaarHrrReport(bad_sign, &out));
+  // Level zero is invalid.
+  std::vector<uint8_t> bad_level = good;
+  bad_level[body] = 0;
+  EXPECT_FALSE(ParseHaarHrrReport(bad_level, &out));
 }
 
 TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
@@ -241,9 +238,15 @@ TEST(ProtocolSerialization, FuzzedBuffersNeverCrash) {
   }
 }
 
+// Served and simulated answers come from the same estimator: value and
+// stddev agree bit for bit, not merely within rounding.
+bool SameBits(const RangeEstimate& served, const RangeEstimate& simulated) {
+  return std::memcmp(&served, &simulated, sizeof(RangeEstimate)) == 0;
+}
+
 TEST(HaarProtocol, EndToEndMatchesInProcessMechanism) {
   // Same seed, same submission order: the wire path and the in-process
-  // mechanism must produce bit-identical estimates.
+  // mechanism must produce bit-identical estimates and stddevs.
   const uint64_t d = 64;
   const double eps = 1.1;
   Rng rng_wire(7);
@@ -264,10 +267,14 @@ TEST(HaarProtocol, EndToEndMatchesInProcessMechanism) {
   EXPECT_EQ(server.rejected_reports(), 0u);
   for (uint64_t a = 0; a < d; a += 5) {
     for (uint64_t b = a; b < d; b += 9) {
-      EXPECT_DOUBLE_EQ(server.RangeQuery(a, b), mech.RangeQuery(a, b))
+      EXPECT_EQ(server.RangeQuery(a, b), mech.RangeQuery(a, b))
+          << "[" << a << "," << b << "]";
+      EXPECT_TRUE(SameBits(server.RangeQueryWithUncertainty(a, b),
+                           mech.RangeQueryWithUncertainty(a, b)))
           << "[" << a << "," << b << "]";
     }
   }
+  EXPECT_EQ(server.EstimateFrequencies(), mech.EstimateFrequencies());
   EXPECT_EQ(server.QuantileQuery(0.5), mech.QuantileQuery(0.5));
 }
 
@@ -328,21 +335,44 @@ TEST(FlatProtocol, EndToEndAccuracy) {
   EXPECT_NEAR(server.RangeQuery(8, 20), 0.0, 0.03);
 }
 
+TEST(FlatProtocol, EndToEndMatchesInProcessMechanism) {
+  // The flat twin of the Haar test above: FlatMechanism over HRR draws
+  // exactly what FlatHrrClient encodes, so the two answer bit for bit.
+  const uint64_t d = 100;
+  const double eps = 1.1;
+  Rng rng_wire(9);
+  Rng rng_mech(9);
+  FlatHrrClient client(d, eps);
+  FlatHrrServer server(d, eps);
+  FlatMechanism mech(d, eps, OracleKind::kHrr);
+  for (int i = 0; i < 20000; ++i) {
+    uint64_t value = (i * 17) % d;
+    ASSERT_TRUE(server.AbsorbSerialized(
+        client.EncodeSerialized(value, rng_wire)));
+    mech.EncodeUser(value, rng_mech);
+  }
+  server.Finalize();
+  Rng finalize_rng(1);
+  mech.Finalize(finalize_rng);
+  for (uint64_t a = 0; a < d; a += 7) {
+    for (uint64_t b = a; b < d; b += 11) {
+      EXPECT_TRUE(SameBits(server.RangeQueryWithUncertainty(a, b),
+                           mech.RangeQueryWithUncertainty(a, b)))
+          << "[" << a << "," << b << "]";
+    }
+  }
+  EXPECT_EQ(server.EstimateFrequencies(), mech.EstimateFrequencies());
+}
+
 TEST(FlatProtocol, ReportSizesArePinnedPerVersion) {
   Rng rng(17);
   FlatHrrClient client(1 << 20, 1.0);
   HaarHrrClient haar_client(1 << 20, 1.0);
-  // v2 (default): 8-byte envelope + fixed payload.
+  // v2: 8-byte envelope + fixed payload.
   EXPECT_EQ(client.EncodeSerialized(12345, rng).size(), 17u);
   EXPECT_EQ(haar_client.EncodeSerialized(12345, rng).size(), 18u);
-  // Legacy v1 framing after a downgrade: the seed's 10/11 bytes.
-  client.set_wire_version(protocol::kWireVersionV1);
-  haar_client.set_wire_version(protocol::kWireVersionV1);
-  EXPECT_EQ(client.EncodeSerialized(12345, rng).size(), 10u);
-  EXPECT_EQ(haar_client.EncodeSerialized(12345, rng).size(), 11u);
   // Batch framing amortizes the envelope: header + count varint + 9
   // bytes per report.
-  client.set_wire_version(protocol::kWireVersionV2);
   std::vector<uint64_t> values(200, 5);
   EXPECT_EQ(client.EncodeUsersSerialized(values, rng).size(),
             8u + 2u + 200u * 9u);  // count 200 is a 2-byte varint

@@ -4,11 +4,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "core/hierarchical.h"
+#include "core/method.h"
 #include "decode_reference.h"
 #include "frequency/hrr.h"
 
@@ -37,50 +38,48 @@ TEST(TreeProtocol, SerializationRejectsTagsOfOtherProtocols) {
   report.level = 1;
   report.inner = {0, +1};
   TreeHrrReport out;
-  // v2: the mechanism tag lives at offset 3 of the envelope header.
-  std::vector<uint8_t> v2 = SerializeTreeHrrReport(report);
+  // The mechanism tag lives at offset 3 of the envelope header.
+  std::vector<uint8_t> bytes = SerializeTreeHrrReport(report);
   for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
-    v2[3] = tag;
-    EXPECT_FALSE(ParseTreeHrrReport(v2, &out)) << "v2 tag " << int(tag);
-  }
-  // v1: the tag is the leading byte.
-  std::vector<uint8_t> v1 =
-      SerializeTreeHrrReport(report, ldp::protocol::kWireVersionV1);
-  for (uint8_t tag : {0x01, 0x02, 0x00, 0xFF}) {
-    v1[0] = tag;
-    EXPECT_FALSE(ParseTreeHrrReport(v1, &out)) << "v1 tag " << int(tag);
+    bytes[3] = tag;
+    EXPECT_FALSE(ParseTreeHrrReport(bytes, &out)) << "tag " << int(tag);
   }
 }
 
 TEST(TreeProtocol, EndToEndMatchesInProcessTreeHrr) {
   // Same RNG stream and submission order: the wire path must agree with
-  // HierarchicalMechanism configured for HRR + consistency.
+  // HierarchicalMechanism over HRR bit for bit — value and stddev, with
+  // consistency on and off — since both answer through
+  // HierarchicalEstimate.
   const uint64_t d = 64;
   const uint64_t fanout = 4;
   const double eps = 1.1;
-  Rng rng_wire(3);
-  Rng rng_mech(3);
-  TreeHrrClient client(d, fanout, eps);
-  TreeHrrServer server(d, fanout, eps, /*consistency=*/true);
-  HierarchicalConfig config;
-  config.fanout = fanout;
-  config.oracle = OracleKind::kHrr;
-  config.consistency = true;
-  HierarchicalMechanism mech(d, eps, config);
-  for (int i = 0; i < 30000; ++i) {
-    uint64_t value = (i * 11) % d;
-    ASSERT_TRUE(server.AbsorbSerialized(
-        client.EncodeSerialized(value, rng_wire)));
-    mech.EncodeUser(value, rng_mech);
-  }
-  server.Finalize();
-  Rng finalize_rng(1);
-  mech.Finalize(finalize_rng);
-  for (uint64_t a = 0; a < d; a += 7) {
-    for (uint64_t b = a; b < d; b += 6) {
-      EXPECT_NEAR(server.RangeQuery(a, b), mech.RangeQuery(a, b), 1e-9)
-          << "[" << a << "," << b << "]";
+  for (bool consistency : {true, false}) {
+    SCOPED_TRACE(consistency ? "consistency" : "raw");
+    Rng rng_wire(3);
+    Rng rng_mech(3);
+    TreeHrrClient client(d, fanout, eps);
+    TreeHrrServer server(d, fanout, eps, consistency);
+    std::unique_ptr<RangeMechanism> mech = MakeMechanism(
+        MethodSpec::Hh(fanout, OracleKind::kHrr, consistency), d, eps);
+    for (int i = 0; i < 30000; ++i) {
+      uint64_t value = (i * 11) % d;
+      ASSERT_TRUE(server.AbsorbSerialized(
+          client.EncodeSerialized(value, rng_wire)));
+      mech->EncodeUser(value, rng_mech);
     }
+    server.Finalize();
+    Rng finalize_rng(1);
+    mech->Finalize(finalize_rng);
+    for (uint64_t a = 0; a < d; a += 7) {
+      for (uint64_t b = a; b < d; b += 6) {
+        const RangeEstimate served = server.RangeQueryWithUncertainty(a, b);
+        const RangeEstimate simulated = mech->RangeQueryWithUncertainty(a, b);
+        EXPECT_EQ(std::memcmp(&served, &simulated, sizeof(RangeEstimate)), 0)
+            << "[" << a << "," << b << "]";
+      }
+    }
+    EXPECT_EQ(server.EstimateFrequencies(), mech->EstimateFrequencies());
   }
 }
 
@@ -181,7 +180,9 @@ TEST(TreeProtocol, FinalizeMatchesReferenceDecodeAtLargeDomain) {
       testing_reference::SerialConsistency(expected, fanout, 1.0);
     }
     TreeHrrServer server(d, fanout, eps, consistency);
-    ASSERT_EQ(server.AbsorbBatch(reports), reports.size());
+    for (const TreeHrrReport& report : reports) {
+      ASSERT_TRUE(server.Absorb(report));
+    }
     server.Finalize();
     const std::vector<double> leaves = server.EstimateFrequencies();
     ASSERT_EQ(leaves.size(), d);

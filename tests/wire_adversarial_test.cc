@@ -186,13 +186,6 @@ std::vector<ParserUnderTest> AllParsers() {
          }
          return err;
        }});
-  flat.set_wire_version(protocol::kWireVersionV1);
-  parsers.push_back(
-      {"flat_v1", flat.EncodeSerialized(7, rng),
-       [](std::span<const uint8_t> bytes) {
-         HrrReport r;
-         return protocol::ParseHrrReportDetailed(bytes, &r);
-       }});
 
   protocol::HaarHrrClient haar(64, 1.0);
   parsers.push_back(

@@ -1,10 +1,9 @@
-// Golden wire captures: byte-exact pins of both wire versions.
+// Golden wire captures: byte-exact pins of the v2 wire.
 //
-// The v1 arrays below are captures of the seed's serializer (PR 0-2
-// era); they must decode through the legacy path byte-identically
-// forever — a change here is a wire break for every deployed client.
 // The v2 arrays pin the envelope layout documented in envelope.h so a
-// refactor cannot silently shift a field.
+// refactor cannot silently shift a field — a change here is a wire break
+// for every deployed client. The legacy v1 captures at the top (the seed's
+// unframed format) pin that every parser rejects them.
 
 #include <gtest/gtest.h>
 
@@ -26,53 +25,43 @@
 namespace ldp {
 namespace {
 
-using protocol::kWireVersionV1;
 using protocol::MechanismTag;
 using protocol::ParseError;
 
-// --- v1 captures (legacy, unframed) --------------------------------------
+// --- legacy v1 captures (unframed, no longer spoken) --------------------
 
-TEST(WireGolden, V1FlatCaptureDecodesByteIdentically) {
+// Every single-report parser refuses a v1 capture at the magic check.
+void ExpectEveryParserRejectsWithBadMagic(const std::vector<uint8_t>& capture) {
+  HrrReport flat;
+  protocol::HaarHrrReport haar;
+  protocol::TreeHrrReport tree;
+  EXPECT_EQ(protocol::ParseHrrReportDetailed(capture, &flat),
+            ParseError::kBadMagic);
+  EXPECT_EQ(protocol::ParseHaarHrrReportDetailed(capture, &haar),
+            ParseError::kBadMagic);
+  EXPECT_EQ(protocol::ParseTreeHrrReportDetailed(capture, &tree),
+            ParseError::kBadMagic);
+}
+
+TEST(WireGolden, V1FlatCaptureIsRejectedWithBadMagic) {
   // FlatHRR v1: [tag 0x01][index u64 LE][sign u8];
   // index = 0x0123456789ABCDEF, sign = +1.
-  const std::vector<uint8_t> capture = {0x01, 0xEF, 0xCD, 0xAB, 0x89,
-                                        0x67, 0x45, 0x23, 0x01, 0x01};
-  HrrReport report;
-  ASSERT_EQ(protocol::ParseHrrReportDetailed(capture, &report),
-            ParseError::kOk);
-  EXPECT_EQ(report.coefficient_index, 0x0123456789ABCDEFULL);
-  EXPECT_EQ(report.sign, +1);
-  EXPECT_EQ(protocol::SerializeHrrReport(report, kWireVersionV1), capture);
+  ExpectEveryParserRejectsWithBadMagic(
+      {0x01, 0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01, 0x01});
 }
 
-TEST(WireGolden, V1HaarCaptureDecodesByteIdentically) {
+TEST(WireGolden, V1HaarCaptureIsRejectedWithBadMagic) {
   // HaarHRR v1: [tag 0x02][level u8][index u64 LE][sign u8];
   // level = 7, index = 42, sign = -1.
-  const std::vector<uint8_t> capture = {0x02, 0x07, 0x2A, 0x00, 0x00, 0x00,
-                                        0x00, 0x00, 0x00, 0x00, 0x00};
-  protocol::HaarHrrReport report;
-  ASSERT_EQ(protocol::ParseHaarHrrReportDetailed(capture, &report),
-            ParseError::kOk);
-  EXPECT_EQ(report.level, 7u);
-  EXPECT_EQ(report.inner.coefficient_index, 42u);
-  EXPECT_EQ(report.inner.sign, -1);
-  EXPECT_EQ(protocol::SerializeHaarHrrReport(report, kWireVersionV1),
-            capture);
+  ExpectEveryParserRejectsWithBadMagic(
+      {0x02, 0x07, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00});
 }
 
-TEST(WireGolden, V1TreeCaptureDecodesByteIdentically) {
+TEST(WireGolden, V1TreeCaptureIsRejectedWithBadMagic) {
   // TreeHRR v1: [tag 0x03][level u8][index u64 LE][sign u8];
   // level = 3, index = 0x04D2 (= 1234), sign = +1.
-  const std::vector<uint8_t> capture = {0x03, 0x03, 0xD2, 0x04, 0x00, 0x00,
-                                        0x00, 0x00, 0x00, 0x00, 0x01};
-  protocol::TreeHrrReport report;
-  ASSERT_EQ(protocol::ParseTreeHrrReportDetailed(capture, &report),
-            ParseError::kOk);
-  EXPECT_EQ(report.level, 3u);
-  EXPECT_EQ(report.inner.coefficient_index, 1234u);
-  EXPECT_EQ(report.inner.sign, +1);
-  EXPECT_EQ(protocol::SerializeTreeHrrReport(report, kWireVersionV1),
-            capture);
+  ExpectEveryParserRejectsWithBadMagic(
+      {0x03, 0x03, 0xD2, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01});
 }
 
 // --- v2 layout pins (framed) ---------------------------------------------
@@ -228,8 +217,8 @@ TEST(WireGolden, V2AheadTreeLayoutIsPinned) {
   EXPECT_EQ(back->FrontierSize(1), 4u);
 }
 
-// A v1 capture can never be mistaken for v2 (and vice versa): the v1
-// tag range 0x01..0x03 differs from the magic byte 0x4C.
+// A legacy v1 capture never looks like a v2 envelope (and vice versa):
+// the v1 tag range 0x01..0x03 differs from the magic byte 0x4C.
 TEST(WireGolden, VersionsAreUnambiguousOnTheWire) {
   const std::vector<uint8_t> v1 = {0x01, 0xEF, 0xCD, 0xAB, 0x89,
                                    0x67, 0x45, 0x23, 0x01, 0x01};

@@ -2,7 +2,7 @@
 // Parse identity must hold for every report shape — the three deployable
 // protocols (flat/haar/tree HRR) and the four plain oracle report
 // formats (GRR, OUE, SUE, OLH) — across randomized (eps, D, seed) drawn
-// from a seeded generator, in both wire versions where both exist.
+// from a seeded generator.
 // Extends the oracle_property_test.cc style to the serialization layer.
 
 #include <gtest/gtest.h>
@@ -21,8 +21,6 @@
 namespace ldp {
 namespace {
 
-using protocol::kWireVersionV1;
-using protocol::kWireVersionV2;
 using protocol::MechanismTag;
 using protocol::ParseError;
 
@@ -48,16 +46,12 @@ TEST(WireProperty, FlatHrrRoundTripIdentity) {
     protocol::FlatHrrClient client(p.domain, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     HrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeHrrReport(report, version);
-      HrrReport back;
-      ASSERT_EQ(protocol::ParseHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.coefficient_index, report.coefficient_index);
-      EXPECT_EQ(back.sign, report.sign);
-    }
+    std::vector<uint8_t> bytes = protocol::SerializeHrrReport(report);
+    HrrReport back;
+    ASSERT_EQ(protocol::ParseHrrReportDetailed(bytes, &back), ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.coefficient_index, report.coefficient_index);
+    EXPECT_EQ(back.sign, report.sign);
   }
 }
 
@@ -68,18 +62,14 @@ TEST(WireProperty, HaarHrrRoundTripIdentity) {
     protocol::HaarHrrClient client(p.domain, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     protocol::HaarHrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeHaarHrrReport(report, version);
-      protocol::HaarHrrReport back;
-      ASSERT_EQ(protocol::ParseHaarHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.level, report.level);
-      EXPECT_EQ(back.inner.coefficient_index,
-                report.inner.coefficient_index);
-      EXPECT_EQ(back.inner.sign, report.inner.sign);
-    }
+    std::vector<uint8_t> bytes = protocol::SerializeHaarHrrReport(report);
+    protocol::HaarHrrReport back;
+    ASSERT_EQ(protocol::ParseHaarHrrReportDetailed(bytes, &back),
+              ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.level, report.level);
+    EXPECT_EQ(back.inner.coefficient_index, report.inner.coefficient_index);
+    EXPECT_EQ(back.inner.sign, report.inner.sign);
   }
 }
 
@@ -91,18 +81,14 @@ TEST(WireProperty, TreeHrrRoundTripIdentity) {
     protocol::TreeHrrClient client(p.domain, fanout, p.eps);
     uint64_t value = rng.UniformInt(p.domain);
     protocol::TreeHrrReport report = client.Encode(value, rng);
-    for (uint8_t version : {kWireVersionV1, kWireVersionV2}) {
-      std::vector<uint8_t> bytes =
-          protocol::SerializeTreeHrrReport(report, version);
-      protocol::TreeHrrReport back;
-      ASSERT_EQ(protocol::ParseTreeHrrReportDetailed(bytes, &back),
-                ParseError::kOk)
-          << "trial " << t << " version " << int(version);
-      EXPECT_EQ(back.level, report.level);
-      EXPECT_EQ(back.inner.coefficient_index,
-                report.inner.coefficient_index);
-      EXPECT_EQ(back.inner.sign, report.inner.sign);
-    }
+    std::vector<uint8_t> bytes = protocol::SerializeTreeHrrReport(report);
+    protocol::TreeHrrReport back;
+    ASSERT_EQ(protocol::ParseTreeHrrReportDetailed(bytes, &back),
+              ParseError::kOk)
+        << "trial " << t;
+    EXPECT_EQ(back.level, report.level);
+    EXPECT_EQ(back.inner.coefficient_index, report.inner.coefficient_index);
+    EXPECT_EQ(back.inner.sign, report.inner.sign);
   }
 }
 
@@ -270,7 +256,9 @@ TEST(WireProperty, FlatBatchRoundTripMatchesEncodeUsers) {
 
   protocol::FlatHrrServer from_structs(300, 1.1);
   protocol::FlatHrrServer from_wire(300, 1.1);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  for (const HrrReport& report : direct) {
+    EXPECT_TRUE(from_structs.Absorb(report));
+  }
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -297,7 +285,9 @@ TEST(WireProperty, HaarBatchRoundTripMatchesEncodeUsers) {
 
   protocol::HaarHrrServer from_structs(256, 0.8);
   protocol::HaarHrrServer from_wire(256, 0.8);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  for (const protocol::HaarHrrReport& report : direct) {
+    EXPECT_TRUE(from_structs.Absorb(report));
+  }
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -324,7 +314,9 @@ TEST(WireProperty, TreeBatchRoundTripMatchesEncodeUsers) {
 
   protocol::TreeHrrServer from_structs(256, 4, 1.1);
   protocol::TreeHrrServer from_wire(256, 4, 1.1);
-  EXPECT_EQ(from_structs.AbsorbBatch(direct), direct.size());
+  for (const protocol::TreeHrrReport& report : direct) {
+    EXPECT_TRUE(from_structs.Absorb(report));
+  }
   uint64_t accepted = 0;
   ASSERT_EQ(from_wire.AbsorbBatchSerialized(framed, &accepted),
             ParseError::kOk);
@@ -335,51 +327,6 @@ TEST(WireProperty, TreeBatchRoundTripMatchesEncodeUsers) {
     EXPECT_DOUBLE_EQ(from_wire.RangeQuery(a, 255),
                      from_structs.RangeQuery(a, 255));
   }
-}
-
-// Version negotiation: a v2 client downgrades to a v1-only server and
-// its reports still land; disjoint version sets fail loudly.
-TEST(WireProperty, VersionNegotiationDowngradesAndRefuses) {
-  protocol::FlatHrrClient client(64, 1.0);
-  EXPECT_EQ(client.wire_version(), kWireVersionV2);
-
-  // Default negotiation against this build's servers picks v2.
-  protocol::FlatHrrServer version_probe(64, 1.0);
-  ASSERT_TRUE(client.NegotiateWireVersion(version_probe.AcceptedWireVersions()));
-  EXPECT_EQ(client.wire_version(), kWireVersionV2);
-
-  // Old server that only accepts v1: downgrade.
-  const uint8_t v1_only[] = {kWireVersionV1};
-  ASSERT_TRUE(client.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(client.wire_version(), kWireVersionV1);
-  Rng rng(7);
-  protocol::FlatHrrServer server(64, 1.0);
-  std::vector<uint8_t> report = client.EncodeSerialized(9, rng);
-  EXPECT_EQ(report.size(), 10u);  // legacy framing
-  EXPECT_TRUE(server.AbsorbSerialized(report));
-
-  // Hypothetical future server that dropped every version we speak.
-  const uint8_t v9_only[] = {9};
-  EXPECT_FALSE(client.NegotiateWireVersion(v9_only));
-  EXPECT_EQ(client.wire_version(), kWireVersionV1);  // unchanged
-
-  const uint8_t kNegotiable[] = {kWireVersionV1, kWireVersionV2};
-  EXPECT_EQ(protocol::NegotiateWireVersion(kNegotiable, v9_only), 0);
-  EXPECT_EQ(protocol::NegotiateWireVersion(kNegotiable, kNegotiable),
-            kWireVersionV2);
-}
-
-TEST(WireProperty, TreeAndHaarClientsNegotiateToo) {
-  const uint8_t v1_only[] = {kWireVersionV1};
-  protocol::TreeHrrClient tree(64, 2, 1.0);
-  ASSERT_TRUE(tree.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(tree.wire_version(), kWireVersionV1);
-  protocol::HaarHrrClient haar(64, 1.0);
-  ASSERT_TRUE(haar.NegotiateWireVersion(v1_only));
-  EXPECT_EQ(haar.wire_version(), kWireVersionV1);
-  Rng rng(8);
-  EXPECT_EQ(tree.EncodeSerialized(1, rng).size(), 11u);
-  EXPECT_EQ(haar.EncodeSerialized(1, rng).size(), 11u);
 }
 
 }  // namespace
