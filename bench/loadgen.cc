@@ -1108,12 +1108,16 @@ int RunFanIn(const Options& opt) {
       scrape_quantiles("merge.absorb_ns", merge_absorb_us);
   const uint64_t merge_fan_in_count =
       scrape_quantiles("merge.fan_in_ns", merge_fan_in_us);
+  // Pushes the query node received straight into their restored clone.
+  const uint64_t snapshot_intakes =
+      scrape.metrics.CounterOr("net.snapshot_intakes");
   std::printf(
-      "loadgen: merge absorb p50 %.1f us, p95 %.1f us (%llu snapshots); "
-      "fan-in reduce p50 %.1f us, p95 %.1f us (%llu merges); "
-      "%llu would-block retries\n",
+      "loadgen: merge absorb p50 %.1f us, p95 %.1f us (%llu snapshots, "
+      "%llu intakes); fan-in reduce p50 %.1f us, p95 %.1f us (%llu "
+      "merges); %llu would-block retries\n",
       merge_absorb_us[0], merge_absorb_us[1],
       static_cast<unsigned long long>(merge_absorb_count),
+      static_cast<unsigned long long>(snapshot_intakes),
       merge_fan_in_us[0], merge_fan_in_us[1],
       static_cast<unsigned long long>(merge_fan_in_count),
       static_cast<unsigned long long>(total_retries));
@@ -1190,7 +1194,8 @@ int RunFanIn(const Options& opt) {
         << ", \"p50_us\": " << merge_fan_in_us[0]
         << ", \"p95_us\": " << merge_fan_in_us[1]
         << ", \"p99_us\": " << merge_fan_in_us[2] << "}"
-        << ", \"would_block_retries\": " << total_retries << "},\n"
+        << ", \"would_block_retries\": " << total_retries
+        << ", \"snapshot_intakes\": " << snapshot_intakes << "},\n"
         << "  \"service_stats\": {\"merge_requests\": "
         << sstats.merge_requests
         << ", \"merge_rejects\": " << sstats.merge_rejects

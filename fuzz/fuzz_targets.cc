@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "frequency/hrr.h"
 #include "obs/stats_wire.h"
 #include "protocol/ahead_protocol.h"
 #include "protocol/envelope.h"
@@ -500,6 +503,107 @@ int FuzzStreamSession(const uint8_t* data, size_t size) {
       LDP_FUZZ_ASSERT(!std::isnan(e.variance));
     }
   }
+  return 0;
+}
+
+int FuzzStateIntake(const uint8_t* data, size_t size) {
+  if (size < 2) return 0;
+  service::ServerSpec spec;
+  spec.domain = 64;
+  switch (data[0] % 3) {
+    case 0:
+      spec.kind = service::ServerKind::kFlat;
+      break;
+    case 1:
+      spec.kind = service::ServerKind::kHaar;
+      break;
+    default:
+      spec.kind = service::ServerKind::kTree;
+      spec.domain = 128;
+      break;
+  }
+  const size_t piece_count = std::min<size_t>(data[1], 32);
+  if (size < 2 + piece_count) return 0;
+  const std::span<const uint8_t> pieces(data + 2, piece_count);
+  const std::span<const uint8_t> body = AsSpan(data, size).subspan(
+      2 + piece_count);
+  // Piece k of a split: (its byte + 1) bytes, cycling; one piece when
+  // the input names none.
+  auto piece_bytes = [&](size_t k, size_t left) {
+    return pieces.empty() ? left
+                          : std::min<size_t>(pieces[k % pieces.size()] + 1,
+                                             left);
+  };
+
+  const std::unique_ptr<service::AggregatorServer> server =
+      service::MakeAggregatorServer(spec);
+  service::StateSnapshotHeader header;
+  const std::vector<uint8_t> empty = server->SerializeState();
+  LDP_FUZZ_ASSERT(service::ParseStateSnapshot(empty, &header) ==
+                  ParseError::kOk);
+  header.accepted = 5;
+  header.rejected = 2;
+  header.body = body;
+
+  // The reference verdict: one restore of the whole body.
+  std::unique_ptr<service::AggregatorServer> whole;
+  const bool whole_ok =
+      server->RestoreShard(header, &whole) == service::MergeStatus::kOk;
+
+  // The same bytes through the decoder, split where the input says.
+  std::unique_ptr<service::AggregatorServer> split =
+      server->CloneForSnapshot(header);
+  std::optional<HrrStateDecoder> decoder = split->StateBodyDecoder();
+  LDP_FUZZ_ASSERT(decoder.has_value());
+  bool fed = true;
+  for (size_t at = 0, k = 0; at < body.size() && fed; ++k) {
+    const size_t n = piece_bytes(k, body.size() - at);
+    fed = decoder->Feed(body.subspan(at, n));
+    at += n;
+  }
+  LDP_FUZZ_ASSERT((fed && decoder->done()) == whole_ok);
+  if (whole_ok) {
+    LDP_FUZZ_ASSERT(split->SerializeState() == whole->SerializeState());
+  }
+
+  // The service's snapshot intake against the buffered push.
+  service::StateMergeRequest request;
+  request.merge_id = 1;
+  const std::vector<uint8_t> frame = service::SerializeStateMerge(
+      request, service::SerializeStateSnapshot(header, body));
+  service::AggregatorService buffered(/*worker_threads=*/0);
+  service::AggregatorService streamed(/*worker_threads=*/0);
+  buffered.AddServer(service::MakeAggregatorServer(spec));
+  streamed.AddServer(service::MakeAggregatorServer(spec));
+  const std::span<const uint8_t> head = std::span<const uint8_t>(frame).first(
+      std::min(frame.size() - 1, service::kMaxStateMergeHeadBytes));
+  std::unique_ptr<service::AggregatorService::StateIntake> intake =
+      streamed.OpenStateIntake(head, frame.size());
+  LDP_FUZZ_ASSERT((intake != nullptr) ==
+                  server->StateBodySizeRange()->Contains(body.size()));
+  const std::vector<uint8_t> expected = buffered.HandleMessage(frame);
+  service::StateMergeResponse ack;
+  LDP_FUZZ_ASSERT(service::ParseStateMergeResponse(expected, &ack) ==
+                  ParseError::kOk);
+  LDP_FUZZ_ASSERT((ack.status == service::MergeStatus::kOk) == whole_ok);
+  if (intake == nullptr) return 0;
+  for (size_t at = head.size(), k = 0; at < frame.size(); ++k) {
+    const size_t end = at + piece_bytes(k, frame.size() - at);
+    while (at < end) {
+      const std::span<uint8_t> window = intake->Window();
+      const size_t n = std::min(window.size(), end - at);
+      LDP_FUZZ_ASSERT(n > 0);
+      std::memcpy(window.data(), frame.data() + at, n);
+      intake->Advance(n);
+      at += n;
+    }
+  }
+  LDP_FUZZ_ASSERT(intake->complete());
+  LDP_FUZZ_ASSERT(intake->Finish() == expected);
+  intake.reset();
+  LDP_FUZZ_ASSERT(streamed.stats() == buffered.stats());
+  LDP_FUZZ_ASSERT(streamed.server(0).SerializeState() ==
+                  buffered.server(0).SerializeState());
   return 0;
 }
 

@@ -63,6 +63,17 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size);
 /// with a parseable, non-NaN response.
 int FuzzStreamSession(const uint8_t* data, size_t size);
 
+/// The incremental HRR state decoder against its in-memory restore.
+/// Input: [server u8][n u8][n piece bytes][state body]. The body goes to
+/// a flat (D=64), haar (D=64) or tree (D=128, B=4) server, chosen by the
+/// first byte, once whole (RestoreShard) and once through
+/// HrrStateDecoder in pieces of (piece byte + 1) bytes, cycled: both
+/// must reach the same verdict and the same restored SerializeState()
+/// bytes. When the body's length opens a snapshot intake, the frame
+/// landed in the same pieces through AggregatorService::OpenStateIntake
+/// must also give the buffered push's ack, counters and merged state.
+int FuzzStateIntake(const uint8_t* data, size_t size);
+
 }  // namespace ldp::fuzz
 
 #endif  // LDPRANGE_FUZZ_FUZZ_TARGETS_H_

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -600,6 +601,102 @@ void EmitState() {
   }
 }
 
+// Incremental state-decoder seeds: [server u8][n u8][n piece bytes][state
+// body] for the FuzzStateIntake servers (0 flat D=64, 1 haar D=64, 2 tree
+// D=128 B=4). One valid body per server, then one body per rejection the
+// decoder makes.
+void EmitStateIntake() {
+  using ldp::service::MakeAggregatorServer;
+  using ldp::service::ServerKind;
+
+  Rng rng(1010);
+  auto body_of = [](ldp::service::AggregatorServer& server,
+                    const std::vector<uint8_t>& batch) {
+    uint64_t accepted = 0;
+    if (server.AbsorbBatchSerialized(batch, &accepted) != ParseError::kOk ||
+        accepted == 0) {
+      std::fprintf(stderr, "state intake seed ingest failed\n");
+      std::exit(1);
+    }
+    const std::vector<uint8_t> snapshot = server.SerializeState();
+    ldp::service::StateSnapshotHeader header;
+    if (ldp::service::ParseStateSnapshot(snapshot, &header) !=
+        ParseError::kOk) {
+      std::fprintf(stderr, "state intake seed snapshot failed\n");
+      std::exit(1);
+    }
+    return std::vector<uint8_t>(header.body.begin(), header.body.end());
+  };
+  // Pieces of 7, 1, 256 and 14 bytes, cycled: splits inside varints and
+  // across the sums arrays.
+  auto seed = [](uint8_t server, const std::vector<uint8_t>& body) {
+    std::vector<uint8_t> bytes = {server, 4, 6, 0, 255, 13};
+    bytes.insert(bytes.end(), body.begin(), body.end());
+    return bytes;
+  };
+  // Offset and width of the report-count varint of the first record
+  // that holds reports.
+  auto first_reports = [](const std::vector<uint8_t>& body, bool levels) {
+    WireReader reader(body);
+    uint64_t value = 0;
+    if (levels) reader.ReadVarU64(&value);
+    while (true) {
+      const size_t at = body.size() - reader.Remaining();
+      uint64_t reports = 0;
+      std::span<const uint8_t> sums;
+      if (!reader.ReadVarU64(&reports) || !reader.ReadVarU64(&value) ||
+          !reader.ReadBytes(8 * value, &sums)) {
+        std::fprintf(stderr, "state intake seed has no reports\n");
+        std::exit(1);
+      }
+      if (reports != 0) {
+        return std::make_pair(at, protocol::VarU64Size(reports));
+      }
+    }
+  };
+
+  const std::vector<uint64_t> values = {0, 5, 9, 33, 63, 17, 42};
+  auto flat = MakeAggregatorServer({ServerKind::kFlat, kFlatDomain, kEps});
+  const std::vector<uint8_t> flat_body =
+      body_of(*flat, FlatHrrClient(kFlatDomain, kEps)
+                         .EncodeUsersSerialized(values, rng));
+  auto haar = MakeAggregatorServer({ServerKind::kHaar, kHaarDomain, kEps});
+  const std::vector<uint8_t> haar_body =
+      body_of(*haar, HaarHrrClient(kHaarDomain, kEps)
+                         .EncodeUsersSerialized(values, rng));
+  auto tree = MakeAggregatorServer({ServerKind::kTree, kTreeDomain, kEps});
+  const std::vector<uint8_t> tree_body =
+      body_of(*tree, TreeHrrClient(kTreeDomain, kTreeFanout, kEps)
+                         .EncodeUsersSerialized(values, rng));
+  WriteFile("state_intake", "flat_valid", seed(0, flat_body));
+  WriteFile("state_intake", "haar_valid", seed(1, haar_body));
+  WriteFile("state_intake", "tree_valid", seed(2, tree_body));
+
+  std::vector<uint8_t> body = tree_body;
+  body[0] += 1;
+  WriteFile("state_intake", "tree_level_count", seed(2, body));
+  body = flat_body;
+  const auto [flat_at, flat_width] = first_reports(flat_body, false);
+  body[flat_at + flat_width] ^= 0x01;  // padded 64 -> 65
+  WriteFile("state_intake", "flat_padded_mismatch", seed(0, body));
+  const auto [haar_at, haar_width] = first_reports(haar_body, true);
+  body = haar_body;
+  body.erase(body.begin() + haar_at, body.begin() + haar_at + haar_width);
+  body.insert(body.begin() + haar_at, 0x00);
+  WriteFile("state_intake", "haar_zero_reports_nonzero_sums", seed(1, body));
+  body = haar_body;
+  body.erase(body.begin() + haar_at, body.begin() + haar_at + haar_width);
+  const std::vector<uint8_t> overlong = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                         0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+  body.insert(body.begin() + haar_at, overlong.begin(), overlong.end());
+  WriteFile("state_intake", "haar_overlong_varint", seed(1, body));
+  body.assign(tree_body.begin(), tree_body.end() - 1);
+  WriteFile("state_intake", "tree_truncated", seed(2, body));
+  body = flat_body;
+  body.push_back(0x00);
+  WriteFile("state_intake", "flat_trailing_byte", seed(0, body));
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -616,5 +713,6 @@ int main(int argc, char** argv) {
   EmitStream();
   EmitStats();
   EmitState();
+  EmitStateIntake();
   return 0;
 }

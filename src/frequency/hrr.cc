@@ -1,7 +1,9 @@
 #include "frequency/hrr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -89,7 +91,7 @@ void HrrOracle::MergeFrom(const FrequencyOracle& other) {
 }
 
 void HrrOracle::MergeFromShard(HrrOracle& other) {
-  // A report-free oracle's sums are all zero (RestoreState enforces it
+  // A report-free oracle's sums are all zero (HrrStateDecoder enforces it
   // for restored ones), so adopting other's sums equals adding them.
   if (reports_ != 0) {
     MergeFrom(other);
@@ -118,29 +120,9 @@ size_t HrrOracle::StateBytes() const {
          8 * coefficient_sums_.size();
 }
 
-bool HrrOracle::RestoreState(protocol::WireReader& reader) {
-  uint64_t reports = 0;
-  uint64_t padded = 0;
-  if (!reader.ReadVarU64(&reports) || !reader.ReadVarU64(&padded)) {
-    return false;
-  }
-  // The padded domain is a cross-check against the destination's own
-  // configuration (already fixed at construction), never an allocation
-  // size — a forged value fails here without touching memory.
-  if (padded != padded_) return false;
-  if (!reader.ReadU64Array(
-          coefficient_sums_.size(),
-          reinterpret_cast<uint64_t*>(coefficient_sums_.data()))) {
-    return false;
-  }
-  // No reports, no aggregate: MergeFromShard relies on it.
-  if (reports == 0 &&
-      std::any_of(coefficient_sums_.begin(), coefficient_sums_.end(),
-                  [](int64_t sum) { return sum != 0; })) {
-    return false;
-  }
-  reports_ = reports;
-  return true;
+HrrStateSize HrrOracle::StateSizeRange() const {
+  const size_t fixed = protocol::VarU64Size(padded_) + 8 * padded_;
+  return {fixed + 1, fixed + protocol::kMaxVarU64Bytes};
 }
 
 std::vector<const FrequencyOracle*> HrrLevels::Views() const {
@@ -161,14 +143,15 @@ size_t HrrLevels::StateBytes() const {
   return bytes;
 }
 
-bool HrrLevels::RestoreState(std::span<const uint8_t> body) {
-  protocol::WireReader reader(body);
-  uint64_t levels = 0;
-  if (!reader.ReadVarU64(&levels) || levels != levels_.size()) return false;
-  for (auto& level : levels_) {
-    if (!level->RestoreState(reader)) return false;
+HrrStateSize HrrLevels::StateSizeRange() const {
+  HrrStateSize size{protocol::VarU64Size(levels_.size()),
+                    protocol::VarU64Size(levels_.size())};
+  for (const auto& level : levels_) {
+    const HrrStateSize record = level->StateSizeRange();
+    size.min += record.min;
+    size.max += record.max;
   }
-  return reader.AtEnd();
+  return size;
 }
 
 void HrrLevels::MergeFromShard(HrrLevels& other) {
@@ -176,6 +159,127 @@ void HrrLevels::MergeFromShard(HrrLevels& other) {
   for (size_t l = 0; l < levels_.size(); ++l) {
     levels_[l]->MergeFromShard(*other.levels_[l]);
   }
+}
+
+HrrStateDecoder::HrrStateDecoder(HrrOracle& oracle) : oracles_{&oracle} {
+  NextRecord();
+}
+
+HrrStateDecoder::HrrStateDecoder(HrrLevels& levels) : field_(Field::kLevels) {
+  oracles_.reserve(levels.size());
+  for (size_t l = 0; l < levels.size(); ++l) oracles_.push_back(&levels[l]);
+}
+
+std::span<uint8_t> HrrStateDecoder::Window() {
+  switch (field_) {
+    case Field::kLevels:
+    case Field::kReports:
+    case Field::kPadded:
+      return {&varint_byte_, 1};
+    case Field::kSums: {
+      std::vector<int64_t>& sums = oracles_[record_]->coefficient_sums_;
+      auto* bytes = reinterpret_cast<uint8_t*>(sums.data());
+      return {bytes + sums_landed_, 8 * sums.size() - sums_landed_};
+    }
+    case Field::kDone:
+    case Field::kFailed:
+      break;
+  }
+  return {};
+}
+
+bool HrrStateDecoder::Advance(size_t n) {
+  if (field_ == Field::kSums) {
+    sums_landed_ += n;
+    if (sums_landed_ == 8 * oracles_[record_]->coefficient_sums_.size()) {
+      SumsDone();
+    }
+  } else if (field_ != Field::kDone && field_ != Field::kFailed) {
+    switch (protocol::FoldVarU64Byte(varint_byte_, varint_index_, &varint_)) {
+      case protocol::VarU64Step::kMore:
+        ++varint_index_;
+        break;
+      case protocol::VarU64Step::kDone:
+        VarintDone(std::exchange(varint_, 0));
+        varint_index_ = 0;
+        break;
+      case protocol::VarU64Step::kBad:
+        field_ = Field::kFailed;
+        break;
+    }
+  }
+  return !failed();
+}
+
+bool HrrStateDecoder::Feed(std::span<const uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const std::span<uint8_t> window = Window();
+    if (window.empty()) {
+      field_ = Field::kFailed;  // a byte past the end of the body
+      return false;
+    }
+    const size_t n = std::min(window.size(), bytes.size());
+    std::memcpy(window.data(), bytes.data(), n);
+    if (!Advance(n)) return false;
+    bytes = bytes.subspan(n);
+  }
+  return !failed();
+}
+
+void HrrStateDecoder::NextRecord() {
+  field_ = record_ < oracles_.size() ? Field::kReports : Field::kDone;
+}
+
+void HrrStateDecoder::VarintDone(uint64_t value) {
+  switch (field_) {
+    case Field::kLevels:
+      // A cross-check against the destination's own level count, never
+      // an allocation size.
+      if (value != oracles_.size()) {
+        field_ = Field::kFailed;
+        return;
+      }
+      NextRecord();
+      return;
+    case Field::kReports:
+      reports_ = value;
+      field_ = Field::kPadded;
+      return;
+    case Field::kPadded:
+      // Likewise the padded domain: a forged value fails here without
+      // touching memory.
+      if (value != oracles_[record_]->padded_) {
+        field_ = Field::kFailed;
+        return;
+      }
+      field_ = Field::kSums;  // padded >= 1: the array is never empty
+      sums_landed_ = 0;
+      return;
+    default:
+      return;
+  }
+}
+
+void HrrStateDecoder::SumsDone() {
+  HrrOracle& oracle = *oracles_[record_];
+  std::vector<int64_t>& sums = oracle.coefficient_sums_;
+  if constexpr (std::endian::native == std::endian::big) {
+    // The words landed in wire (little-endian) order; swap in place.
+    auto* bytes = reinterpret_cast<uint8_t*>(sums.data());
+    for (size_t j = 0; j < sums.size(); ++j) {
+      const uint64_t word = protocol::LoadU64Le(bytes + 8 * j);
+      std::memcpy(bytes + 8 * j, &word, sizeof(word));
+    }
+  }
+  // No reports, no aggregate: MergeFromShard relies on it.
+  if (reports_ == 0 && std::any_of(sums.begin(), sums.end(),
+                                   [](int64_t sum) { return sum != 0; })) {
+    field_ = Field::kFailed;
+    return;
+  }
+  oracle.reports_ = reports_;
+  ++record_;
+  NextRecord();
 }
 
 }  // namespace ldp

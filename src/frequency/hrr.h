@@ -29,11 +29,9 @@
 #include "common/check.h"
 #include "frequency/frequency_oracle.h"
 
-namespace ldp::protocol {
-class WireReader;
-}  // namespace ldp::protocol
-
 namespace ldp {
+
+class HrrStateDecoder;
 
 /// One HRR user report: a sampled Hadamard coefficient index and the
 /// randomized sign of that coefficient — ceil(log2 D) + 1 bits on the
@@ -50,6 +48,16 @@ struct HrrReport {
 /// value < padded_domain. Provides eps-LDP on its own.
 HrrReport HrrEncode(uint64_t padded_domain, double eps, uint64_t value,
                     int sign, Rng& rng);
+
+/// The sizes an HRR state body can take for one configuration. The
+/// padded domains (and a level count) fix it, up to the width of each
+/// record's report-count varint: 1 to kMaxVarU64Bytes bytes.
+struct HrrStateSize {
+  size_t min = 0;
+  size_t max = 0;
+
+  bool Contains(size_t bytes) const { return bytes >= min && bytes <= max; }
+};
 
 /// HRR frequency oracle. Domains that are not powers of two are padded
 /// internally; estimates are returned for the original domain.
@@ -99,21 +107,18 @@ class HrrOracle final : public FrequencyOracle {
 
   /// Appends this oracle's aggregate state in its canonical wire form:
   /// [reports varint][padded varint][padded x sum u64 (two's complement)].
-  /// The counterpart of RestoreState; see service/state_wire.h.
+  /// HrrStateDecoder restores it; see service/state_wire.h.
   void AppendState(std::vector<uint8_t>& out) const;
 
   /// Exact byte count AppendState appends.
   size_t StateBytes() const;
 
-  /// Restores serialized state into this (empty, identically configured)
-  /// oracle. Total over adversarial bytes: false on truncation, a
-  /// padded-domain mismatch, or nonzero sums under a zero report count
-  /// (discard the oracle then — state may be partially written). Reads
-  /// exactly one AppendState record from `reader`, so multi-oracle state
-  /// bodies (per-level, per-tuple) stream through one reader.
-  bool RestoreState(protocol::WireReader& reader);
+  /// Every byte count AppendState can append for this configuration.
+  HrrStateSize StateSizeRange() const;
 
  private:
+  friend class HrrStateDecoder;
+
   uint64_t padded_;
   // coefficient_sums_[j] = sum of reported +/-1 values for coefficient j.
   std::vector<int64_t> coefficient_sums_;
@@ -122,7 +127,7 @@ class HrrOracle final : public FrequencyOracle {
 /// The per-level HRR oracles of a level-sampling wire server (HaarHRR,
 /// TreeHRR), level l at index l-1, with the state codec and shard merge
 /// both share. State body: [levels varint][one HrrOracle record per level,
-/// level 1 first].
+/// level 1 first]; HrrStateDecoder restores it.
 class HrrLevels {
  public:
   /// Appends an empty oracle over `domain` items as the next level.
@@ -135,19 +140,84 @@ class HrrLevels {
   /// The levels as the shared estimators (core/) read them.
   std::vector<const FrequencyOracle*> Views() const;
 
+  size_t size() const { return levels_.size(); }
+
   void AppendState(std::vector<uint8_t>& out) const;
   size_t StateBytes() const;
-
-  /// Restores a whole state body. Total over adversarial bytes: the level
-  /// count is a cross-check against this stack's own, never an allocation
-  /// size; false on any mismatch, truncation or trailing byte.
-  bool RestoreState(std::span<const uint8_t> body);
+  HrrStateSize StateSizeRange() const;
 
   /// HrrOracle::MergeFromShard, level by level.
   void MergeFromShard(HrrLevels& other);
 
  private:
   std::vector<std::unique_ptr<HrrOracle>> levels_;
+};
+
+/// The one decoder of HRR aggregate state, incremental: it restores a
+/// sequence of HrrOracle records (AppendState's form) into empty,
+/// identically configured oracles as the bytes arrive, so a body can be
+/// received straight into the oracles' arrays. Every restore runs it —
+/// the in-memory RestoreStateBody of the flat, haar and tree servers
+/// feeds it a whole buffer, and the query node's snapshot intake
+/// (service/aggregator_service.h) lands socket reads in its windows — so
+/// the two cannot drift apart: any split of the same bytes reaches the
+/// same verdict and the same state.
+///
+/// Total over adversarial bytes. Each field is checked as it completes:
+/// the level count and each padded domain are cross-checks against the
+/// oracles' own configuration (never allocation sizes), nonzero sums
+/// under a zero report count are rejected, and nothing may follow the
+/// last record. After a failure the oracles may hold partial state:
+/// discard them.
+class HrrStateDecoder {
+ public:
+  /// A flat body: one record, no level count.
+  explicit HrrStateDecoder(HrrOracle& oracle);
+  /// An HrrLevels body: [levels varint][one record per level].
+  explicit HrrStateDecoder(HrrLevels& levels);
+
+  /// Where the next body bytes go: one byte of a varint, or the rest of
+  /// the current record's sums array. Empty once the body is complete
+  /// or has failed.
+  std::span<uint8_t> Window();
+
+  /// Consumes `n` bytes (1 <= n <= Window().size()) that landed in
+  /// Window(), running each field's checks as it completes. On a
+  /// big-endian host a sums array is byte-swapped in place once its last
+  /// byte lands, so the wire stays little-endian on one code path. False
+  /// once any check has failed.
+  bool Advance(size_t n);
+
+  /// Copies `bytes` through Window()/Advance(). False on a failed check
+  /// or a byte past the body's end.
+  bool Feed(std::span<const uint8_t> bytes);
+
+  /// The in-memory restore: Feed(body) and nothing missing.
+  bool Restore(std::span<const uint8_t> body) { return Feed(body) && done(); }
+
+  bool done() const { return field_ == Field::kDone; }
+  bool failed() const { return field_ == Field::kFailed; }
+
+ private:
+  enum class Field : uint8_t {
+    kLevels, kReports, kPadded, kSums, kDone, kFailed
+  };
+
+  /// Starts the next record, or ends the body after the last one.
+  void NextRecord();
+  /// A varint field just completed with `value`.
+  void VarintDone(uint64_t value);
+  /// The current record's sums array just completed.
+  void SumsDone();
+
+  std::vector<HrrOracle*> oracles_;
+  size_t record_ = 0;  // index into oracles_ of the record being decoded
+  Field field_ = Field::kReports;
+  uint8_t varint_byte_ = 0;  // the window of a varint field
+  size_t varint_index_ = 0;
+  uint64_t varint_ = 0;
+  uint64_t reports_ = 0;    // the current record's report count
+  size_t sums_landed_ = 0;  // bytes of the current sums array
 };
 
 }  // namespace ldp

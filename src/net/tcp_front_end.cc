@@ -13,7 +13,10 @@
 #include <utility>
 
 #include "common/check.h"
+#include "obs/scoped_timer.h"
+#include "obs/trace.h"
 #include "protocol/envelope.h"
+#include "service/state_wire.h"
 
 namespace ldp::net {
 
@@ -27,7 +30,8 @@ constexpr size_t kReadChunk = 64 * 1024;
 // Events processed per epoll_wait round.
 constexpr int kMaxEvents = 64;
 
-// With idle sweeping enabled the loop must wake even when no fd fires.
+// With idle sweeping enabled, or an intake open, the loop must wake even
+// when no fd fires.
 constexpr int kIdleTickMs = 250;
 
 void CloseFd(int& fd) {
@@ -35,6 +39,15 @@ void CloseFd(int& fd) {
     ::close(fd);
     fd = -1;
   }
+}
+
+// Header plus announced payload: the whole frame starting at `head`.
+uint64_t FrameBytes(const uint8_t* head) {
+  const uint32_t payload_len =
+      static_cast<uint32_t>(head[4]) | (static_cast<uint32_t>(head[5]) << 8) |
+      (static_cast<uint32_t>(head[6]) << 16) |
+      (static_cast<uint32_t>(head[7]) << 24);
+  return static_cast<uint64_t>(protocol::kEnvelopeHeaderSize) + payload_len;
 }
 
 }  // namespace
@@ -50,7 +63,10 @@ TcpFrontEnd::NetCounters::NetCounters(obs::MetricsRegistry& registry)
       bytes_received(&registry.GetCounter("net.bytes_received")),
       bytes_sent(&registry.GetCounter("net.bytes_sent")),
       read_pauses(&registry.GetCounter("net.read_pauses")),
-      read_resumes(&registry.GetCounter("net.read_resumes")) {}
+      read_resumes(&registry.GetCounter("net.read_resumes")),
+      snapshot_intakes(&registry.GetCounter("net.snapshot_intakes")),
+      intake_timeouts(&registry.GetCounter("net.intake_timeouts")),
+      frame_assembly_ns(&registry.GetHistogram("net.frame_assembly_ns")) {}
 
 TcpFrontEnd::TcpFrontEnd(service::AggregatorService& service,
                          TcpFrontEndConfig config)
@@ -139,7 +155,8 @@ void TcpFrontEnd::Stop() {
     CloseFd(fd_copy);
     stats_.connections_closed->Increment();
   }
-  conns_.clear();
+  conns_.clear();  // an open intake rolls its reservation back
+  open_intakes_ = 0;
   CloseFd(listen_fd_);
   CloseFd(epoll_fd_);
   CloseFd(wake_fd_);
@@ -164,16 +181,19 @@ TcpFrontEndStats TcpFrontEnd::stats() const {
   out.bytes_sent = stats_.bytes_sent->value();
   out.read_pauses = stats_.read_pauses->value();
   out.read_resumes = stats_.read_resumes->value();
+  out.snapshot_intakes = stats_.snapshot_intakes->value();
+  out.intake_timeouts = stats_.intake_timeouts->value();
   return out;
 }
 
 void TcpFrontEnd::EventLoop() {
   epoll_event events[kMaxEvents];
-  const int timeout_ms = config_.idle_timeout_ms > 0
-                             ? static_cast<int>(std::min<int64_t>(
-                                   config_.idle_timeout_ms, kIdleTickMs))
-                             : -1;
   while (true) {
+    const int timeout_ms = config_.idle_timeout_ms > 0
+                               ? static_cast<int>(std::min<int64_t>(
+                                     config_.idle_timeout_ms, kIdleTickMs))
+                           : open_intakes_ > 0 ? kIdleTickMs
+                                               : -1;
     int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -213,7 +233,7 @@ void TcpFrontEnd::EventLoop() {
     }
     for (uint64_t server_id : drains) ResumePaused(server_id);
     if (stop) break;
-    if (config_.idle_timeout_ms > 0) SweepIdle();
+    if (config_.idle_timeout_ms > 0 || open_intakes_ > 0) SweepIdle();
   }
 }
 
@@ -234,7 +254,7 @@ void TcpFrontEnd::AcceptReady() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
-    conn->last_activity = std::chrono::steady_clock::now();
+    conn->last_activity_ns = obs::NowNanos();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -253,15 +273,51 @@ void TcpFrontEnd::HandleReadable(Connection& conn) {
     return;
   }
   while (true) {
+    if (conn.intake != nullptr) {
+      const ReadResult result = ReceiveIntake(conn);
+      if (result == ReadResult::kClosed) return;
+      if (result == ReadResult::kDrained) break;
+      continue;  // the frame landed; the stream reads on
+    }
+    const ReadResult result = ReceiveBuffered(conn);
+    if (result == ReadResult::kClosed) return;
+    if (!DrainReadBuffer(conn)) return;  // connection closed
+    // A large frame stopped the read: read on only into its intake (a
+    // refused frame is marked, so the next read does not stop for it).
+    if (result != ReadResult::kLargeFrame || conn.intake == nullptr) break;
+  }
+  MaybeFinishClose(conn);
+}
+
+void TcpFrontEnd::NoteRead(Connection& conn, size_t n) {
+  stats_.bytes_received->Add(n);
+  conn.last_read_ns = obs::NowNanos();
+  conn.last_activity_ns = conn.last_read_ns;
+}
+
+TcpFrontEnd::ReadResult TcpFrontEnd::ReceiveBuffered(Connection& conn) {
+  using protocol::kEnvelopeHeaderSize;
+  while (true) {
     const size_t old_size = conn.read_buf.size();
     conn.read_buf.resize(old_size + kReadChunk);
     ssize_t n = ::recv(conn.fd, conn.read_buf.data() + old_size, kReadChunk,
                        0);
     if (n > 0) {
       conn.read_buf.resize(old_size + static_cast<size_t>(n));
-      stats_.bytes_received->Add(static_cast<uint64_t>(n));
-      conn.last_activity = std::chrono::steady_clock::now();
-      if (static_cast<size_t>(n) < kReadChunk) break;  // drained
+      NoteRead(conn, static_cast<size_t>(n));
+      if (static_cast<size_t>(n) < kReadChunk) return ReadResult::kDrained;
+      // The one header peek: a frame of at least a read chunk at the
+      // front, incomplete and not yet refused an intake, stops the read
+      // so that it can open one after this first read, not after the
+      // socket drains.
+      const size_t available = conn.read_buf.size() - conn.read_pos;
+      if (!conn.frame_declined && available >= kEnvelopeHeaderSize) {
+        const uint64_t total =
+            FrameBytes(conn.read_buf.data() + conn.read_pos);
+        if (total >= kReadChunk && available < total) {
+          return ReadResult::kLargeFrame;
+        }
+      }
       continue;
     }
     conn.read_buf.resize(old_size);
@@ -270,20 +326,86 @@ void TcpFrontEnd::HandleReadable(Connection& conn) {
       // processing what is buffered, flush responses, then close.
       conn.peer_eof = true;
       UpdateEpoll(conn, /*want_read=*/false);
-      break;
+      return ReadResult::kDrained;
     }
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadResult::kDrained;
     CloseConnection(conn.fd);  // ECONNRESET and friends
+    return ReadResult::kClosed;
+  }
+}
+
+TcpFrontEnd::ReadResult TcpFrontEnd::ReceiveIntake(Connection& conn) {
+  while (true) {
+    const std::span<uint8_t> window = conn.intake->Window();
+    ssize_t n = ::recv(conn.fd, window.data(), window.size(), 0);
+    if (n > 0) {
+      NoteRead(conn, static_cast<size_t>(n));
+      conn.intake->Advance(static_cast<size_t>(n));
+      if (conn.intake->complete()) {
+        return FinishIntake(conn) ? ReadResult::kLanded : ReadResult::kClosed;
+      }
+      if (static_cast<size_t>(n) < window.size()) return ReadResult::kDrained;
+      continue;
+    }
+    if (n == 0) {
+      // Peer EOF mid-body: the frame can never complete. Closing frees
+      // the clone and rolls the reservation back.
+      stats_.protocol_errors->Increment();
+      CloseConnection(conn.fd);
+      return ReadResult::kClosed;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadResult::kDrained;
+    CloseConnection(conn.fd);  // ECONNRESET and friends
+    return ReadResult::kClosed;
+  }
+}
+
+void TcpFrontEnd::TryOpenIntake(Connection& conn, size_t available,
+                                uint64_t total) {
+  if (conn.frame_declined || conn.peer_eof ||
+      available < std::min<uint64_t>(total, service::kMaxStateMergeHeadBytes)) {
+    return;  // refused before, never completes, or its head is not here
+  }
+  conn.intake = service_.OpenStateIntake(
+      std::span<const uint8_t>(conn.read_buf).subspan(conn.read_pos,
+                                                      available),
+      static_cast<size_t>(total));
+  if (conn.intake == nullptr) {
+    conn.frame_declined = true;
     return;
   }
-  if (!DrainReadBuffer(conn)) return;  // connection closed
-  MaybeFinishClose(conn);
+  ++open_intakes_;
+  stats_.snapshot_intakes->Increment();
+  // Every buffered byte belonged to the frame and has landed in the clone.
+  conn.read_buf = std::vector<uint8_t>();
+  conn.read_pos = 0;
+}
+
+bool TcpFrontEnd::FinishIntake(Connection& conn) {
+  std::vector<uint8_t> ack = conn.intake->Finish();
+  conn.intake.reset();
+  --open_intakes_;
+  RecordFrameAssembly(conn);
+  stats_.messages_routed->Increment();
+  const int fd = conn.fd;
+  QueueResponse(conn, std::move(ack));
+  return conns_.contains(fd);  // a failed write closes the connection
+}
+
+void TcpFrontEnd::RecordFrameAssembly(Connection& conn) {
+  const uint64_t elapsed = conn.last_read_ns - conn.frame_start_ns;
+  stats_.frame_assembly_ns->Record(elapsed);
+  if (obs::TracingEnabled()) {
+    obs::RecordTraceEvent("net.frame_assembly", conn.frame_start_ns, elapsed);
+  }
+  conn.frame_start_ns = 0;
 }
 
 bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
   using protocol::kEnvelopeHeaderSize;
-  while (!conn.paused) {
+  while (!conn.paused && conn.intake == nullptr) {
     const size_t available = conn.read_buf.size() - conn.read_pos;
     if (available < kEnvelopeHeaderSize) break;
     const uint8_t* head = conn.read_buf.data() + conn.read_pos;
@@ -296,25 +418,28 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
       CloseConnection(conn.fd);
       return false;
     }
-    const uint32_t payload_len =
-        static_cast<uint32_t>(head[4]) | (static_cast<uint32_t>(head[5]) << 8) |
-        (static_cast<uint32_t>(head[6]) << 16) |
-        (static_cast<uint32_t>(head[7]) << 24);
-    const uint64_t total =
-        static_cast<uint64_t>(kEnvelopeHeaderSize) + payload_len;
+    const uint64_t total = FrameBytes(head);
     if (total > config_.max_message_bytes) {
       stats_.protocol_errors->Increment();
       CloseConnection(conn.fd);
       return false;
     }
-    // Nothing is reserved from `total`: an announced length only counts
-    // once its bytes have arrived, so a bare header cannot make this node
-    // commit up to max_message_bytes.
-    if (available < total) break;  // wait for the rest of the message
+    const bool large = total >= kReadChunk;
+    if (large && conn.frame_start_ns == 0) {
+      conn.frame_start_ns = conn.last_read_ns;
+    }
+    if (available < total) {
+      // The buffered path reserves nothing from `total`: an announced
+      // length only counts once its bytes have arrived. Only a snapshot
+      // intake may commit memory before then, for a length its target's
+      // own configuration produces (AggregatorService::OpenStateIntake).
+      if (large) TryOpenIntake(conn, available, total);
+      break;  // wait for the rest of the message
+    }
     const size_t frame_end = conn.read_pos + static_cast<size_t>(total);
     const size_t tail = conn.read_buf.size() - frame_end;
     std::vector<uint8_t> message;
-    if (total >= kReadChunk && tail < total) {
+    if (large && tail < total) {
       // A large frame (a state snapshot) is handed over in the read
       // buffer itself instead of being copied out of it. Bytes after the
       // frame (the head of a pipelined next message, fewer than the
@@ -333,6 +458,8 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
       message.assign(head, head + total);
       conn.read_pos = frame_end;
     }
+    if (large) RecordFrameAssembly(conn);
+    conn.frame_declined = false;
     if (!RouteMessage(conn, std::move(message))) break;  // paused
   }
   // Compact once the consumed prefix dominates the buffer.
@@ -396,7 +523,7 @@ void TcpFrontEnd::ResumePaused(uint64_t server_id) {
     conn.paused = false;
     if (!RouteMessage(conn, std::move(message))) continue;  // paused again
     stats_.read_resumes->Increment();
-    conn.last_activity = std::chrono::steady_clock::now();
+    conn.last_activity_ns = obs::NowNanos();
     UpdateEpoll(conn, /*want_read=*/!conn.peer_eof);
     if (!DrainReadBuffer(conn)) continue;  // closed
     MaybeFinishClose(conn);
@@ -474,8 +601,9 @@ void TcpFrontEnd::CloseConnection(int fd) {
   if (it->second->in_epoll) {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   }
+  if (it->second->intake != nullptr) --open_intakes_;
   ::close(fd);
-  conns_.erase(it);
+  conns_.erase(it);  // an open intake rolls its reservation back
   stats_.connections_closed->Increment();
 }
 
@@ -487,18 +615,32 @@ void TcpFrontEnd::MaybeFinishClose(Connection& conn) {
 }
 
 void TcpFrontEnd::SweepIdle() {
-  const auto now = std::chrono::steady_clock::now();
-  const auto limit = std::chrono::milliseconds(config_.idle_timeout_ms);
+  const uint64_t now = obs::NowNanos();
+  const int64_t idle_ms = config_.idle_timeout_ms;
+  const uint64_t idle_ns = static_cast<uint64_t>(idle_ms) * 1'000'000;
+  const uint64_t stall_ns =
+      static_cast<uint64_t>(idle_ms > 0 ? idle_ms : kIntakeStallMs) *
+      1'000'000;
   std::vector<int> idle;
+  std::vector<int> stalled;
   for (const auto& [fd, conn] : conns_) {
-    // A paused connection is waiting on the service, not the client;
-    // its clock restarts when it resumes.
-    if (!conn->paused && now - conn->last_activity > limit) {
+    const uint64_t quiet = now - conn->last_activity_ns;
+    if (conn->intake != nullptr) {
+      // An open intake holds a clone and a merge-buffer slot: no byte
+      // within its deadline closes it.
+      if (quiet > stall_ns) stalled.push_back(fd);
+    } else if (idle_ms > 0 && !conn->paused && quiet > idle_ns) {
+      // A paused connection is waiting on the service, not the client;
+      // its clock restarts when it resumes.
       idle.push_back(fd);
     }
   }
   for (int fd : idle) {
     stats_.idle_closes->Increment();
+    CloseConnection(fd);
+  }
+  for (int fd : stalled) {
+    stats_.intake_timeouts->Increment();
     CloseConnection(fd);
   }
 }

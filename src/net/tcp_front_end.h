@@ -28,6 +28,20 @@
 // queue-drain hook fires for that server. No service thread ever blocks
 // on a socket's behalf; ServiceStats.socket_pauses counts the deferrals.
 //
+// Fan-in snapshots skip the read buffer. A kStateMerge frame of at least
+// one 64 KiB read chunk is offered to the service as soon as its head
+// has arrived (AggregatorService::OpenStateIntake). When the push passes
+// admission on that head, the service creates the restored clone at
+// once, and the connection then recv()s the rest of the frame straight
+// into the clone's arrays — the receive is the decode, with no frame
+// buffer and no restore copy. The ack is queued in request order when
+// the frame's last byte lands. A refused intake (AHEAD and grid
+// snapshots, a body length its target's configuration cannot produce,
+// any admission failure) leaves the frame on the buffered path. An open
+// intake that receives no byte for idle_timeout_ms (kIntakeStallMs when
+// that is 0) is closed and counted in net.intake_timeouts; any close
+// frees its clone and rolls its reservation back.
+//
 // Connection lifecycle: accepted connections are non-blocking and live
 // until (a) the peer closes or half-closes — remaining complete messages
 // are processed and pending responses flushed before the close
@@ -46,7 +60,6 @@
 #define LDPRANGE_NET_TCP_FRONT_END_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -61,6 +74,11 @@
 
 namespace ldp::net {
 
+/// No-progress deadline of an open snapshot intake when
+/// TcpFrontEndConfig::idle_timeout_ms is 0: an intake holds a restored
+/// clone and a merge-buffer slot, so it may not wait forever.
+inline constexpr int64_t kIntakeStallMs = 10'000;
+
 struct TcpFrontEndConfig {
   /// Address to bind; the default serves loopback only (benches, tests,
   /// single-box deployments). "0.0.0.0" listens on all interfaces.
@@ -73,7 +91,9 @@ struct TcpFrontEndConfig {
   /// 64 MiB, so anything larger is treated as a framing attack.
   uint32_t max_message_bytes = uint32_t{1} << 26;
   /// Connections idle longer than this are closed (0 disables). Paused
-  /// connections — waiting on a congested server queue — are exempt.
+  /// connections — waiting on a congested server queue — are exempt. It
+  /// is also the no-progress deadline of an open snapshot intake
+  /// (kIntakeStallMs when 0).
   int64_t idle_timeout_ms = 0;
   /// Accept cap; connections past it are closed immediately on accept.
   size_t max_connections = 16384;
@@ -93,6 +113,8 @@ struct TcpFrontEndStats {
   uint64_t bytes_sent = 0;
   uint64_t read_pauses = 0;   // EPOLLIN deregistrations (backpressure)
   uint64_t read_resumes = 0;  // re-arms after a queue-drain notification
+  uint64_t snapshot_intakes = 0;  // pushes received straight into a clone
+  uint64_t intake_timeouts = 0;   // intakes closed by their deadline
 };
 
 class TcpFrontEnd {
@@ -143,12 +165,48 @@ class TcpFrontEnd {
     uint64_t paused_server = 0;
     std::vector<uint8_t> pending_message;
     bool peer_eof = false;  // read side done; close once drained+flushed
-    std::chrono::steady_clock::time_point last_activity;
+    // Open snapshot intake of the frame at the front of the stream: while
+    // set, reads land in its windows, not in read_buf.
+    std::unique_ptr<service::AggregatorService::StateIntake> intake;
+    // The large frame at read_pos was refused an intake: it is assembled
+    // in read_buf (the buffered path).
+    bool frame_declined = false;
+    // The read that completed the header of the large frame at the front
+    // of the stream (0: none pending), for net.frame_assembly_ns.
+    uint64_t frame_start_ns = 0;
+    uint64_t last_read_ns = 0;      // obs::NowNanos() of the latest recv
+    uint64_t last_activity_ns = 0;  // the idle and intake-stall clock
+  };
+
+  enum class ReadResult : uint8_t {
+    kDrained,     // the socket has nothing more right now (or hit EOF)
+    kLargeFrame,  // a full read put a large frame's header at the front
+    kLanded,      // an intake's last byte landed; the stream reads on
+    kClosed,      // the connection was closed
   };
 
   void EventLoop();
   void AcceptReady();
   void HandleReadable(Connection& conn);
+  /// recv()s into read_buf, 64 KiB at a time, until the socket drains or
+  /// a full read leaves a large frame's header at the front of the
+  /// buffer — one 8-byte header peek per full read.
+  ReadResult ReceiveBuffered(Connection& conn);
+  /// recv()s into the open intake's windows until the socket drains or
+  /// the frame completes (then lands it). EOF mid-body is a protocol
+  /// error.
+  ReadResult ReceiveIntake(Connection& conn);
+  /// Counts `n` received bytes and stamps the read.
+  void NoteRead(Connection& conn, size_t n);
+  /// Offers the large, incomplete frame at read_pos to the service as a
+  /// snapshot intake once its head has arrived; on success every
+  /// buffered byte has landed in the clone.
+  void TryOpenIntake(Connection& conn, size_t available, uint64_t total);
+  /// Lands the completed intake and queues its ack. Returns false when
+  /// the connection was closed.
+  bool FinishIntake(Connection& conn);
+  /// Records net.frame_assembly_ns for the large frame just completed.
+  void RecordFrameAssembly(Connection& conn);
   void HandleWritable(Connection& conn);
   /// Parses and routes every complete message in the read buffer; stops
   /// early when the connection pauses. Returns false when the
@@ -188,6 +246,9 @@ class TcpFrontEnd {
 
   // Connection table: event-loop thread only.
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
+  // Connections with an open snapshot intake; while any is open the loop
+  // ticks, so their deadline can fire.
+  size_t open_intakes_ = 0;
   // Front-end counters, owned by the service's metrics registry under
   // "net.*" names so one stats scrape (kStatsQuery or stats()) sees
   // transport and service in a single snapshot. Counter addresses are
@@ -205,6 +266,12 @@ class TcpFrontEnd {
     obs::Counter* bytes_sent;
     obs::Counter* read_pauses;
     obs::Counter* read_resumes;
+    obs::Counter* snapshot_intakes;
+    obs::Counter* intake_timeouts;
+    // Per inbound frame of at least one read chunk, intake or buffered:
+    // from the read that completed its header to the read that completed
+    // the frame.
+    obs::LatencyHistogram* frame_assembly_ns;
   };
   NetCounters stats_{service_.registry()};
 };

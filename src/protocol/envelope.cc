@@ -116,26 +116,37 @@ void PatchEnvelopePayloadLength(std::vector<uint8_t>& out,
   }
 }
 
-ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out) {
+ParseError DecodeEnvelopeHeader(std::span<const uint8_t> bytes,
+                                MechanismTag* mechanism,
+                                uint32_t* payload_len) {
   if (bytes.size() < kEnvelopeHeaderSize) return ParseError::kTruncated;
   if (bytes[0] != kEnvelopeMagic0 || bytes[1] != kEnvelopeMagic1) {
     return ParseError::kBadMagic;
   }
-  uint8_t version = bytes[2];
-  if (version != kWireVersionV2) return ParseError::kUnsupportedVersion;
+  if (bytes[2] != kWireVersionV2) return ParseError::kUnsupportedVersion;
   uint8_t tag = bytes[3];
   if (!IsKnownMechanismTag(tag)) return ParseError::kUnknownMechanism;
-  uint32_t payload_len = 0;
+  uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(bytes[4 + i]) << (8 * i);
+    len |= static_cast<uint32_t>(bytes[4 + i]) << (8 * i);
   }
+  *mechanism = static_cast<MechanismTag>(tag);
+  *payload_len = len;
+  return ParseError::kOk;
+}
+
+ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out) {
+  MechanismTag mechanism = MechanismTag::kFlatHrr;
+  uint32_t payload_len = 0;
+  ParseError err = DecodeEnvelopeHeader(bytes, &mechanism, &payload_len);
+  if (err != ParseError::kOk) return err;
   // All arithmetic in size_t over validated sizes: a payload_len near
   // UINT32_MAX is compared, never allocated.
   size_t present = bytes.size() - kEnvelopeHeaderSize;
   if (present < payload_len) return ParseError::kLengthMismatch;
   if (present > payload_len) return ParseError::kTrailingJunk;
-  out->version = version;
-  out->mechanism = static_cast<MechanismTag>(tag);
+  out->version = kWireVersionV2;
+  out->mechanism = mechanism;
   out->payload = bytes.subspan(kEnvelopeHeaderSize, payload_len);
   return ParseError::kOk;
 }

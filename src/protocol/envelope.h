@@ -161,6 +161,14 @@ void PatchEnvelopePayloadLength(std::vector<uint8_t>& out,
 /// header plus exactly payload_len payload bytes.
 ParseError DecodeEnvelope(std::span<const uint8_t> bytes, Envelope* out);
 
+/// The header half of DecodeEnvelope, for a frame whose payload has not
+/// all arrived: the same magic, version and tag checks on the first 8
+/// bytes, and the announced payload length. Claims nothing about the
+/// bytes after the header.
+ParseError DecodeEnvelopeHeader(std::span<const uint8_t> bytes,
+                                MechanismTag* mechanism,
+                                uint32_t* payload_len);
+
 /// True when `bytes` starts with the v2 magic — a cheap test for callers
 /// that split a buffer holding more than one message.
 bool LooksLikeEnvelope(std::span<const uint8_t> bytes);

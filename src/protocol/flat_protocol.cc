@@ -158,9 +158,12 @@ size_t FlatHrrServer::StateBodyBytes() const {
   return oracle_->StateBytes();
 }
 
-bool FlatHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  WireReader reader(body);
-  return oracle_->RestoreState(reader) && reader.AtEnd();
+std::optional<HrrStateSize> FlatHrrServer::StateBodySizeRange() const {
+  return oracle_->StateSizeRange();
+}
+
+std::optional<HrrStateDecoder> FlatHrrServer::StateBodyDecoder() {
+  return HrrStateDecoder(*oracle_);
 }
 
 std::unique_ptr<service::AggregatorServer> FlatHrrServer::DoCloneEmpty()

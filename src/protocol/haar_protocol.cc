@@ -176,8 +176,12 @@ void HaarHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
 
 size_t HaarHrrServer::StateBodyBytes() const { return levels_.StateBytes(); }
 
-bool HaarHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  return levels_.RestoreState(body);
+std::optional<HrrStateSize> HaarHrrServer::StateBodySizeRange() const {
+  return levels_.StateSizeRange();
+}
+
+std::optional<HrrStateDecoder> HaarHrrServer::StateBodyDecoder() {
+  return HrrStateDecoder(levels_);
 }
 
 std::unique_ptr<service::AggregatorServer> HaarHrrServer::DoCloneEmpty()

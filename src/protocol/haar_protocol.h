@@ -126,6 +126,9 @@ class HaarHrrServer final : public service::AggregatorServer {
   /// Estimated per-item frequencies (length = domain).
   std::vector<double> EstimateFrequencies() const override;
 
+  std::optional<HrrStateSize> StateBodySizeRange() const override;
+  std::optional<HrrStateDecoder> StateBodyDecoder() override;
+
  private:
   /// Range checks + add: the one fold behind Absorb and the batch slot
   /// loop. False (nothing added) when the report is out of range.
@@ -138,7 +141,6 @@ class HaarHrrServer final : public service::AggregatorServer {
   double state_epsilon() const override { return eps_; }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   size_t StateBodyBytes() const override;
-  bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 

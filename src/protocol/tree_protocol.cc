@@ -167,8 +167,12 @@ void TreeHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {
 
 size_t TreeHrrServer::StateBodyBytes() const { return levels_.StateBytes(); }
 
-bool TreeHrrServer::RestoreStateBody(std::span<const uint8_t> body) {
-  return levels_.RestoreState(body);
+std::optional<HrrStateSize> TreeHrrServer::StateBodySizeRange() const {
+  return levels_.StateSizeRange();
+}
+
+std::optional<HrrStateDecoder> TreeHrrServer::StateBodyDecoder() {
+  return HrrStateDecoder(levels_);
 }
 
 std::unique_ptr<service::AggregatorServer> TreeHrrServer::DoCloneEmpty()

@@ -111,6 +111,9 @@ class TreeHrrServer final : public service::AggregatorServer {
                                           uint64_t b) const override;
   std::vector<double> EstimateFrequencies() const override;
 
+  std::optional<HrrStateSize> StateBodySizeRange() const override;
+  std::optional<HrrStateDecoder> StateBodyDecoder() override;
+
  private:
   /// Range checks + add: the one fold behind Absorb and the batch slot
   /// loop. False (nothing added) when the report is out of range.
@@ -124,7 +127,6 @@ class TreeHrrServer final : public service::AggregatorServer {
   double state_epsilon() const override { return eps_; }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   size_t StateBodyBytes() const override;
-  bool RestoreStateBody(std::span<const uint8_t> body) override;
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 

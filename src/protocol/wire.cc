@@ -116,23 +116,20 @@ bool WireReader::ReadF64(double* v) {
 bool WireReader::ReadVarU64(uint64_t* v) {
   if (!ok_) return false;
   uint64_t out = 0;
-  for (int i = 0; i < 10; ++i) {
+  for (size_t i = 0;; ++i) {
     const uint8_t* p = nullptr;
     if (!Take(1, &p)) return false;
-    uint8_t byte = *p;
-    // Byte 10 holds bits 63..69: anything beyond bit 63 overflows u64.
-    if (i == 9 && byte > 0x01) {
-      ok_ = false;
-      return false;
-    }
-    out |= static_cast<uint64_t>(byte & 0x7F) << (7 * i);
-    if ((byte & 0x80) == 0) {
-      *v = out;
-      return true;
+    switch (FoldVarU64Byte(*p, i, &out)) {
+      case VarU64Step::kDone:
+        *v = out;
+        return true;
+      case VarU64Step::kBad:
+        ok_ = false;
+        return false;
+      case VarU64Step::kMore:
+        break;
     }
   }
-  ok_ = false;  // unterminated group sequence
-  return false;
 }
 
 bool WireReader::ReadBytes(size_t n, std::span<const uint8_t>* out) {

@@ -68,6 +68,26 @@ inline uint32_t LoadU32Le(const uint8_t* p) {
 /// byte, low group first).
 void AppendVarU64(std::vector<uint8_t>& out, uint64_t v);
 
+/// Most bytes one varint takes (ceil(64 / 7)).
+inline constexpr size_t kMaxVarU64Bytes = 10;
+
+/// Outcome of folding one varint byte in (FoldVarU64Byte).
+enum class VarU64Step : uint8_t { kMore, kDone, kBad };
+
+/// The one varint rule, a byte at a time: folds byte number `index`
+/// (0-based) of a varint into `*value`. kDone when it ends the varint,
+/// kBad when the tenth byte would carry bits past 2^64-1. Byte 10 can
+/// never continue, so no varint runs past kMaxVarU64Bytes. ReadVarU64
+/// and the incremental HRR state decoder (frequency/hrr.h) both step
+/// through it.
+inline VarU64Step FoldVarU64Byte(uint8_t byte, size_t index,
+                                 uint64_t* value) {
+  // Byte 10 holds bits 63..69: anything beyond bit 63 overflows u64.
+  if (index == kMaxVarU64Bytes - 1 && byte > 0x01) return VarU64Step::kBad;
+  *value |= static_cast<uint64_t>(byte & 0x7F) << (7 * index);
+  return (byte & 0x80) == 0 ? VarU64Step::kDone : VarU64Step::kMore;
+}
+
 /// Exact byte count AppendVarU64(out, v) appends — lets writers size a
 /// buffer once before filling it.
 size_t VarU64Size(uint64_t v);

@@ -68,36 +68,54 @@ std::vector<uint8_t> AggregatorServer::SerializeState() const {
 MergeStatus AggregatorServer::MergeSerializedState(
     std::span<const uint8_t> snapshot) {
   if (finalized_) return MergeStatus::kAlreadyFinalized;
-  std::unique_ptr<AggregatorServer> shard;
-  MergeStatus status = RestoreShardFromSnapshot(snapshot, &shard);
-  if (status != MergeStatus::kOk) return status;
-  return MergeFrom(*shard);
-}
-
-MergeStatus AggregatorServer::RestoreShardFromSnapshot(
-    std::span<const uint8_t> snapshot,
-    std::unique_ptr<AggregatorServer>* shard) const {
   StateSnapshotHeader header;
   if (ParseStateSnapshot(snapshot, &header) != protocol::ParseError::kOk) {
     return MergeStatus::kMalformedSnapshot;
   }
+  MergeStatus status = CheckSnapshotHeader(header);
+  if (status != MergeStatus::kOk) return status;
+  std::unique_ptr<AggregatorServer> shard;
+  status = RestoreShard(header, &shard);
+  if (status != MergeStatus::kOk) return status;
+  return MergeFrom(*shard);
+}
+
+MergeStatus AggregatorServer::CheckSnapshotHeader(
+    const StateSnapshotHeader& header) const {
   if (header.kind != state_kind()) return MergeStatus::kMechanismMismatch;
   if (header.dimensions != dimensions() || header.domain != domain() ||
       header.fanout != state_fanout() ||
       !SameEpsilonBits(header.eps, state_epsilon())) {
     return MergeStatus::kConfigMismatch;
   }
+  return MergeStatus::kOk;
+}
+
+MergeStatus AggregatorServer::RestoreShard(
+    const StateSnapshotHeader& header,
+    std::unique_ptr<AggregatorServer>* shard) const {
   // Restore into a fresh clone, not into *this: a body that fails
   // mid-restore is discarded with the clone and this server's aggregate
   // stays untouched.
-  std::unique_ptr<AggregatorServer> restored = DoCloneEmpty();
+  std::unique_ptr<AggregatorServer> restored = CloneForSnapshot(header);
   if (!restored->RestoreStateBody(header.body)) {
     return MergeStatus::kMalformedSnapshot;
   }
-  restored->stats_.CountAccepted(header.accepted);
-  restored->stats_.CountRejected(header.rejected);
   *shard = std::move(restored);
   return MergeStatus::kOk;
+}
+
+bool AggregatorServer::RestoreStateBody(std::span<const uint8_t> body) {
+  std::optional<HrrStateDecoder> decoder = StateBodyDecoder();
+  return decoder.has_value() && decoder->Restore(body);
+}
+
+std::unique_ptr<AggregatorServer> AggregatorServer::CloneForSnapshot(
+    const StateSnapshotHeader& header) const {
+  std::unique_ptr<AggregatorServer> clone = DoCloneEmpty();
+  clone->stats_.CountAccepted(header.accepted);
+  clone->stats_.CountRejected(header.rejected);
+  return clone;
 }
 
 MergeStatus AggregatorServer::MergeFrom(AggregatorServer& other) {

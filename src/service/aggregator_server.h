@@ -20,12 +20,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "core/range_mechanism.h"
+#include "frequency/hrr.h"
 #include "obs/metrics.h"
 #include "protocol/envelope.h"
 #include "protocol/wire.h"
@@ -127,16 +129,43 @@ class AggregatorServer {
   /// state and its accept/reject accounting were absorbed.
   MergeStatus MergeSerializedState(std::span<const uint8_t> snapshot);
 
-  /// The validate-and-clone half of MergeSerializedState: parses the
-  /// snapshot, checks it against this server's kind and exact
-  /// configuration, and restores the body (plus its accept/reject
-  /// accounting) into a fresh empty clone WITHOUT touching this server.
-  /// On kOk `*shard` owns the restored clone. The service merge plane
-  /// buffers these per fan-in group, then reduces them pairwise once
-  /// every shard has arrived.
-  MergeStatus RestoreShardFromSnapshot(
-      std::span<const uint8_t> snapshot,
-      std::unique_ptr<AggregatorServer>* shard) const;
+  /// The validate half of MergeSerializedState: kOk when a parsed
+  /// snapshot header names this server's kind and exact configuration
+  /// (eps by f64 bit pattern), else kMechanismMismatch or
+  /// kConfigMismatch.
+  MergeStatus CheckSnapshotHeader(const StateSnapshotHeader& header) const;
+
+  /// The clone half: restores `header.body` (of a snapshot whose header
+  /// passed CheckSnapshotHeader) into CloneForSnapshot(header), WITHOUT
+  /// touching this server. kOk with the clone in `*shard`, or
+  /// kMalformedSnapshot. The service merge plane buffers these per
+  /// fan-in group, then reduces them pairwise once every shard has
+  /// arrived.
+  MergeStatus RestoreShard(const StateSnapshotHeader& header,
+                           std::unique_ptr<AggregatorServer>* shard) const;
+
+  /// A fresh, empty clone carrying `header`'s accept/reject accounting:
+  /// where every restore starts. RestoreShard fills it from a whole body;
+  /// the query node's snapshot intake fills it from the socket through
+  /// StateBodyDecoder().
+  std::unique_ptr<AggregatorServer> CloneForSnapshot(
+      const StateSnapshotHeader& header) const;
+
+  /// The state-body sizes this server's configuration serializes to,
+  /// when configuration alone fixes them up to the report-count varints
+  /// (flat, haar, tree: HRR arrays). nullopt for bodies sized by data
+  /// (AHEAD's tree, the grid's pending OLH reports): those restore from a
+  /// complete buffer only.
+  virtual std::optional<HrrStateSize> StateBodySizeRange() const {
+    return std::nullopt;
+  }
+
+  /// The incremental decoder into this server's state arrays, for servers
+  /// with a StateBodySizeRange(). Call it on a fresh CloneForSnapshot()
+  /// only: the decoder writes the arrays in place.
+  virtual std::optional<HrrStateDecoder> StateBodyDecoder() {
+    return std::nullopt;
+  }
 
   /// A fresh, empty server with this server's exact configuration — the
   /// merge-shard contract (mirrors FrequencyOracle::CloneEmpty).
@@ -214,8 +243,11 @@ class AggregatorServer {
   /// Restores a state body into this (freshly cloned, empty) server.
   /// Total over adversarial bytes: false on any truncation, forged
   /// count, or cross-check failure — the caller discards the clone then,
-  /// so partially-written state never escapes.
-  virtual bool RestoreStateBody(std::span<const uint8_t> body) = 0;
+  /// so partially-written state never escapes. The default feeds the
+  /// whole body to StateBodyDecoder(), so flat, haar and tree restore on
+  /// the query node's snapshot-intake path; servers without a decoder
+  /// (AHEAD, grid) override it.
+  virtual bool RestoreStateBody(std::span<const uint8_t> body);
 
   /// CloneEmpty body: a fresh default-state instance of the concrete
   /// class with identical configuration.

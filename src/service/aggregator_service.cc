@@ -1,6 +1,8 @@
 #include "service/aggregator_service.h"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -526,103 +528,113 @@ std::vector<uint8_t> AggregatorService::HandleStatsQuery(
   return obs::SerializeStatsResponse(response);
 }
 
-// One fan-in push: admit (locked) -> validate + restore the snapshot
+// One buffered fan-in push: admit (locked) -> restore the snapshot body
 // into a fresh clone (UNLOCKED — the expensive part runs concurrently
 // across pushes, against only immutable target configuration) -> land
 // the clone (locked), and on the group's last shard run the reduction.
 // Admission reserves the shard's slot before unlocking so duplicate
 // detection and the buffer cap stay race-free across concurrent pushes.
+// A snapshot intake runs the same admission and landing around a
+// streamed restore.
 std::vector<uint8_t> AggregatorService::HandleStateMerge(
     std::span<const uint8_t> bytes) {
   ++stats_.merge_requests;
   StateMergeRequest request;
-  StateMergeResponse response;
   if (ParseStateMerge(bytes, &request) != protocol::ParseError::kOk) {
     ++stats_.malformed_messages;
-    ++stats_.merge_rejects;
-    response.status = MergeStatus::kMalformedRequest;
-    return SerializeStateMergeResponse(response);
+    return MergeNack(0, MergeStatus::kMalformedRequest, 0);
   }
-  response.merge_id = request.merge_id;
-
-  auto nack = [&](MergeStatus status, uint64_t shards_received) {
-    if (status == MergeStatus::kWouldBlock) {
-      ++stats_.merge_would_block;
-    } else {
-      ++stats_.merge_rejects;
-    }
-    response.status = status;
-    response.shards_received = shards_received;
-    return SerializeStateMergeResponse(response);
-  };
-
+  StateSnapshotHeader header;
+  const bool header_ok = ParseStateSnapshot(request.snapshot, &header) ==
+                         protocol::ParseError::kOk;
   const AggregatorServer* target = nullptr;
+  uint64_t received = 0;
+  MergeStatus status = MergeStatus::kOk;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (request.server_id >= entries_.size()) {
-      return nack(MergeStatus::kUnknownServer, 0);
-    }
-    ServerEntry& entry = *entries_[request.server_id];
-    if (entry.state != EntryState::kLive) {
-      return nack(MergeStatus::kAlreadyFinalized, 0);
-    }
-    auto it = merge_sessions_.find(request.merge_id);
-    // A push that makes its group full is always admitted, cap or no
-    // cap: completing a group FREES buffer space, so refusing it could
-    // deadlock a saturated buffer against the one push that would drain
-    // it. Every other over-cap push is deferred.
-    bool completes = request.shard_count == 1;
-    if (it != merge_sessions_.end()) {
-      const MergeSession& session = it->second;
-      if (session.server_id != request.server_id ||
-          session.shard_count != request.shard_count ||
-          session.flags != request.flags) {
-        return nack(MergeStatus::kInconsistentFanIn, session.shards.size());
-      }
-      if (session.shards.contains(request.shard_index)) {
-        return nack(MergeStatus::kDuplicateShard, session.shards.size());
-      }
-      completes = session.shards.size() + 1 == session.shard_count;
-    }
-    if (!completes && buffered_merge_shards_ >= merge_buffer_limit_) {
-      // Nothing recorded: the identical push is welcome after a retry
-      // backoff (net/snapshot_push.h drives that loop).
-      return nack(MergeStatus::kWouldBlock,
-                  it == merge_sessions_.end() ? 0 : it->second.shards.size());
-    }
-    MergeSession& session = merge_sessions_[request.merge_id];
-    if (session.shard_count == 0) {  // freshly created group
-      session.server_id = request.server_id;
-      session.shard_count = request.shard_count;
-      session.flags = request.flags;
-    }
-    session.shards.emplace(request.shard_index, nullptr);  // reservation
-    ++buffered_merge_shards_;
-    target = entry.server.get();
+    status = AdmitStateMergeLocked(request, header_ok ? &header : nullptr,
+                                   /*intake=*/false, &target, &received);
   }
-
-  std::unique_ptr<AggregatorServer> shard;
+  if (status != MergeStatus::kOk) {
+    // Nothing recorded: a kWouldBlock push is welcome after a retry
+    // backoff (net/snapshot_push.h drives that loop).
+    return MergeNack(request.merge_id, status, received);
+  }
   const uint64_t restore_start_ns = obs::NowNanos();
-  const MergeStatus restore_status =
-      target->RestoreShardFromSnapshot(request.snapshot, &shard);
-  merge_absorb_ns_->Record(obs::NowNanos() - restore_start_ns);
+  std::unique_ptr<AggregatorServer> shard;
+  const MergeStatus restore_status = target->RestoreShard(header, &shard);
+  return LandStateMerge(request, restore_status, std::move(shard),
+                        obs::NowNanos() - restore_start_ns);
+}
 
+MergeStatus AggregatorService::AdmitStateMergeLocked(
+    const StateMergeRequest& request, const StateSnapshotHeader* header,
+    bool intake, const AggregatorServer** target, uint64_t* received) {
+  *received = 0;
+  if (request.server_id >= entries_.size()) {
+    return MergeStatus::kUnknownServer;
+  }
+  ServerEntry& entry = *entries_[request.server_id];
+  if (entry.state != EntryState::kLive) return MergeStatus::kAlreadyFinalized;
+  auto it = merge_sessions_.find(request.merge_id);
+  if (it != merge_sessions_.end()) *received = it->second.shards.size();
+  if (header == nullptr) return MergeStatus::kMalformedSnapshot;
+  const MergeStatus config = entry.server->CheckSnapshotHeader(*header);
+  if (config != MergeStatus::kOk) return config;
+  // A buffered push that makes its group full is always admitted, cap or
+  // no cap: completing a group FREES buffer space, so refusing it could
+  // deadlock a saturated buffer against the one push that would drain
+  // it. An intake holds its slot while its bytes arrive, so it always
+  // needs a free one (a refused intake falls back to this buffered
+  // rule). Every other over-cap push is deferred.
+  bool completes = request.shard_count == 1;
+  if (it != merge_sessions_.end()) {
+    const MergeSession& session = it->second;
+    if (session.server_id != request.server_id ||
+        session.shard_count != request.shard_count ||
+        session.flags != request.flags) {
+      return MergeStatus::kInconsistentFanIn;
+    }
+    if (session.shards.contains(request.shard_index)) {
+      return MergeStatus::kDuplicateShard;
+    }
+    completes = session.shards.size() + 1 == session.shard_count;
+  }
+  if ((intake || !completes) &&
+      buffered_merge_shards_ >= merge_buffer_limit_) {
+    return MergeStatus::kWouldBlock;
+  }
+  MergeSession& session = merge_sessions_[request.merge_id];
+  if (session.shard_count == 0) {  // freshly created group
+    session.server_id = request.server_id;
+    session.shard_count = request.shard_count;
+    session.flags = request.flags;
+  }
+  session.shards.emplace(request.shard_index, nullptr);  // reservation
+  ++buffered_merge_shards_;
+  *target = entry.server.get();
+  return MergeStatus::kOk;
+}
+
+std::vector<uint8_t> AggregatorService::LandStateMerge(
+    const StateMergeRequest& request, MergeStatus restore_status,
+    std::unique_ptr<AggregatorServer> shard, uint64_t busy_ns) {
+  const uint64_t land_start_ns = obs::NowNanos();
   std::unique_lock<std::mutex> lock(mu_);
+  if (restore_status != MergeStatus::kOk) {
+    const uint64_t received = RollBackReservationLocked(request);
+    merge_absorb_ns_->Record(busy_ns + (obs::NowNanos() - land_start_ns));
+    return MergeNack(request.merge_id, restore_status, received);
+  }
   auto it = merge_sessions_.find(request.merge_id);
   LDP_CHECK(it != merge_sessions_.end());  // the reservation pins the group
   MergeSession& session = it->second;
-  if (restore_status != MergeStatus::kOk) {
-    // Roll the reservation back; a group left empty disappears entirely,
-    // so a later corrected push can redeclare it.
-    session.shards.erase(request.shard_index);
-    --buffered_merge_shards_;
-    const uint64_t received = session.shards.size();
-    if (session.shards.empty()) merge_sessions_.erase(it);
-    return nack(restore_status, received);
-  }
   session.shards[request.shard_index] = std::move(shard);
   ++session.filled;
+  StateMergeResponse response;
+  response.merge_id = request.merge_id;
   response.shards_received = session.shards.size();
+  merge_absorb_ns_->Record(busy_ns + (obs::NowNanos() - land_start_ns));
   if (session.filled < session.shard_count) {
     response.status = MergeStatus::kOk;
     return SerializeStateMergeResponse(response);
@@ -641,6 +653,140 @@ std::vector<uint8_t> AggregatorService::HandleStateMerge(
     ++stats_.merge_rejects;
   }
   return SerializeStateMergeResponse(response);
+}
+
+uint64_t AggregatorService::RollBackReservationLocked(
+    const StateMergeRequest& request) {
+  auto it = merge_sessions_.find(request.merge_id);
+  LDP_CHECK(it != merge_sessions_.end());  // the reservation pins the group
+  MergeSession& session = it->second;
+  session.shards.erase(request.shard_index);
+  --buffered_merge_shards_;
+  const uint64_t received = session.shards.size();
+  if (session.shards.empty()) merge_sessions_.erase(it);
+  return received;
+}
+
+std::vector<uint8_t> AggregatorService::MergeNack(uint64_t merge_id,
+                                                  MergeStatus status,
+                                                  uint64_t shards_received) {
+  if (status == MergeStatus::kWouldBlock) {
+    ++stats_.merge_would_block;
+  } else {
+    ++stats_.merge_rejects;
+  }
+  StateMergeResponse response;
+  response.merge_id = merge_id;
+  response.status = status;
+  response.shards_received = shards_received;
+  return SerializeStateMergeResponse(response);
+}
+
+std::unique_ptr<AggregatorService::StateIntake>
+AggregatorService::OpenStateIntake(std::span<const uint8_t> buffered,
+                                   size_t frame_bytes) {
+  buffered = buffered.first(std::min(buffered.size(), frame_bytes));
+  StateMergeRequest request;
+  StateSnapshotHeader header;
+  size_t body_offset = 0;
+  if (ParseStateMergeHead(buffered, frame_bytes, &request, &header,
+                          &body_offset) != protocol::ParseError::kOk ||
+      request.server_id >= entries_.size()) {
+    return nullptr;
+  }
+  // An HRR body's size is fixed by its configuration up to a few varint
+  // bytes, so a length inside that window is not attacker-chosen: only
+  // such a length may commit a clone before its bytes arrive. The target
+  // configuration is immutable, so this needs no lock.
+  const size_t body_bytes = frame_bytes - body_offset;
+  const std::optional<HrrStateSize> sizes =
+      entries_[request.server_id]->server->StateBodySizeRange();
+  if (!sizes.has_value() || !sizes->Contains(body_bytes)) return nullptr;
+  const AggregatorServer* target = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t received = 0;
+    if (AdmitStateMergeLocked(request, &header, /*intake=*/true, &target,
+                              &received) != MergeStatus::kOk) {
+      return nullptr;
+    }
+  }
+  const uint64_t start_ns = obs::NowNanos();
+  std::unique_ptr<StateIntake> intake(new StateIntake(
+      this, request, target->CloneForSnapshot(header), body_bytes));
+  // The body bytes that arrived with the head land first.
+  for (std::span<const uint8_t> body = buffered.subspan(body_offset);
+       !body.empty();) {
+    const std::span<uint8_t> window = intake->Window();
+    const size_t n = std::min(window.size(), body.size());
+    std::memcpy(window.data(), body.data(), n);
+    intake->Advance(n);
+    body = body.subspan(n);
+  }
+  intake->busy_ns_ = obs::NowNanos() - start_ns;
+  return intake;
+}
+
+namespace {
+
+// The decoder of a fresh clone whose server has a StateBodySizeRange().
+HrrStateDecoder StateBodyDecoderOf(AggregatorServer& clone) {
+  std::optional<HrrStateDecoder> decoder = clone.StateBodyDecoder();
+  LDP_CHECK(decoder.has_value());
+  return std::move(*decoder);
+}
+
+}  // namespace
+
+AggregatorService::StateIntake::StateIntake(
+    AggregatorService* service, const StateMergeRequest& request,
+    std::unique_ptr<AggregatorServer> clone, size_t body_bytes)
+    : service_(service),
+      request_(request),
+      clone_(std::move(clone)),
+      decoder_(StateBodyDecoderOf(*clone_)),
+      remaining_(body_bytes) {}
+
+AggregatorService::StateIntake::~StateIntake() {
+  if (landed_) return;
+  std::lock_guard<std::mutex> lock(service_->mu_);
+  service_->RollBackReservationLocked(request_);
+}
+
+std::span<uint8_t> AggregatorService::StateIntake::Window() {
+  std::span<uint8_t> window = decoder_.Window();
+  if (window.empty()) {
+    // The body failed or ended before the frame: consume the rest of the
+    // frame without landing it anywhere; Finish() then nacks it.
+    constexpr size_t kDiscardBytes = 64 * 1024;
+    if (discard_.empty()) discard_.resize(kDiscardBytes);
+    window = discard_;
+  }
+  return window.first(std::min(window.size(), remaining_));
+}
+
+void AggregatorService::StateIntake::Advance(size_t n) {
+  LDP_CHECK_LE(n, remaining_);
+  remaining_ -= n;
+  if (decoder_.done()) {
+    trailing_ = true;
+  } else if (!decoder_.failed()) {
+    const uint64_t start_ns = obs::NowNanos();
+    decoder_.Advance(n);
+    busy_ns_ += obs::NowNanos() - start_ns;
+  }
+}
+
+std::vector<uint8_t> AggregatorService::StateIntake::Finish() {
+  LDP_CHECK(complete() && !landed_);
+  landed_ = true;
+  const bool restored = decoder_.done() && !trailing_;
+  ++service_->stats_.messages;
+  ++service_->stats_.merge_requests;
+  return service_->LandStateMerge(
+      request_,
+      restored ? MergeStatus::kOk : MergeStatus::kMalformedSnapshot,
+      restored ? std::move(clone_) : nullptr, busy_ns_);
 }
 
 MergeStatus AggregatorService::RunFanInMergeLocked(

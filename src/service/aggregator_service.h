@@ -39,7 +39,10 @@
 // state is bit-identical to single-process ingestion of the union, for
 // every shard count, push order, and worker count. A full snapshot
 // buffer acks kWouldBlock (push NOT recorded): the shard backs off and
-// retries, mirroring ingestion backpressure.
+// retries, mirroring ingestion backpressure. A socket front-end can also
+// receive a flat, haar or tree push straight into its clone as the bytes
+// arrive (OpenStateIntake); both paths share one admission and one
+// landing.
 
 #ifndef LDPRANGE_SERVICE_AGGREGATOR_SERVICE_H_
 #define LDPRANGE_SERVICE_AGGREGATOR_SERVICE_H_
@@ -59,6 +62,7 @@
 #include "obs/metrics.h"
 #include "service/aggregator_server.h"
 #include "service/ingest_session.h"
+#include "service/state_wire.h"
 #include "service/stream_wire.h"
 
 namespace ldp::service {
@@ -116,9 +120,10 @@ class AggregatorService {
   /// their fan-in group to complete), across all in-flight merge groups.
   /// A push past the cap is acked kWouldBlock and NOT recorded — the
   /// shard backs off and retries (net/snapshot_push.h), the merge-plane
-  /// analogue of ingestion backpressure. A push that completes its group
-  /// bypasses the cap (completion frees buffer space, so refusing it
-  /// could deadlock the buffer against its own drain).
+  /// analogue of ingestion backpressure. A buffered push that completes
+  /// its group bypasses the cap (completion frees buffer space, so
+  /// refusing it could deadlock the buffer against its own drain); a
+  /// snapshot intake always holds one slot (OpenStateIntake).
   static constexpr size_t kDefaultMergeBufferShards = 256;
 
   /// `worker_threads` sizes the ingestion pool; it exists for the
@@ -205,6 +210,74 @@ class AggregatorService {
   /// True once `server_id` finalized (via kStreamFlagFinalize or
   /// FinalizeServer).
   bool server_finalized(uint64_t server_id);
+
+  /// A fan-in push received straight into its restored clone: the
+  /// query node's snapshot intake. OpenStateIntake admits the push on its
+  /// header and creates the clone at once; the caller then lands the
+  /// rest of the frame in Window() — socket reads go straight into the
+  /// clone's arrays, so the receive is the decode (HrrStateDecoder) —
+  /// and Finish() lands the push exactly as HandleMessage would have.
+  /// Used from one thread at a time. Destroying an unfinished intake
+  /// (peer EOF or reset mid-body, a stall past its deadline, shutdown)
+  /// frees the clone and rolls its reservation back. Must not outlive
+  /// the service.
+  class StateIntake {
+   public:
+    ~StateIntake();
+
+    StateIntake(const StateIntake&) = delete;
+    StateIntake& operator=(const StateIntake&) = delete;
+
+    /// Where the frame's next bytes go: the decoder's window into the
+    /// clone, clipped to the frame; a scratch buffer once the body has
+    /// failed or ended early (the frame is still consumed to its end).
+    /// Empty once complete().
+    std::span<uint8_t> Window();
+
+    /// Consumes `n` bytes (1 <= n <= Window().size()) that landed in
+    /// Window().
+    void Advance(size_t n);
+
+    /// Every byte of the frame has landed.
+    bool complete() const { return remaining_ == 0; }
+
+    /// Lands the complete push — the slot filled (or, for a body that
+    /// failed, rolled back with kMalformedSnapshot), the group reduced
+    /// on its last shard — and returns the kStateMergeResponse ack.
+    std::vector<uint8_t> Finish();
+
+   private:
+    friend class AggregatorService;
+    StateIntake(AggregatorService* service, const StateMergeRequest& request,
+                std::unique_ptr<AggregatorServer> clone, size_t body_bytes);
+
+    AggregatorService* service_;
+    StateMergeRequest request_;
+    std::unique_ptr<AggregatorServer> clone_;
+    HrrStateDecoder decoder_;
+    size_t remaining_;
+    bool trailing_ = false;  // a byte past the decoded body's end
+    bool landed_ = false;
+    // Clone creation and decode time, for merge.absorb_ns; the wait for
+    // bytes is not in it.
+    uint64_t busy_ns_ = 0;
+    std::vector<uint8_t> discard_;
+  };
+
+  /// Opens a snapshot intake for a kStateMerge frame of `frame_bytes`
+  /// bytes whose first bytes, `buffered` (at least min(frame_bytes,
+  /// kMaxStateMergeHeadBytes), fewer than frame_bytes), have arrived.
+  /// It opens only when the frame's head parses, its target server's
+  /// state body is sized by configuration (flat, haar, tree) and the
+  /// announced body length is one that configuration serializes to
+  /// (StateBodySizeRange), and admission returns kOk — which for an
+  /// intake includes a free merge-buffer slot, even for a push that
+  /// would complete its group. The buffered body bytes are landed before
+  /// it returns. nullptr otherwise, with nothing recorded: the frame then
+  /// takes the buffered path (HandleMessage), whose admission gives the
+  /// same ack it always has.
+  std::unique_ptr<StateIntake> OpenStateIntake(
+      std::span<const uint8_t> buffered, size_t frame_bytes);
 
   /// Caps buffered merge shards (clamped to >= 1). Not thread-safe
   /// against HandleMessage — configure before serving merge traffic;
@@ -314,6 +387,36 @@ class AggregatorService {
   std::vector<uint8_t> HandleMultiDimQuery(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleStatsQuery(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleStateMerge(std::span<const uint8_t> bytes);
+  /// The one admission of a fan-in push, buffered or streamed, under
+  /// mu_: unknown server; not live; a snapshot header that did not parse
+  /// (`header` null), names another kind or another configuration;
+  /// inconsistent fan-in; duplicate shard; buffer cap — an intake always
+  /// needs a free slot, a buffered push that completes its group never
+  /// does. On kOk the shard's slot is reserved and `*target` names the
+  /// hosted server. Otherwise nothing is recorded, no counter moves, and
+  /// `*received` is the group's shard count for the nack.
+  MergeStatus AdmitStateMergeLocked(const StateMergeRequest& request,
+                                    const StateSnapshotHeader* header,
+                                    bool intake,
+                                    const AggregatorServer** target,
+                                    uint64_t* received);
+  /// The one landing of an admitted push: fills its reserved slot with
+  /// `shard`, or rolls the reservation back when the restore failed,
+  /// and reduces the group on its last shard. Records merge.absorb_ns
+  /// as `busy_ns` (clone and decode) plus the landing itself. Returns
+  /// the ack.
+  std::vector<uint8_t> LandStateMerge(const StateMergeRequest& request,
+                                      MergeStatus restore_status,
+                                      std::unique_ptr<AggregatorServer> shard,
+                                      uint64_t busy_ns);
+  /// Drops an admitted push's reservation; a group left empty disappears
+  /// entirely, so a later corrected push can redeclare it. Returns the
+  /// group's remaining shard count.
+  uint64_t RollBackReservationLocked(const StateMergeRequest& request);
+  /// Counts a refused push (merge_would_block or merge_rejects) and
+  /// frames its ack.
+  std::vector<uint8_t> MergeNack(uint64_t merge_id, MergeStatus status,
+                                 uint64_t shards_received);
   /// The completed-group reduction: claims the target server's strand
   /// (FinalizeServer's drain-and-claim idiom), merges the group's clones
   /// pairwise — adjacent shard indices, ParallelFor over the pairs of
@@ -360,9 +463,10 @@ class AggregatorService {
       &registry_.GetHistogram("service.queue_wait_ns");
   obs::LatencyHistogram* query_ns_ =
       &registry_.GetHistogram("service.query_ns");
-  // Merge-plane instrumentation: per-shard snapshot validate+restore,
-  // and the whole completed-group reduction (including the hosted fold
-  // and any requested finalize).
+  // Merge-plane instrumentation: per-shard clone creation, decode and
+  // landing (for an intake, not the wait for its bytes), and the whole
+  // completed-group reduction (including the hosted fold and any
+  // requested finalize).
   obs::LatencyHistogram* merge_absorb_ns_ =
       &registry_.GetHistogram("merge.absorb_ns");
   obs::LatencyHistogram* merge_fan_in_ns_ =

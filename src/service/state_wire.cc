@@ -1,5 +1,6 @@
 #include "service/state_wire.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "protocol/wire.h"
@@ -29,6 +30,79 @@ ParseError OpenEnvelope(std::span<const uint8_t> bytes,
 bool KindHasFanout(StateKind kind) {
   return kind == StateKind::kTree || kind == StateKind::kAhead ||
          kind == StateKind::kGrid;
+}
+
+// The snapshot header fields, [kind u8] through [rejected varint], with
+// their checks: known kind, dims in [1, kMaxWireDimensions] (1 unless a
+// grid), domain in [2, kMaxStateDomain], fanout 0 or [2, kMaxStateFanout]
+// per kind, finite positive eps. Shared by the whole-frame and the
+// header-time parsers. `header->body` is left to the caller.
+ParseError ParseSnapshotFields(WireReader& reader,
+                               StateSnapshotHeader* header) {
+  uint8_t kind = 0;
+  uint8_t dims = 0;
+  uint64_t domain = 0;
+  uint64_t fanout = 0;
+  double eps = 0.0;
+  uint64_t accepted = 0;
+  uint64_t rejected = 0;
+  if (!reader.ReadU8(&kind) || !reader.ReadU8(&dims) ||
+      !reader.ReadVarU64(&domain) || !reader.ReadVarU64(&fanout) ||
+      !reader.ReadF64(&eps) || !reader.ReadVarU64(&accepted) ||
+      !reader.ReadVarU64(&rejected)) {
+    return ParseError::kBadPayload;
+  }
+  if (!IsKnownStateKind(kind)) return ParseError::kBadPayload;
+  StateKind k = static_cast<StateKind>(kind);
+  if (k == StateKind::kGrid) {
+    if (dims == 0 || dims > protocol::kMaxWireDimensions) {
+      return ParseError::kBadPayload;
+    }
+  } else if (dims != 1) {
+    return ParseError::kBadPayload;
+  }
+  if (domain < 2 || domain > kMaxStateDomain) return ParseError::kBadPayload;
+  if (KindHasFanout(k)) {
+    if (fanout < 2 || fanout > kMaxStateFanout) return ParseError::kBadPayload;
+  } else if (fanout != 0) {
+    return ParseError::kBadPayload;
+  }
+  if (!std::isfinite(eps) || eps <= 0.0) return ParseError::kBadPayload;
+  header->kind = k;
+  header->dimensions = dims;
+  header->domain = domain;
+  header->fanout = fanout;
+  header->eps = eps;
+  header->accepted = accepted;
+  header->rejected = rejected;
+  return ParseError::kOk;
+}
+
+// The kStateMerge request fields, [merge_id u64] through [flags u8], with
+// the shard-geometry and flag checks. `request->snapshot` is left to the
+// caller.
+ParseError ParseMergeFields(WireReader& reader, StateMergeRequest* request) {
+  uint64_t merge_id = 0;
+  uint64_t server_id = 0;
+  uint64_t shard_index = 0;
+  uint64_t shard_count = 0;
+  uint8_t flags = 0;
+  if (!reader.ReadU64(&merge_id) || !reader.ReadU64(&server_id) ||
+      !reader.ReadVarU64(&shard_index) || !reader.ReadVarU64(&shard_count) ||
+      !reader.ReadU8(&flags)) {
+    return ParseError::kBadPayload;
+  }
+  if (shard_count == 0 || shard_count > kMaxMergeShards ||
+      shard_index >= shard_count) {
+    return ParseError::kBadPayload;
+  }
+  if ((flags & ~kMergeFlagFinalize) != 0) return ParseError::kBadPayload;
+  request->merge_id = merge_id;
+  request->server_id = server_id;
+  request->shard_index = shard_index;
+  request->shard_count = shard_count;
+  request->flags = flags;
+  return ParseError::kOk;
 }
 
 }  // namespace
@@ -107,47 +181,13 @@ ParseError ParseStateSnapshot(std::span<const uint8_t> bytes,
   ParseError err = OpenEnvelope(bytes, MechanismTag::kStateSnapshot, &env);
   if (err != ParseError::kOk) return err;
   WireReader reader(env.payload);
-  uint8_t kind = 0;
-  uint8_t dims = 0;
-  uint64_t domain = 0;
-  uint64_t fanout = 0;
-  double eps = 0.0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  if (!reader.ReadU8(&kind) || !reader.ReadU8(&dims) ||
-      !reader.ReadVarU64(&domain) || !reader.ReadVarU64(&fanout) ||
-      !reader.ReadF64(&eps) || !reader.ReadVarU64(&accepted) ||
-      !reader.ReadVarU64(&rejected)) {
+  StateSnapshotHeader parsed;
+  err = ParseSnapshotFields(reader, &parsed);
+  if (err != ParseError::kOk) return err;
+  if (!reader.ReadBytes(reader.Remaining(), &parsed.body)) {
     return ParseError::kBadPayload;
   }
-  if (!IsKnownStateKind(kind)) return ParseError::kBadPayload;
-  StateKind k = static_cast<StateKind>(kind);
-  if (k == StateKind::kGrid) {
-    if (dims == 0 || dims > protocol::kMaxWireDimensions) {
-      return ParseError::kBadPayload;
-    }
-  } else if (dims != 1) {
-    return ParseError::kBadPayload;
-  }
-  if (domain < 2 || domain > kMaxStateDomain) return ParseError::kBadPayload;
-  if (KindHasFanout(k)) {
-    if (fanout < 2 || fanout > kMaxStateFanout) return ParseError::kBadPayload;
-  } else if (fanout != 0) {
-    return ParseError::kBadPayload;
-  }
-  if (!std::isfinite(eps) || eps <= 0.0) return ParseError::kBadPayload;
-  std::span<const uint8_t> body;
-  if (!reader.ReadBytes(reader.Remaining(), &body)) {
-    return ParseError::kBadPayload;
-  }
-  header->kind = k;
-  header->dimensions = dims;
-  header->domain = domain;
-  header->fanout = fanout;
-  header->eps = eps;
-  header->accepted = accepted;
-  header->rejected = rejected;
-  header->body = body;
+  *header = parsed;
   return ParseError::kOk;
 }
 
@@ -179,38 +219,60 @@ ParseError ParseStateMerge(std::span<const uint8_t> bytes,
   ParseError err = OpenEnvelope(bytes, MechanismTag::kStateMerge, &env);
   if (err != ParseError::kOk) return err;
   WireReader reader(env.payload);
-  uint64_t merge_id = 0;
-  uint64_t server_id = 0;
-  uint64_t shard_index = 0;
-  uint64_t shard_count = 0;
-  uint8_t flags = 0;
-  if (!reader.ReadU64(&merge_id) || !reader.ReadU64(&server_id) ||
-      !reader.ReadVarU64(&shard_index) || !reader.ReadVarU64(&shard_count) ||
-      !reader.ReadU8(&flags)) {
-    return ParseError::kBadPayload;
-  }
-  if (shard_count == 0 || shard_count > kMaxMergeShards ||
-      shard_index >= shard_count) {
-    return ParseError::kBadPayload;
-  }
-  if ((flags & ~kMergeFlagFinalize) != 0) return ParseError::kBadPayload;
-  std::span<const uint8_t> snapshot;
-  if (!reader.ReadBytes(reader.Remaining(), &snapshot)) {
+  StateMergeRequest parsed;
+  err = ParseMergeFields(reader, &parsed);
+  if (err != ParseError::kOk) return err;
+  if (!reader.ReadBytes(reader.Remaining(), &parsed.snapshot)) {
     return ParseError::kBadPayload;
   }
   // The nested bytes must at least frame as a kStateSnapshot message;
   // its payload is parsed by the target server (ParseStateSnapshot).
   Envelope nested;
-  if (DecodeEnvelope(snapshot, &nested) != ParseError::kOk ||
+  if (DecodeEnvelope(parsed.snapshot, &nested) != ParseError::kOk ||
       nested.mechanism != MechanismTag::kStateSnapshot) {
     return ParseError::kBadPayload;
   }
-  request->merge_id = merge_id;
-  request->server_id = server_id;
-  request->shard_index = shard_index;
-  request->shard_count = shard_count;
-  request->flags = flags;
-  request->snapshot = snapshot;
+  *request = parsed;
+  return ParseError::kOk;
+}
+
+ParseError ParseStateMergeHead(std::span<const uint8_t> head,
+                               size_t frame_bytes, StateMergeRequest* request,
+                               StateSnapshotHeader* header,
+                               size_t* body_offset) {
+  head = head.first(std::min(head.size(), frame_bytes));
+  // The outer envelope: a kStateMerge frame of exactly frame_bytes.
+  MechanismTag tag = MechanismTag::kFlatHrr;
+  uint32_t payload_len = 0;
+  ParseError err = protocol::DecodeEnvelopeHeader(head, &tag, &payload_len);
+  if (err != ParseError::kOk) return err;
+  if (tag != MechanismTag::kStateMerge ||
+      protocol::kEnvelopeHeaderSize + size_t{payload_len} != frame_bytes) {
+    return ParseError::kBadPayload;
+  }
+  WireReader reader(head.subspan(protocol::kEnvelopeHeaderSize));
+  StateMergeRequest parsed_request;
+  err = ParseMergeFields(reader, &parsed_request);
+  if (err != ParseError::kOk) return err;
+  // The nested envelope: a kStateSnapshot frame filling the rest of the
+  // outer one, as DecodeEnvelope would require of the whole bytes.
+  const size_t nested_offset = head.size() - reader.Remaining();
+  std::span<const uint8_t> nested_header;
+  uint32_t nested_len = 0;
+  if (!reader.ReadBytes(protocol::kEnvelopeHeaderSize, &nested_header) ||
+      protocol::DecodeEnvelopeHeader(nested_header, &tag, &nested_len) !=
+          ParseError::kOk ||
+      tag != MechanismTag::kStateSnapshot ||
+      nested_offset + protocol::kEnvelopeHeaderSize + nested_len !=
+          frame_bytes) {
+    return ParseError::kBadPayload;
+  }
+  StateSnapshotHeader parsed_header;
+  err = ParseSnapshotFields(reader, &parsed_header);
+  if (err != ParseError::kOk) return err;
+  *request = parsed_request;
+  *header = parsed_header;
+  *body_offset = head.size() - reader.Remaining();
   return ParseError::kOk;
 }
 

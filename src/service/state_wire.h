@@ -133,6 +133,13 @@ struct StateMergeResponse {
 inline constexpr size_t kMaxStateSnapshotHeaderBytes =
     protocol::kEnvelopeHeaderSize + 2 + 8 + 4 * 10;
 
+/// Most bytes a kStateMerge frame carries before its state body: the
+/// envelope header, the widest request fields (two u64, two varints, one
+/// u8) and the widest nested snapshot header.
+inline constexpr size_t kMaxStateMergeHeadBytes =
+    protocol::kEnvelopeHeaderSize + 8 + 8 + 2 * 10 + 1 +
+    kMaxStateSnapshotHeaderBytes;
+
 /// The one kStateSnapshot framing implementation, in place: appends the
 /// envelope header (payload length still open) and the snapshot header
 /// to `out` and returns the frame's offset. Append the state body after
@@ -175,6 +182,20 @@ std::vector<uint8_t> SerializeStateMerge(const StateMergeRequest& request,
 /// bytes frame as a kStateSnapshot message.
 protocol::ParseError ParseStateMerge(std::span<const uint8_t> bytes,
                                      StateMergeRequest* request);
+
+/// The header-time form of ParseStateMerge + ParseStateSnapshot, for a
+/// frame whose body is still on its way (the query node's snapshot
+/// intake): parses a kStateMerge frame of `frame_bytes` total bytes from
+/// its first bytes, `head`, up to where the state body starts, with every
+/// check those two parsers make on the same fields. `head` must hold at
+/// least min(frame_bytes, kMaxStateMergeHeadBytes) bytes. On kOk
+/// `header->body` is empty and `*body_offset` is the body's offset in
+/// the frame.
+protocol::ParseError ParseStateMergeHead(std::span<const uint8_t> head,
+                                         size_t frame_bytes,
+                                         StateMergeRequest* request,
+                                         StateSnapshotHeader* header,
+                                         size_t* body_offset);
 
 /// Frames one typed ack.
 std::vector<uint8_t> SerializeStateMergeResponse(

@@ -36,6 +36,7 @@ const std::map<std::string, FuzzTarget>& TargetsByDirectory() {
       {"ahead_absorb", fuzz::FuzzAheadAbsorb},
       {"multidim_absorb", fuzz::FuzzMultiDimAbsorb},
       {"stream_session", fuzz::FuzzStreamSession},
+      {"state_intake", fuzz::FuzzStateIntake},
   };
   return kTargets;
 }

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
 #include "common/stats.h"
 #include "frequency/frequency_oracle.h"
+#include "protocol/wire.h"
 
 namespace ldp {
 namespace {
@@ -170,6 +175,171 @@ TEST(Hrr, MergeMatchesSequential) {
 TEST(Hrr, ReportBitsIsLogDPlusOne) {
   HrrOracle oracle(1 << 16, 1.0);
   EXPECT_DOUBLE_EQ(oracle.ReportBits(), 17.0);
+}
+
+// --- HrrStateDecoder: one restore path, at any split ------------------
+
+constexpr uint64_t kLevelDomains[] = {4, 16, 100};  // the last pads to 128
+
+HrrLevels EmptyLevels() {
+  HrrLevels levels;
+  for (uint64_t domain : kLevelDomains) levels.AddLevel(domain, 1.0);
+  return levels;
+}
+
+// A level stack with a different report count on every level.
+std::vector<uint8_t> FilledLevelsBody(uint64_t seed) {
+  HrrLevels levels = EmptyLevels();
+  Rng rng(seed);
+  for (size_t l = 0; l < levels.size(); ++l) {
+    for (uint64_t i = 0; i < 70 * (l + 1); ++i) {
+      levels[l].SubmitValue(i % kLevelDomains[l], rng);
+    }
+  }
+  std::vector<uint8_t> body;
+  levels.AppendState(body);
+  EXPECT_EQ(body.size(), levels.StateBytes());
+  return body;
+}
+
+// Feeds `body` to a fresh decoder in pieces of `piece` bytes, as socket
+// reads would land them. Returns the verdict; `*state` receives the
+// restored levels' state when it is true.
+bool RestoreInPieces(std::span<const uint8_t> body, size_t piece,
+                     std::vector<uint8_t>* state) {
+  HrrLevels levels = EmptyLevels();
+  HrrStateDecoder decoder(levels);
+  bool fed = true;
+  for (size_t at = 0; at < body.size() && fed; at += piece) {
+    fed = decoder.Feed(body.subspan(at, std::min(piece, body.size() - at)));
+  }
+  if (!fed || !decoder.done()) return false;
+  state->clear();
+  levels.AppendState(*state);
+  return true;
+}
+
+// Offset of level `k`'s report-count varint in a level-stack body.
+size_t RecordOffset(std::span<const uint8_t> body, size_t k) {
+  protocol::WireReader reader(body);
+  uint64_t value = 0;
+  EXPECT_TRUE(reader.ReadVarU64(&value));  // the level count
+  for (size_t l = 0; l < k; ++l) {
+    std::span<const uint8_t> sums;
+    EXPECT_TRUE(reader.ReadVarU64(&value) && reader.ReadVarU64(&value) &&
+                reader.ReadBytes(8 * value, &sums));
+  }
+  return body.size() - reader.Remaining();
+}
+
+constexpr size_t kPieces[] = {1, 2, 3, 7, 8, 9, 64, 1000, 1u << 20};
+
+TEST(HrrStateDecoder, EverySplitRestoresTheSameState) {
+  const std::vector<uint8_t> body = FilledLevelsBody(/*seed=*/11);
+  for (size_t piece : kPieces) {
+    SCOPED_TRACE(piece);
+    std::vector<uint8_t> state;
+    ASSERT_TRUE(RestoreInPieces(body, piece, &state));
+    EXPECT_EQ(state, body);  // canonical: restore then append is identity
+  }
+  // The flat form: one record, no level count.
+  HrrOracle filled(100, 1.0);
+  Rng rng(12);
+  for (int i = 0; i < 300; ++i) filled.SubmitValue(i % 100, rng);
+  std::vector<uint8_t> record;
+  filled.AppendState(record);
+  for (size_t piece : kPieces) {
+    SCOPED_TRACE(piece);
+    HrrOracle restored(100, 1.0);
+    HrrStateDecoder decoder(restored);
+    for (size_t at = 0; at < record.size(); at += piece) {
+      ASSERT_TRUE(decoder.Feed(std::span<const uint8_t>(record).subspan(
+          at, std::min(piece, record.size() - at))));
+    }
+    ASSERT_TRUE(decoder.done());
+    EXPECT_TRUE(decoder.Window().empty());
+    std::vector<uint8_t> state;
+    restored.AppendState(state);
+    EXPECT_EQ(state, record);
+    EXPECT_EQ(restored.EstimateFractions(), filled.EstimateFractions());
+  }
+}
+
+TEST(HrrStateDecoder, RejectsEveryMalformedBodyAtEverySplit) {
+  const std::vector<uint8_t> valid = FilledLevelsBody(/*seed=*/21);
+  const size_t last = RecordOffset(valid, 2);
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+  {
+    std::vector<uint8_t> body = valid;
+    body[0] = 4;  // one level more than the stack has
+    cases.emplace_back("level_count", body);
+  }
+  {
+    // The last level's padded domain: 128 (0x80 0x01) forged to 129.
+    std::vector<uint8_t> body = valid;
+    const size_t padded_at = last + protocol::VarU64Size(210);
+    ASSERT_EQ(body[padded_at], 0x80);
+    body[padded_at] = 0x81;
+    cases.emplace_back("padded_mismatch", body);
+  }
+  {
+    // Level 1's report count forged to 0 under its nonzero sums.
+    std::vector<uint8_t> body = valid;
+    const size_t at = RecordOffset(valid, 0);
+    body.erase(body.begin() + static_cast<ptrdiff_t>(at),
+               body.begin() +
+                   static_cast<ptrdiff_t>(at + protocol::VarU64Size(70)));
+    body.insert(body.begin() + static_cast<ptrdiff_t>(at), 0x00);
+    cases.emplace_back("zero_reports_nonzero_sums", body);
+  }
+  {
+    // A report count of eleven varint groups: past 2^64-1.
+    std::vector<uint8_t> body = valid;
+    const size_t at = RecordOffset(valid, 1);
+    body.erase(body.begin() + static_cast<ptrdiff_t>(at),
+               body.begin() +
+                   static_cast<ptrdiff_t>(at + protocol::VarU64Size(140)));
+    const uint8_t overlong[] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+    body.insert(body.begin() + static_cast<ptrdiff_t>(at),
+                std::begin(overlong), std::end(overlong));
+    cases.emplace_back("overlong_varint", body);
+  }
+  cases.emplace_back("truncated",
+                     std::vector<uint8_t>(valid.begin(), valid.end() - 1));
+  {
+    std::vector<uint8_t> body = valid;
+    body.push_back(0);
+    cases.emplace_back("trailing_byte", body);
+  }
+  cases.emplace_back("empty", std::vector<uint8_t>());
+  for (const auto& [name, body] : cases) {
+    SCOPED_TRACE(name);
+    HrrLevels levels = EmptyLevels();
+    EXPECT_FALSE(HrrStateDecoder(levels).Restore(body));
+    for (size_t piece : kPieces) {
+      SCOPED_TRACE(piece);
+      std::vector<uint8_t> state;
+      EXPECT_FALSE(RestoreInPieces(body, piece, &state));
+    }
+  }
+}
+
+TEST(HrrStateDecoder, SizeRangeIsFixedByConfiguration) {
+  HrrLevels levels = EmptyLevels();
+  const HrrStateSize range = levels.StateSizeRange();
+  // [levels varint] + per level [reports varint][padded varint][sums].
+  size_t fixed = 1;
+  for (uint64_t padded : {4u, 16u, 128u}) {
+    fixed += protocol::VarU64Size(padded) + 8 * padded;
+  }
+  EXPECT_EQ(range.min, fixed + 3);
+  EXPECT_EQ(range.max, fixed + 3 * protocol::kMaxVarU64Bytes);
+  EXPECT_TRUE(range.Contains(levels.StateBytes()));
+  EXPECT_TRUE(range.Contains(FilledLevelsBody(/*seed=*/31).size()));
+  EXPECT_FALSE(range.Contains(range.max + 1));
+  HrrOracle flat(1000, 1.0);
+  EXPECT_EQ(flat.StateSizeRange().min, flat.StateBytes());
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -30,6 +32,7 @@
 #include "protocol/haar_protocol.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/tree_protocol.h"
+#include "protocol/wire.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
 #include "service/state_wire.h"
@@ -945,6 +948,18 @@ TEST(NetFanIn, LargeSnapshotFramesMergeBitIdenticalOverEveryDelivery) {
     EXPECT_EQ(stats.merge_would_block, 0u);
     EXPECT_EQ(stats.malformed_messages, 0u);
     EXPECT_EQ(front.stats().protocol_errors, 0u);
+    // HRR bodies are sized by configuration: the pushed and the trickled
+    // frames are received straight into clones (the coalesced one may
+    // have fully arrived before its head was looked at). AHEAD and grid
+    // bodies are sized by data and always take the buffered path. Every
+    // frame past the read chunk is timed once either way.
+    const bool hrr = spec.kind != ServerKind::kAhead &&
+                     spec.kind != ServerKind::kGrid;
+    EXPECT_GE(front.stats().snapshot_intakes, hrr ? 4u : 0u);
+    EXPECT_LE(front.stats().snapshot_intakes, hrr ? 6u : 0u);
+    EXPECT_EQ(
+        svc.registry().GetHistogram("net.frame_assembly_ns").Snapshot().count,
+        6u);
     EXPECT_EQ(svc.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
               6u);
     EXPECT_EQ(svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
@@ -968,6 +983,374 @@ TEST(NetFanIn, LargeSnapshotFramesMergeBitIdenticalOverEveryDelivery) {
       }
     }
   }
+}
+
+// --- Snapshot intakes: HRR pushes received straight into their clone -
+
+// D=2^16: a flat body is 512 KiB and a B=4 tree body ~700 KB, so every
+// push spans many reads.
+ServerSpec IntakeSpec(ServerKind kind) {
+  return ServerSpec{kind, uint64_t{1} << 16, kEps};
+}
+
+// One shard's snapshot of `spec`, from a population encoded with `seed`.
+std::vector<uint8_t> ShardSnapshot(const ServerSpec& spec, uint64_t seed) {
+  std::unique_ptr<AggregatorServer> shard = MakeAggregatorServer(spec);
+  for (const auto& chunk :
+       EncodeChunks(spec, TestValues(kUsers, spec.domain), seed)) {
+    EXPECT_EQ(shard->AbsorbBatchSerialized(chunk), protocol::ParseError::kOk);
+  }
+  return shard->SerializeState();
+}
+
+std::vector<uint8_t> MergeFrame(uint64_t merge_id, uint64_t server_id,
+                                uint64_t shard_index, uint64_t shard_count,
+                                std::span<const uint8_t> snapshot) {
+  service::StateMergeRequest request;
+  request.merge_id = merge_id;
+  request.server_id = server_id;
+  request.shard_index = shard_index;
+  request.shard_count = shard_count;
+  return service::SerializeStateMerge(request, snapshot);
+}
+
+std::vector<uint8_t> BodyOf(std::span<const uint8_t> snapshot) {
+  service::StateSnapshotHeader header;
+  EXPECT_EQ(service::ParseStateSnapshot(snapshot, &header),
+            protocol::ParseError::kOk);
+  return std::vector<uint8_t>(header.body.begin(), header.body.end());
+}
+
+// `snapshot` with its state body replaced by `body`.
+std::vector<uint8_t> WithBody(std::span<const uint8_t> snapshot,
+                              std::span<const uint8_t> body) {
+  service::StateSnapshotHeader header;
+  EXPECT_EQ(service::ParseStateSnapshot(snapshot, &header),
+            protocol::ParseError::kOk);
+  return service::SerializeStateSnapshot(header, body);
+}
+
+// Offset of the last HrrOracle record in a state body (flat bodies have
+// no leading level count).
+size_t LastRecordOffset(std::span<const uint8_t> body, bool level_count) {
+  protocol::WireReader reader(body);
+  uint64_t records = 1;
+  if (level_count) {
+    EXPECT_TRUE(reader.ReadVarU64(&records));
+  }
+  for (uint64_t r = 0; r + 1 < records; ++r) {
+    uint64_t value = 0;
+    std::span<const uint8_t> sums;
+    EXPECT_TRUE(reader.ReadVarU64(&value) && reader.ReadVarU64(&value) &&
+                reader.ReadBytes(8 * value, &sums));
+  }
+  return body.size() - reader.Remaining();
+}
+
+// Bodies whose length lies inside the window their configuration allows
+// but which fail once decoding reaches the last record — mid-way through
+// the frame.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> FailingBodies(
+    const std::vector<uint8_t>& valid, bool level_count) {
+  const size_t last = LastRecordOffset(valid, level_count);
+  protocol::WireReader reader(std::span<const uint8_t>(valid).subspan(last));
+  uint64_t reports = 0;
+  EXPECT_TRUE(reader.ReadVarU64(&reports));
+  const size_t width = protocol::VarU64Size(reports);
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> bodies;
+  std::vector<uint8_t> body = valid;
+  body[last + width] ^= 0x01;  // padded domain off by one, same width
+  bodies.emplace_back("padded_mismatch", body);
+  body = valid;
+  body.erase(body.begin() + static_cast<ptrdiff_t>(last),
+             body.begin() + static_cast<ptrdiff_t>(last + width));
+  body.insert(body.begin() + static_cast<ptrdiff_t>(last), 0x00);
+  bodies.emplace_back("zero_reports_nonzero_sums", body);
+  body = valid;
+  body.push_back(0x00);
+  bodies.emplace_back("trailing_byte", body);
+  return bodies;
+}
+
+// The ack an identically configured node gives the same frame on the
+// buffered path.
+std::vector<uint8_t> BufferedAck(const ServerSpec& spec,
+                                 std::span<const uint8_t> frame) {
+  AggregatorService parent(/*worker_threads=*/0);
+  parent.AddServer(MakeAggregatorServer(spec));
+  return parent.HandleMessage(frame);
+}
+
+TEST(NetIntake, BodyFailingMidWayIsNackedOnceTheFrameIsConsumed) {
+  for (ServerKind kind : {ServerKind::kFlat, ServerKind::kTree}) {
+    SCOPED_TRACE(ServerKindName(kind));
+    const ServerSpec spec = IntakeSpec(kind);
+    const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x1D0);
+    const auto bodies =
+        FailingBodies(BodyOf(snapshot), kind != ServerKind::kFlat);
+    AggregatorService svc(/*worker_threads=*/0);
+    const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+    TcpFrontEnd front(svc);
+    ASSERT_TRUE(front.Start());
+    TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
+    uint64_t merge_id = 1;
+    for (const auto& [name, body] : bodies) {
+      SCOPED_TRACE(name);
+      const std::vector<uint8_t> frame =
+          MergeFrame(merge_id++, id, 0, 2, WithBody(snapshot, body));
+      const uint64_t intakes = front.stats().snapshot_intakes;
+      // Everything but the last byte: the body has failed by now, yet no
+      // ack may leave before the frame is consumed.
+      ASSERT_TRUE(
+          client.Send(std::span<const uint8_t>(frame).first(frame.size() - 1)));
+      client.set_receive_timeout_ms(100);
+      std::vector<uint8_t> early;
+      EXPECT_FALSE(client.ReceiveMessage(&early));
+      EXPECT_EQ(client.last_receive_status(), net::RecvStatus::kTimeout);
+      client.set_receive_timeout_ms(20'000);
+      ASSERT_TRUE(client.Send(std::span<const uint8_t>(frame).last(1)));
+      std::vector<uint8_t> ack;
+      ASSERT_TRUE(client.ReceiveMessage(&ack));
+      EXPECT_EQ(ack, BufferedAck(spec, frame));
+      service::StateMergeResponse parsed;
+      ASSERT_EQ(service::ParseStateMergeResponse(ack, &parsed),
+                protocol::ParseError::kOk);
+      EXPECT_EQ(parsed.status, service::MergeStatus::kMalformedSnapshot);
+      EXPECT_EQ(front.stats().snapshot_intakes, intakes + 1);
+    }
+    // The connection keeps serving, and the rolled-back slot is free: the
+    // valid push of the same shard merges.
+    net::SnapshotPushOptions options;
+    options.receive_timeout_ms = 20'000;
+    const net::SnapshotPushResult pushed = net::PushStateSnapshot(
+        client, merge_id, id, 0, 2, /*flags=*/0, snapshot, options);
+    ASSERT_TRUE(pushed.ok);
+    EXPECT_EQ(pushed.shards_received, 1u);
+    front.Stop();
+    EXPECT_EQ(front.stats().protocol_errors, 0u);
+    EXPECT_EQ(front.stats().snapshot_intakes, bodies.size() + 1);
+    const service::ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.merge_requests, bodies.size() + 1);
+    EXPECT_EQ(stats.merge_rejects, bodies.size());
+    EXPECT_EQ(stats.messages, bodies.size() + 1);
+    EXPECT_EQ(svc.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
+              bodies.size() + 1);
+  }
+}
+
+TEST(NetIntake, LengthOutsideTheWindowTakesTheBufferedPath) {
+  for (ServerKind kind : {ServerKind::kHaar, ServerKind::kTree}) {
+    SCOPED_TRACE(ServerKindName(kind));
+    const ServerSpec spec = IntakeSpec(kind);
+    const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x1D1);
+    const std::vector<uint8_t> body = BodyOf(snapshot);
+    std::vector<uint8_t> longer = body;
+    longer.resize(body.size() + 4096);
+    std::vector<uint8_t> shorter(body.begin(),
+                                       body.begin() + body.size() / 2);
+    AggregatorService svc(/*worker_threads=*/0);
+    const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+    TcpFrontEnd front(svc);
+    ASSERT_TRUE(front.Start());
+    TcpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
+    client.set_receive_timeout_ms(20'000);
+    uint64_t merge_id = 1;
+    for (const std::vector<uint8_t>* forged : {&longer, &shorter}) {
+      const std::vector<uint8_t> frame =
+          MergeFrame(merge_id++, id, 0, 2, WithBody(snapshot, *forged));
+      ASSERT_GT(frame.size(), kFrontEndReadChunk);
+      ASSERT_TRUE(client.Send(frame));
+      std::vector<uint8_t> ack;
+      ASSERT_TRUE(client.ReceiveMessage(&ack));
+      EXPECT_EQ(ack, BufferedAck(spec, frame));
+    }
+    EXPECT_EQ(front.stats().snapshot_intakes, 0u);
+    // The length the configuration produces opens an intake.
+    const net::SnapshotPushResult pushed =
+        net::PushStateSnapshot(client, merge_id, id, 0, 2, 0, snapshot);
+    ASSERT_TRUE(pushed.ok);
+    front.Stop();
+    EXPECT_EQ(front.stats().snapshot_intakes, 1u);
+    EXPECT_EQ(
+        svc.registry().GetHistogram("net.frame_assembly_ns").Snapshot().count,
+        3u);
+    EXPECT_EQ(svc.stats().merge_rejects, 2u);
+  }
+}
+
+TEST(NetIntake, EofMidBodyReleasesTheReservation) {
+  const ServerSpec spec = IntakeSpec(ServerKind::kTree);
+  const std::vector<uint8_t> snaps[2] = {ShardSnapshot(spec, 0xE0F),
+                                         ShardSnapshot(spec, 0xE1F)};
+  std::unique_ptr<AggregatorServer> reference = MakeAggregatorServer(spec);
+  for (const auto& snap : snaps) {
+    ASSERT_EQ(reference->MergeSerializedState(snap), service::MergeStatus::kOk);
+  }
+  AggregatorService svc(/*worker_threads=*/0);
+  const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+  {
+    const std::vector<uint8_t> frame = MergeFrame(5, id, 0, 2, snaps[0]);
+    TcpClient dying;
+    ASSERT_TRUE(dying.Connect("127.0.0.1", front.port()));
+    ASSERT_TRUE(
+        dying.Send(std::span<const uint8_t>(frame).first(frame.size() / 2)));
+    ASSERT_TRUE(
+        EventuallyTrue([&] { return front.stats().snapshot_intakes == 1; }));
+    dying.Close();
+  }
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().protocol_errors == 1; }));
+  // The same shard, re-pushed on a new connection, is admitted again (not
+  // a duplicate) and the group merges bit-identically.
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
+  for (uint64_t s = 0; s < 2; ++s) {
+    const net::SnapshotPushResult pushed =
+        net::PushStateSnapshot(client, 5, id, s, 2, 0, snaps[s]);
+    ASSERT_TRUE(pushed.ok);
+    EXPECT_EQ(pushed.shards_received, s + 1);
+  }
+  front.Stop();
+  EXPECT_EQ(svc.server(id).SerializeState(), reference->SerializeState());
+  EXPECT_EQ(front.stats().snapshot_intakes, 3u);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.merges_completed, 1u);
+  EXPECT_EQ(stats.merge_requests, 2u);  // the aborted push never landed
+  EXPECT_EQ(stats.merge_rejects, 0u);
+}
+
+TEST(NetIntake, StalledPeerHitsTheDeadlineAndFreesItsSlot) {
+  const ServerSpec spec = IntakeSpec(ServerKind::kFlat);
+  const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x57A);
+  AggregatorService svc(/*worker_threads=*/0);
+  svc.set_merge_buffer_limit(1);
+  const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+  TcpFrontEndConfig config;
+  // Long enough that the deferred push below lands before the deadline
+  // fires, even on a slow sanitizer build.
+  config.idle_timeout_ms = 1000;
+  TcpFrontEnd front(svc, config);
+  ASSERT_TRUE(front.Start());
+  const std::vector<uint8_t> frame = MergeFrame(7, id, 0, 2, snapshot);
+  TcpClient stalled;
+  ASSERT_TRUE(stalled.Connect("127.0.0.1", front.port()));
+  ASSERT_TRUE(
+      stalled.Send(std::span<const uint8_t>(frame).first(frame.size() / 2)));
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().snapshot_intakes == 1; }));
+  auto push = [&](uint64_t merge_id, uint64_t shard) {
+    TcpClient client;  // a fresh connection: an idle one would be closed
+    EXPECT_TRUE(client.Connect("127.0.0.1", front.port()));
+    net::SnapshotPushOptions options;
+    options.max_retries = 0;
+    options.receive_timeout_ms = 20'000;
+    return net::PushStateSnapshot(client, merge_id, id, shard, 2, 0, snapshot,
+                                  options);
+  };
+  // The open intake holds the only slot: another group's push defers.
+  EXPECT_EQ(push(8, 0).status, service::MergeStatus::kWouldBlock);
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().intake_timeouts == 1; }));
+  // Its slot and its reservation are released.
+  EXPECT_TRUE(push(8, 0).ok);
+  EXPECT_TRUE(push(8, 1).ok);  // completes group 8, emptying the buffer
+  const net::SnapshotPushResult again = push(7, 0);
+  EXPECT_TRUE(again.ok);
+  EXPECT_EQ(again.shards_received, 1u);
+  front.Stop();
+  EXPECT_EQ(front.stats().intake_timeouts, 1u);
+  EXPECT_EQ(svc.stats().merge_would_block, 1u);
+  EXPECT_EQ(svc.stats().merges_completed, 1u);
+}
+
+TEST(NetIntake, DuplicateAndWouldBlockPushesMidIntakeGetTheParentsAcks) {
+  const ServerSpec spec = IntakeSpec(ServerKind::kTree);
+  const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0xD0B);
+  AggregatorService svc(/*worker_threads=*/0);
+  svc.set_merge_buffer_limit(1);
+  const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+  // Shard 0 of 3 stops mid-body, holding the only buffer slot.
+  const std::vector<uint8_t> frame = MergeFrame(9, id, 0, 3, snapshot);
+  const size_t half = frame.size() / 2;
+  TcpClient slow;
+  ASSERT_TRUE(slow.Connect("127.0.0.1", front.port()));
+  slow.set_receive_timeout_ms(20'000);
+  ASSERT_TRUE(slow.Send(std::span<const uint8_t>(frame).first(half)));
+  ASSERT_TRUE(
+      EventuallyTrue([&] { return front.stats().snapshot_intakes == 1; }));
+  auto push = [&](uint64_t shard) {
+    TcpClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", front.port()));
+    net::SnapshotPushOptions options;
+    options.max_retries = 0;
+    options.receive_timeout_ms = 20'000;
+    return net::PushStateSnapshot(client, 9, id, shard, 3, 0, snapshot,
+                                  options);
+  };
+  const net::SnapshotPushResult duplicate = push(0);
+  EXPECT_EQ(duplicate.status, service::MergeStatus::kDuplicateShard);
+  EXPECT_EQ(duplicate.shards_received, 1u);
+  const net::SnapshotPushResult blocked = push(1);
+  EXPECT_EQ(blocked.status, service::MergeStatus::kWouldBlock);
+  EXPECT_EQ(blocked.shards_received, 1u);
+  ASSERT_TRUE(slow.Send(std::span<const uint8_t>(frame).subspan(half)));
+  const service::StateMergeResponse ack = ReceiveAck(slow);
+  EXPECT_EQ(ack.status, service::MergeStatus::kOk);
+  EXPECT_EQ(ack.shards_received, 1u);
+  front.Stop();
+  EXPECT_EQ(front.stats().snapshot_intakes, 1u);
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.merge_rejects, 1u);
+  EXPECT_EQ(stats.merge_would_block, 1u);
+  EXPECT_EQ(stats.merge_requests, 3u);
+}
+
+TEST(NetIntake, StalledSingleShardPushesNeverExceedTheCap) {
+  // A shard_count = 1 push would complete its group, but as an intake it
+  // still needs a buffer slot while its bytes arrive: stalled pushes can
+  // hold at most merge_buffer_limit clones. The rest wait on the
+  // buffered path, which commits nothing before their bytes arrive.
+  const ServerSpec spec = IntakeSpec(ServerKind::kFlat);
+  const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x5111);
+  AggregatorService svc(/*worker_threads=*/0);
+  svc.set_merge_buffer_limit(2);
+  const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+  constexpr int kStalled = 4;
+  std::vector<TcpClient> stalled(kStalled);
+  size_t sent = 0;
+  for (int i = 0; i < kStalled; ++i) {
+    const std::vector<uint8_t> frame =
+        MergeFrame(100 + static_cast<uint64_t>(i), id, 0, 1, snapshot);
+    ASSERT_TRUE(stalled[i].Connect("127.0.0.1", front.port()));
+    ASSERT_TRUE(stalled[i].Send(
+        std::span<const uint8_t>(frame).first(frame.size() / 2)));
+    sent += frame.size() / 2;
+  }
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return front.stats().bytes_received >= sent; }));
+  EXPECT_EQ(front.stats().snapshot_intakes, 2u);
+  // A later push still merges, through the buffered path.
+  TcpClient late;
+  ASSERT_TRUE(late.Connect("127.0.0.1", front.port()));
+  EXPECT_TRUE(net::PushStateSnapshot(late, 200, id, 0, 1, 0, snapshot).ok);
+  EXPECT_EQ(front.stats().snapshot_intakes, 2u);
+  for (TcpClient& client : stalled) client.Close();
+  ASSERT_TRUE(EventuallyTrue(
+      [&] { return front.stats().protocol_errors == kStalled; }));
+  // Every slot came back: the next push is an intake again.
+  EXPECT_TRUE(net::PushStateSnapshot(late, 201, id, 0, 1, 0, snapshot).ok);
+  front.Stop();
+  EXPECT_EQ(front.stats().snapshot_intakes, 3u);
+  EXPECT_EQ(svc.stats().merges_completed, 2u);
+  EXPECT_EQ(svc.server(id).accepted_reports(), 2 * kUsers);
 }
 
 TEST(NetProtocol, MalformedButFramedMessageSurvivesTheConnection) {

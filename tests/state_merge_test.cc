@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -428,6 +430,73 @@ TEST(ServiceMergePlane, FanInBitIdenticalAcrossWorkersAndPushOrder) {
             3u);
         EXPECT_EQ(
             svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
+            1u);
+      }
+    }
+  }
+}
+
+// The snapshot intake and the buffered push run one admission, one
+// decoder and one landing: for any bytes whose length opens an intake,
+// landing them in pieces through Window()/Advance() must give the same
+// ack, counters and merged state as HandleMessage on the whole frame.
+TEST(ServiceMergePlane, IntakeLandsLikeTheBufferedPathAtEverySplit) {
+  for (const ServerSpec& spec : MatrixSpecs()) {
+    SCOPED_TRACE(ServerKindName(spec.kind));
+    const std::vector<std::vector<uint8_t>> batches = ShardBatches(spec);
+    const std::vector<uint8_t> snapshot =
+        IngestedServer(spec, batches)->SerializeState();
+    service::StateSnapshotHeader header;
+    ASSERT_EQ(service::ParseStateSnapshot(snapshot, &header), ParseError::kOk);
+    const std::vector<uint8_t> body(header.body.begin(), header.body.end());
+    std::vector<std::vector<uint8_t>> bodies = {body};
+    bodies.push_back(body);
+    bodies.back().push_back(0x00);  // a trailing byte
+    bodies.push_back(body);
+    bodies.back()[0] ^= 0x01;  // level count (haar, tree) or report count
+    bodies.push_back(body);
+    bodies.back()[body.size() / 2] ^= 0x5A;  // a flipped byte mid-body
+    for (size_t b = 0; b < bodies.size(); ++b) {
+      StateMergeRequest request;
+      request.merge_id = 40 + b;
+      const std::vector<uint8_t> frame = service::SerializeStateMerge(
+          request, service::SerializeStateSnapshot(header, bodies[b]));
+      const auto head = std::span<const uint8_t>(frame).first(
+          std::min(frame.size() - 1, service::kMaxStateMergeHeadBytes));
+      for (size_t piece : {size_t{1}, size_t{7}, size_t{4096}, frame.size()}) {
+        SCOPED_TRACE(testing::Message() << "body " << b << " piece " << piece);
+        AggregatorService buffered(/*worker_threads=*/0);
+        AggregatorService streamed(/*worker_threads=*/0);
+        const uint64_t id = buffered.AddServer(MakeAggregatorServer(spec));
+        streamed.AddServer(MakeAggregatorServer(spec));
+        std::unique_ptr<AggregatorService::StateIntake> intake =
+            streamed.OpenStateIntake(head, frame.size());
+        if (spec.kind == ServerKind::kGrid) {
+          // Sized by data, not configuration: always the buffered path.
+          EXPECT_EQ(intake, nullptr);
+          continue;
+        }
+        ASSERT_NE(intake, nullptr);
+        for (size_t at = head.size(); at < frame.size();) {
+          const size_t end = std::min(frame.size(), at + piece);
+          while (at < end) {
+            const std::span<uint8_t> window = intake->Window();
+            const size_t n = std::min(window.size(), end - at);
+            ASSERT_GT(n, 0u);
+            std::memcpy(window.data(), frame.data() + at, n);
+            intake->Advance(n);
+            at += n;
+          }
+        }
+        ASSERT_TRUE(intake->complete());
+        EXPECT_TRUE(intake->Window().empty());
+        EXPECT_EQ(intake->Finish(), buffered.HandleMessage(frame));
+        intake.reset();
+        EXPECT_EQ(streamed.stats(), buffered.stats());
+        EXPECT_EQ(streamed.server(id).SerializeState(),
+                  buffered.server(id).SerializeState());
+        EXPECT_EQ(
+            streamed.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
             1u);
       }
     }
