@@ -313,26 +313,55 @@ int FuzzAbsorb(Server& server, Server& twin, std::span<const uint8_t> bytes,
 
 }  // namespace
 
+// The batch check again on a pair at the smallest domain whose sums
+// arrays hold more than kHrrLookAheadFloor counters (flat and haar at
+// D = 2 x floor, tree at D = floor: 4^9 leaves), so the batch absorb's
+// look-ahead is fuzzed too. Only input that opens as a batch reaches the
+// slot loop (a structural failure is rejected before it, by the same
+// code as on the small pair), so only that input pays for the pair's
+// megabytes of state.
+template <typename Server, typename Report, typename... Config>
+void CheckAboveTheFloor(std::span<const uint8_t> bytes,
+                        ParseError (*parse)(std::span<const uint8_t>,
+                                            std::vector<Report>*, uint64_t*),
+                        Config... config) {
+  std::vector<Report> reports;
+  if (parse(bytes, &reports, nullptr) != ParseError::kOk) return;
+  Server above(config...);
+  Server above_twin(config...);
+  CheckBatchAgainstTypedReference(above, above_twin, bytes, parse);
+}
+
 int FuzzFlatAbsorb(const uint8_t* data, size_t size) {
+  std::span<const uint8_t> bytes = AsSpan(data, size);
   protocol::FlatHrrServer server(/*domain=*/64, /*eps=*/1.0);
   protocol::FlatHrrServer twin(/*domain=*/64, /*eps=*/1.0);
-  return FuzzAbsorb(server, twin, AsSpan(data, size), 64,
-                    protocol::ParseHrrReportBatch);
+  FuzzAbsorb(server, twin, bytes, 64, protocol::ParseHrrReportBatch);
+  CheckAboveTheFloor<protocol::FlatHrrServer>(
+      bytes, protocol::ParseHrrReportBatch, 2 * kHrrLookAheadFloor, 1.0);
+  return 0;
 }
 
 int FuzzHaarAbsorb(const uint8_t* data, size_t size) {
+  std::span<const uint8_t> bytes = AsSpan(data, size);
   protocol::HaarHrrServer server(/*domain=*/64, /*eps=*/1.0);
   protocol::HaarHrrServer twin(/*domain=*/64, /*eps=*/1.0);
-  return FuzzAbsorb(server, twin, AsSpan(data, size), 64,
-                    protocol::ParseHaarHrrReportBatch);
+  FuzzAbsorb(server, twin, bytes, 64, protocol::ParseHaarHrrReportBatch);
+  CheckAboveTheFloor<protocol::HaarHrrServer>(
+      bytes, protocol::ParseHaarHrrReportBatch, 2 * kHrrLookAheadFloor, 1.0);
+  return 0;
 }
 
 int FuzzTreeAbsorb(const uint8_t* data, size_t size) {
+  std::span<const uint8_t> bytes = AsSpan(data, size);
   protocol::TreeHrrServer server(/*domain=*/128, /*fanout=*/4,
                                  /*eps=*/1.0);
   protocol::TreeHrrServer twin(/*domain=*/128, /*fanout=*/4, /*eps=*/1.0);
-  return FuzzAbsorb(server, twin, AsSpan(data, size), 128,
-                    protocol::ParseTreeHrrReportBatch);
+  FuzzAbsorb(server, twin, bytes, 128, protocol::ParseTreeHrrReportBatch);
+  CheckAboveTheFloor<protocol::TreeHrrServer>(
+      bytes, protocol::ParseTreeHrrReportBatch, kHrrLookAheadFloor,
+      uint64_t{4}, 1.0);
+  return 0;
 }
 
 int FuzzAheadAbsorb(const uint8_t* data, size_t size) {

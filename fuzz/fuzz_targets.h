@@ -38,13 +38,20 @@ int FuzzDecodeEnvelope(const uint8_t* data, size_t size);
 /// Absorb: the same ParseError, accepted count, counters and
 /// SerializeState() bytes.
 
-/// FlatHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize.
+/// The flat, haar and tree targets then run the batch check again on a
+/// pair above kHrrLookAheadFloor, whose batch absorb looks ahead, for
+/// every input that opens as a batch of their family.
+
+/// FlatHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize
+/// (D = 64); the batch check at D = 2 x kHrrLookAheadFloor.
 int FuzzFlatAbsorb(const uint8_t* data, size_t size);
 
-/// HaarHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize.
+/// HaarHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize
+/// (D = 64); the batch check at D = 2 x kHrrLookAheadFloor.
 int FuzzHaarAbsorb(const uint8_t* data, size_t size);
 
-/// TreeHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize.
+/// TreeHrrServer::AbsorbSerialized + AbsorbBatchSerialized + Finalize
+/// (D = 128, B = 4); the batch check at D = kHrrLookAheadFloor, B = 4.
 int FuzzTreeAbsorb(const uint8_t* data, size_t size);
 
 /// AheadServer across both phase eras: single and batch ingest before

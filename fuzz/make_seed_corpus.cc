@@ -15,8 +15,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "common/random.h"
 #include "core/ahead.h"
+#include "frequency/hrr.h"
 #include "obs/metrics.h"
 #include "obs/stats_wire.h"
 #include "protocol/ahead_protocol.h"
@@ -27,6 +29,7 @@
 #include "protocol/oracle_wire.h"
 #include "protocol/tree_protocol.h"
 #include "protocol/wire.h"
+#include "service/aggregator_server.h"
 #include "service/server_factory.h"
 #include "service/state_wire.h"
 #include "service/stream_wire.h"
@@ -93,6 +96,63 @@ void EmitTree() {
             client.EncodeUsersSerialized(values, rng));
   WriteFile("decode_envelope", "tree_single",
             client.EncodeSerialized(11, rng));
+}
+
+// One batch per HRR absorb harness of kLookAheadSlots + 8 reports, valid
+// at the harness domain, with rejections inside the look-ahead's
+// prologue (the first kLookAheadSlots slots) and main-loop windows. The
+// harnesses' above-floor pairs (flat and haar D = 2 x kHrrLookAheadFloor,
+// tree D = kHrrLookAheadFloor) reject them too, all but flat's last one,
+// which only the small server rejects.
+void EmitLookAheadWindow() {
+  constexpr uint64_t k = service::AggregatorServer::kLookAheadSlots;
+  constexpr uint64_t kFloor = kHrrLookAheadFloor;
+  static_assert(k + 8 < 128, "the count varint must stay one byte");
+  std::vector<uint64_t> values(k + 8);
+  for (uint64_t i = 0; i < values.size(); ++i) values[i] = i % kFlatDomain;
+  // Overwrites `width` bytes of slot `slot`, from byte `offset` on, with
+  // `value` little-endian (payload: [count varint, one byte][slots]).
+  auto patch = [](std::vector<uint8_t>& msg, size_t item_size, uint64_t slot,
+                  size_t offset, uint64_t value, size_t width) {
+    uint8_t* at =
+        msg.data() + kEnvelopeHeaderSize + 1 + slot * item_size + offset;
+    for (size_t i = 0; i < width; ++i) {
+      at[i] = static_cast<uint8_t>(value >> (8 * i));
+    }
+  };
+  Rng rng(909);
+  // Flat [index u64][sign u8]: sign byte 2, index 2^64 - 1, index at the
+  // above-floor padded size, sign byte 0xFF; last, index at the harness's.
+  std::vector<uint8_t> flat =
+      FlatHrrClient(kFlatDomain, kEps).EncodeUsersSerialized(values, rng);
+  patch(flat, 9, 0, 8, 2, 1);
+  patch(flat, 9, 1, 0, UINT64_MAX, 8);
+  patch(flat, 9, k - 1, 0, 2 * kFloor, 8);
+  patch(flat, 9, k, 8, 0xFF, 1);
+  patch(flat, 9, k + 7, 0, kFlatDomain, 8);
+  WriteFile("flat_absorb", "v2_batch_look_ahead_window", flat);
+  // Haar and tree [level u8][index u64][sign u8]: level 0, sign byte 2,
+  // level 255, index 2^64 - 1; last, a level the small server lacks, with
+  // the index at the above-floor server's padded size for that level.
+  std::vector<uint8_t> haar =
+      HaarHrrClient(kHaarDomain, kEps).EncodeUsersSerialized(values, rng);
+  patch(haar, 10, 0, 0, 0, 1);
+  patch(haar, 10, 1, 9, 2, 1);
+  patch(haar, 10, k - 1, 0, 255, 1);
+  patch(haar, 10, k, 1, UINT64_MAX, 8);
+  patch(haar, 10, k + 7, 0, 7, 1);
+  patch(haar, 10, k + 7, 1, (2 * kFloor) >> 7, 8);
+  WriteFile("haar_absorb", "v2_batch_look_ahead_window", haar);
+  std::vector<uint8_t> tree =
+      TreeHrrClient(kTreeDomain, kTreeFanout, kEps)
+          .EncodeUsersSerialized(values, rng);
+  patch(tree, 10, 0, 0, 0, 1);
+  patch(tree, 10, 1, 9, 2, 1);
+  patch(tree, 10, k - 1, 0, 255, 1);
+  patch(tree, 10, k, 1, UINT64_MAX, 8);
+  patch(tree, 10, k + 7, 0, 5, 1);
+  patch(tree, 10, k + 7, 1, IntPow(kTreeFanout, 5), 8);
+  WriteFile("tree_absorb", "v2_batch_look_ahead_window", tree);
 }
 
 void EmitOracles() {
@@ -708,6 +768,7 @@ int main(int argc, char** argv) {
   EmitAhead();
   EmitMultiDim();
   EmitEveryRejection();
+  EmitLookAheadWindow();
   EmitOracles();
   EmitAdversarial();
   EmitStream();

@@ -33,6 +33,19 @@ namespace ldp {
 
 class HrrStateDecoder;
 
+/// The state size, in counters, past which a wire server's batch absorb
+/// looks ahead (AggregatorServer::AbsorbReportSlots): a server whose sums
+/// arrays together hold more than 2^17 counters, 1 MiB of int64 sums.
+/// Up to it the counters stay in a core's L2 under the absorb loop, so
+/// the look-ahead's second decode and range check of every slot only
+/// costs time; past it each report's add waits on a cache (and TLB) miss
+/// that the look-ahead overlaps with the adds before it. The test is on
+/// the whole state, not the largest array: flat at D = 2^17 (one 1 MiB
+/// array) absorbs slower with the look-ahead, HaarHRR at D = 2^18 (a
+/// 1 MiB level and 1 MiB of smaller ones) faster. Set by BM_AbsorbBatch
+/// (bench/bench_micro_wire.cc).
+inline constexpr uint64_t kHrrLookAheadFloor = uint64_t{1} << 17;
+
 /// One HRR user report: a sampled Hadamard coefficient index and the
 /// randomized sign of that coefficient — ceil(log2 D) + 1 bits on the
 /// wire. This is the quantity a real deployment transmits; see
@@ -93,6 +106,19 @@ class HrrOracle final : public FrequencyOracle {
     coefficient_sums_[report.coefficient_index] += report.sign;
     ++reports_;
   }
+
+  /// Whether a batch absorb into this oracle alone looks ahead: its sums
+  /// array holds more than kHrrLookAheadFloor counters. Fixed at
+  /// construction.
+  bool look_ahead() const { return padded_ > kHrrLookAheadFloor; }
+
+  /// The counter AddValidatedReport adds a report at coefficient `index`
+  /// to: what the batch look-ahead prefetches. `index` must already be
+  /// range-checked (< padded_domain()).
+  const int64_t* SumAddress(uint64_t index) const {
+    LDP_DCHECK_LT(index, padded_);
+    return coefficient_sums_.data() + index;
+  }
   std::vector<double> EstimateFractions() const override;
   std::unique_ptr<FrequencyOracle> CloneEmpty() const override;
   void MergeFrom(const FrequencyOracle& other) override;
@@ -133,9 +159,14 @@ class HrrLevels {
   /// Appends an empty oracle over `domain` items as the next level.
   void AddLevel(uint64_t domain, double eps) {
     levels_.push_back(std::make_unique<HrrOracle>(domain, eps));
+    counters_ += levels_.back()->padded_domain();
   }
 
   HrrOracle& operator[](size_t i) { return *levels_[i]; }
+
+  /// Whether a batch absorb into the levels looks ahead: their sums
+  /// arrays together hold more than kHrrLookAheadFloor counters.
+  bool look_ahead() const { return counters_ > kHrrLookAheadFloor; }
 
   /// The levels as the shared estimators (core/) read them.
   std::vector<const FrequencyOracle*> Views() const;
@@ -151,6 +182,7 @@ class HrrLevels {
 
  private:
   std::vector<std::unique_ptr<HrrOracle>> levels_;
+  uint64_t counters_ = 0;  // sums-array counters over all levels
 };
 
 /// The one decoder of HRR aggregate state, incremental: it restores a

@@ -111,18 +111,23 @@ std::vector<uint8_t> FlatHrrClient::EncodeUsersSerialized(
 
 FlatHrrServer::FlatHrrServer(uint64_t domain, double eps)
     : domain_(domain),
-      padded_(NextPowerOfTwo(domain)),
       eps_(eps),
       oracle_(std::make_unique<HrrOracle>(domain, eps)) {
   LDP_CHECK_GE(domain, 2u);
 }
 
-bool FlatHrrServer::Fold(const HrrReport& report) {
-  if (report.coefficient_index >= padded_ ||
+HrrOracle* FlatHrrServer::Locate(const HrrReport& report) {
+  if (report.coefficient_index >= oracle_->padded_domain() ||
       (report.sign != 1 && report.sign != -1)) {
-    return false;
+    return nullptr;
   }
-  oracle_->AddValidatedReport(report);
+  return oracle_.get();
+}
+
+bool FlatHrrServer::Fold(const HrrReport& report) {
+  HrrOracle* oracle = Locate(report);
+  if (oracle == nullptr) return false;
+  oracle->AddValidatedReport(report);
   return true;
 }
 
@@ -145,9 +150,19 @@ ParseError FlatHrrServer::DoAbsorbBatchSerialized(
   ReportBatch batch;
   ParseError open =
       OpenReportBatch(bytes, MechanismTag::kFlatHrrBatch, kItemSize, &batch);
+  auto fold = [this](const HrrReport& report) { return Fold(report); };
+  if (!oracle_->look_ahead()) {
+    return AbsorbReportSlots<HrrReport>(open, batch, DecodeItem, fold,
+                                        accepted);
+  }
   return AbsorbReportSlots<HrrReport>(
-      open, batch, DecodeItem,
-      [this](const HrrReport& report) { return Fold(report); }, accepted);
+      open, batch, DecodeItem, fold, accepted,
+      [this](const HrrReport& report) -> const void* {
+        const HrrOracle* oracle = Locate(report);
+        return oracle == nullptr
+                   ? nullptr
+                   : oracle->SumAddress(report.coefficient_index);
+      });
 }
 
 void FlatHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

@@ -102,8 +102,11 @@ class FlatHrrServer final : public service::AggregatorServer {
   std::optional<HrrStateDecoder> StateBodyDecoder() override;
 
  private:
-  /// Range checks + add: the one fold behind Absorb and the batch slot
-  /// loop. False (nothing added) when the report is out of range.
+  /// Range checks: the oracle `report` adds to, or nullptr when it is
+  /// out of range. The one check behind Fold and the batch look-ahead.
+  HrrOracle* Locate(const HrrReport& report);
+  /// Locate + add: the one fold behind Absorb and the batch slot loop.
+  /// False (nothing added) when the report is out of range.
   bool Fold(const HrrReport& report);
 
   void DoFinalize() override;
@@ -117,7 +120,6 @@ class FlatHrrServer final : public service::AggregatorServer {
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 
   uint64_t domain_;
-  uint64_t padded_;
   double eps_;
   std::unique_ptr<HrrOracle> oracle_;
   std::optional<FlatEstimate> estimate_;

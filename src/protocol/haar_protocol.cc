@@ -136,13 +136,22 @@ HaarHrrServer::HaarHrrServer(uint64_t domain, double eps)
   }
 }
 
-bool HaarHrrServer::Fold(const HaarHrrReport& report) {
+HrrOracle* HaarHrrServer::Locate(const HaarHrrReport& report) {
   if (report.level == 0 || report.level > height_ ||
-      report.inner.coefficient_index >= (padded_ >> report.level) ||
       (report.inner.sign != 1 && report.inner.sign != -1)) {
-    return false;
+    return nullptr;
   }
-  levels_[report.level - 1].AddValidatedReport(report.inner);
+  HrrOracle& oracle = levels_[report.level - 1];
+  if (report.inner.coefficient_index >= oracle.padded_domain()) {
+    return nullptr;
+  }
+  return &oracle;
+}
+
+bool HaarHrrServer::Fold(const HaarHrrReport& report) {
+  HrrOracle* oracle = Locate(report);
+  if (oracle == nullptr) return false;
+  oracle->AddValidatedReport(report.inner);
   return true;
 }
 
@@ -165,9 +174,19 @@ ParseError HaarHrrServer::DoAbsorbBatchSerialized(
   ReportBatch batch;
   ParseError open =
       OpenReportBatch(bytes, MechanismTag::kHaarHrrBatch, kItemSize, &batch);
+  auto fold = [this](const HaarHrrReport& report) { return Fold(report); };
+  if (!levels_.look_ahead()) {
+    return AbsorbReportSlots<HaarHrrReport>(open, batch, DecodeItem, fold,
+                                            accepted);
+  }
   return AbsorbReportSlots<HaarHrrReport>(
-      open, batch, DecodeItem,
-      [this](const HaarHrrReport& report) { return Fold(report); }, accepted);
+      open, batch, DecodeItem, fold, accepted,
+      [this](const HaarHrrReport& report) -> const void* {
+        const HrrOracle* oracle = Locate(report);
+        return oracle == nullptr
+                   ? nullptr
+                   : oracle->SumAddress(report.inner.coefficient_index);
+      });
 }
 
 void HaarHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

@@ -130,8 +130,11 @@ class HaarHrrServer final : public service::AggregatorServer {
   std::optional<HrrStateDecoder> StateBodyDecoder() override;
 
  private:
-  /// Range checks + add: the one fold behind Absorb and the batch slot
-  /// loop. False (nothing added) when the report is out of range.
+  /// Range checks: the level oracle `report` adds to, or nullptr when it
+  /// is out of range. The one check behind Fold and the batch look-ahead.
+  HrrOracle* Locate(const HaarHrrReport& report);
+  /// Locate + add: the one fold behind Absorb and the batch slot loop.
+  /// False (nothing added) when the report is out of range.
   bool Fold(const HaarHrrReport& report);
 
   void DoFinalize() override;

@@ -126,14 +126,22 @@ TreeHrrServer::TreeHrrServer(uint64_t domain, uint64_t fanout, double eps,
   }
 }
 
-bool TreeHrrServer::Fold(const TreeHrrReport& report) {
+HrrOracle* TreeHrrServer::Locate(const TreeHrrReport& report) {
   if (report.level == 0 || report.level > shape_.height() ||
       (report.inner.sign != 1 && report.inner.sign != -1)) {
-    return false;
+    return nullptr;
   }
   HrrOracle& oracle = levels_[report.level - 1];
-  if (report.inner.coefficient_index >= oracle.padded_domain()) return false;
-  oracle.AddValidatedReport(report.inner);
+  if (report.inner.coefficient_index >= oracle.padded_domain()) {
+    return nullptr;
+  }
+  return &oracle;
+}
+
+bool TreeHrrServer::Fold(const TreeHrrReport& report) {
+  HrrOracle* oracle = Locate(report);
+  if (oracle == nullptr) return false;
+  oracle->AddValidatedReport(report.inner);
   return true;
 }
 
@@ -156,9 +164,19 @@ ParseError TreeHrrServer::DoAbsorbBatchSerialized(
   ReportBatch batch;
   ParseError open =
       OpenReportBatch(bytes, MechanismTag::kTreeHrrBatch, kItemSize, &batch);
+  auto fold = [this](const TreeHrrReport& report) { return Fold(report); };
+  if (!levels_.look_ahead()) {
+    return AbsorbReportSlots<TreeHrrReport>(open, batch, DecodeItem, fold,
+                                            accepted);
+  }
   return AbsorbReportSlots<TreeHrrReport>(
-      open, batch, DecodeItem,
-      [this](const TreeHrrReport& report) { return Fold(report); }, accepted);
+      open, batch, DecodeItem, fold, accepted,
+      [this](const TreeHrrReport& report) -> const void* {
+        const HrrOracle* oracle = Locate(report);
+        return oracle == nullptr
+                   ? nullptr
+                   : oracle->SumAddress(report.inner.coefficient_index);
+      });
 }
 
 void TreeHrrServer::AppendStateBody(std::vector<uint8_t>& out) const {

@@ -115,8 +115,11 @@ class TreeHrrServer final : public service::AggregatorServer {
   std::optional<HrrStateDecoder> StateBodyDecoder() override;
 
  private:
-  /// Range checks + add: the one fold behind Absorb and the batch slot
-  /// loop. False (nothing added) when the report is out of range.
+  /// Range checks: the level oracle `report` adds to, or nullptr when it
+  /// is out of range. The one check behind Fold and the batch look-ahead.
+  HrrOracle* Locate(const TreeHrrReport& report);
+  /// Locate + add: the one fold behind Absorb and the batch slot loop.
+  /// False (nothing added) when the report is out of range.
   bool Fold(const TreeHrrReport& report);
 
   void DoFinalize() override;

@@ -18,14 +18,18 @@
 #ifndef LDPRANGE_SERVICE_AGGREGATOR_SERVER_H_
 #define LDPRANGE_SERVICE_AGGREGATOR_SERVER_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
+#include "common/prefetch.h"
 #include "core/range_mechanism.h"
 #include "frequency/hrr.h"
 #include "obs/metrics.h"
@@ -74,6 +78,11 @@ class AggregatorServer {
   /// mechanism-specific DoAbsorbBatchSerialized.
   protocol::ParseError AbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                              uint64_t* accepted = nullptr);
+
+  /// How far ahead, in report slots, a batch absorb that looks ahead
+  /// (AbsorbReportSlots) resolves and prefetches a counter. Set by
+  /// BM_AbsorbBatch (bench/bench_micro_wire.cc).
+  static constexpr uint64_t kLookAheadSlots = 64;
 
   /// Debiases the aggregate and builds the query structure. Must be
   /// called exactly once, after all reports and before any query.
@@ -278,20 +287,46 @@ class AggregatorServer {
   /// `fold` (bool(const Report&): range checks + add), with the counts
   /// kept locally — the counters move once per batch, by its totals.
   /// `accepted` (may be null) receives the number folded.
-  template <typename Report, typename DecodeFn, typename FoldFn>
+  ///
+  /// `locate` is the look-ahead of a family whose counters spill out of
+  /// cache, or nullptr (the plain loop) for every other server. It is
+  /// the range-check half of `fold` (const void*(const Report&)): the
+  /// counter the fold of a decoded report would add to, or nullptr where
+  /// the fold would reject it. While the loop folds slot i it decodes and
+  /// locates slot i + kLookAheadSlots, when that slot is inside the batch,
+  /// and prefetches the counter, so each report's cache miss overlaps the
+  /// decode and add of the reports before it; a prologue does the same
+  /// for the first kLookAheadSlots slots. A prefetch is only a hint: the
+  /// adds, their order and the counts are those of the plain loop.
+  template <typename Report, typename DecodeFn, typename FoldFn,
+            typename LocateFn = std::nullptr_t>
   protocol::ParseError AbsorbReportSlots(protocol::ParseError open,
                                          const protocol::ReportBatch& batch,
                                          DecodeFn decode, FoldFn fold,
-                                         uint64_t* accepted) {
+                                         uint64_t* accepted,
+                                         LocateFn locate = nullptr) {
     LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
     if (accepted != nullptr) *accepted = 0;
     if (open != protocol::ParseError::kOk) {
       stats_.CountRejected();
       return open;
     }
+    constexpr bool kLookAhead = !std::is_same_v<LocateFn, std::nullptr_t>;
     uint64_t ok = 0;
     const uint8_t* slot = batch.slots;
+    if constexpr (kLookAhead) {
+      const uint64_t warm = std::min(batch.count, kLookAheadSlots);
+      for (uint64_t i = 0; i < warm; ++i) {
+        PrefetchSlot<Report>(slot + i * batch.item_size, decode, locate);
+      }
+    }
     for (uint64_t i = 0; i < batch.count; ++i, slot += batch.item_size) {
+      if constexpr (kLookAhead) {
+        if (i + kLookAheadSlots < batch.count) {
+          PrefetchSlot<Report>(slot + kLookAheadSlots * batch.item_size,
+                               decode, locate);
+        }
+      }
       Report report;
       if (decode(slot, &report) && fold(report)) ++ok;
     }
@@ -305,6 +340,17 @@ class AggregatorServer {
   bool finalized_ = false;
 
  private:
+  /// One look-ahead step of AbsorbReportSlots: prefetches the counter the
+  /// fold of `slot` will add to; nothing for a slot it will reject.
+  template <typename Report, typename DecodeFn, typename LocateFn>
+  [[gnu::always_inline]] static void PrefetchSlot(const uint8_t* slot,
+                                                  DecodeFn& decode,
+                                                  LocateFn& locate) {
+    Report report;
+    if (!decode(slot, &report)) return;
+    if (const void* counter = locate(report)) PrefetchForWrite(counter);
+  }
+
   obs::LatencyHistogram absorb_batch_ns_;
   obs::LatencyHistogram finalize_ns_;
   // Mutable: SerializeState is logically read-only; the histogram is

@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "common/bit_util.h"
 #include "common/random.h"
 #include "core/flat.h"
 #include "core/haar_hrr.h"
@@ -20,7 +25,12 @@
 #include "data/workload.h"
 #include "eval/experiment.h"
 #include "frequency/hrr.h"
+#include "protocol/envelope.h"
+#include "protocol/flat_protocol.h"
+#include "protocol/haar_protocol.h"
 #include "protocol/tree_protocol.h"
+#include "protocol/wire.h"
+#include "service/aggregator_server.h"
 
 namespace ldp {
 namespace {
@@ -177,6 +187,189 @@ TEST(BatchIngest, ProtocolBatchRoundTripMatchesLoop) {
   EXPECT_EQ(batch_server.accepted_reports(), loop_server.accepted_reports());
   EXPECT_EQ(batch_server.EstimateFrequencies(),
             loop_server.EstimateFrequencies());
+}
+
+// --- The batch look-ahead, above and below its floor ------------------
+//
+// A flat, haar or tree server whose sums arrays hold more than
+// kHrrLookAheadFloor counters absorbs a batch with the look-ahead
+// (AggregatorServer::AbsorbReportSlots); up to the floor it runs the
+// plain loop. Either way a batch must leave exactly what absorbing each
+// of its slots as a single-report message leaves: the same accepted
+// count, stats() and SerializeState() bytes.
+
+constexpr uint64_t kLookAhead = service::AggregatorServer::kLookAheadSlots;
+
+// One HRR family at one domain, with its slot layout:
+// flat [index u64][sign u8], haar and tree [level u8][index u64][sign u8].
+struct HrrFamily {
+  std::string name;
+  uint64_t counters = 0;  // in all its sums arrays
+  uint32_t height = 0;    // levels; 0 for flat
+  protocol::MechanismTag single_tag{};
+  protocol::MechanismTag batch_tag{};
+  std::function<std::unique_ptr<service::AggregatorServer>()> make;
+  std::function<std::vector<uint8_t>(std::span<const uint64_t>, Rng&)>
+      encode;
+  // The padded size of the sums array a report at `level` adds to.
+  std::function<uint64_t(uint32_t level)> padded_at;
+
+  size_t item_size() const { return height == 0 ? 9 : 10; }
+  size_t index_offset() const { return height == 0 ? 0 : 1; }
+  size_t sign_offset() const { return height == 0 ? 8 : 9; }
+};
+
+HrrFamily FlatFamily(uint64_t d) {
+  const uint64_t padded = NextPowerOfTwo(d);
+  return {"flat", padded, 0, protocol::MechanismTag::kFlatHrr,
+          protocol::MechanismTag::kFlatHrrBatch,
+          [d] { return std::make_unique<protocol::FlatHrrServer>(d, 1.0); },
+          [d](std::span<const uint64_t> values, Rng& rng) {
+            return protocol::FlatHrrClient(d, 1.0).EncodeUsersSerialized(
+                values, rng);
+          },
+          [padded](uint32_t) { return padded; }};
+}
+
+HrrFamily HaarFamily(uint64_t d) {
+  const uint64_t padded = NextPowerOfTwo(d);
+  return {"haar", padded - 1, Log2Floor(padded),
+          protocol::MechanismTag::kHaarHrr,
+          protocol::MechanismTag::kHaarHrrBatch,
+          [d] { return std::make_unique<protocol::HaarHrrServer>(d, 1.0); },
+          [d](std::span<const uint64_t> values, Rng& rng) {
+            return protocol::HaarHrrClient(d, 1.0).EncodeUsersSerialized(
+                values, rng);
+          },
+          [padded](uint32_t level) { return padded >> level; }};
+}
+
+HrrFamily TreeFamily(uint64_t d) {
+  const TreeShape shape(d, 4);
+  return {"tree", shape.TotalNodes() - 1, shape.height(),
+          protocol::MechanismTag::kTreeHrr,
+          protocol::MechanismTag::kTreeHrrBatch,
+          [d] { return std::make_unique<protocol::TreeHrrServer>(d, 4, 1.0); },
+          [d](std::span<const uint64_t> values, Rng& rng) {
+            return protocol::TreeHrrClient(d, 4, 1.0).EncodeUsersSerialized(
+                values, rng);
+          },
+          [shape](uint32_t level) {
+            return NextPowerOfTwo(shape.NodesAtLevel(level));
+          }};
+}
+
+// Every family at D = 2^20, above the floor, and at D = 1000, below it.
+std::vector<std::pair<HrrFamily, bool>> FamiliesAroundTheFloor() {
+  std::vector<std::pair<HrrFamily, bool>> families;
+  for (uint64_t d : {uint64_t{1} << 20, uint64_t{1000}}) {
+    const bool above = d > 1000;
+    families.emplace_back(FlatFamily(d), above);
+    families.emplace_back(HaarFamily(d), above);
+    families.emplace_back(TreeFamily(d), above);
+  }
+  return families;
+}
+
+// Overwrites a slot's index field (little-endian u64 at `at`).
+void StoreIndex(uint8_t* at, uint64_t index) {
+  for (int i = 0; i < 8; ++i) at[i] = static_cast<uint8_t>(index >> (8 * i));
+}
+
+// Absorbs `msg` as one batch into `server`, and slot by slot, each
+// re-framed as a single-report message, into `twin`: the accepted count
+// and stats() must agree.
+void ExpectBatchMatchesPerReport(const HrrFamily& family,
+                                 service::AggregatorServer& server,
+                                 service::AggregatorServer& twin,
+                                 std::span<const uint8_t> msg) {
+  uint64_t accepted = 0;
+  ASSERT_EQ(server.AbsorbBatchSerialized(msg, &accepted),
+            protocol::ParseError::kOk);
+  protocol::ReportBatch batch;
+  ASSERT_EQ(protocol::OpenReportBatch(msg, family.batch_tag,
+                                      family.item_size(), &batch),
+            protocol::ParseError::kOk);
+  uint64_t want = 0;
+  for (uint64_t i = 0; i < batch.count; ++i) {
+    std::span<const uint8_t> slot(batch.slots + i * family.item_size(),
+                                  family.item_size());
+    want += twin.AbsorbSerialized(
+        protocol::EncodeEnvelope(family.single_tag, slot));
+  }
+  EXPECT_EQ(accepted, want);
+  EXPECT_EQ(server.stats(), twin.stats());
+}
+
+TEST(BatchIngest, LookAheadBatchesMatchPerReportAbsorbAtEverySize) {
+  for (const auto& [family, above] : FamiliesAroundTheFloor()) {
+    SCOPED_TRACE(family.name + (above ? " above" : " below") + " the floor");
+    EXPECT_EQ(family.counters > kHrrLookAheadFloor, above);
+    auto server = family.make();
+    auto twin = family.make();
+    Rng rng(31);
+    for (uint64_t n : {uint64_t{0}, uint64_t{1}, kLookAhead - 1, kLookAhead,
+                       kLookAhead + 1, uint64_t{2000}}) {
+      ExpectBatchMatchesPerReport(family, *server, *twin,
+                                  family.encode(TestValues(n, 1000), rng));
+    }
+    EXPECT_EQ(server->accepted_reports(),
+              1 + 3 * kLookAhead + 2000);
+    EXPECT_EQ(server->SerializeState(), twin->SerializeState());
+  }
+}
+
+TEST(BatchIngest, LookAheadSkipsMalformedSlotsAtEveryOffset) {
+  // One malformed slot at each offset of a (k + 8)-slot batch, so it is
+  // looked ahead at from the prologue and from the main loop: a sign byte
+  // of 2, level 0, a level above the height, the index at its level's
+  // padded size, and index 2^64 - 1.
+  for (const auto& [family, above] : FamiliesAroundTheFloor()) {
+    SCOPED_TRACE(family.name + (above ? " above" : " below") + " the floor");
+    auto server = family.make();
+    auto twin = family.make();
+    Rng rng(37);
+    const std::vector<uint8_t> valid =
+        family.encode(TestValues(kLookAhead + 8, 1000), rng);
+    protocol::ReportBatch batch;
+    ASSERT_EQ(protocol::OpenReportBatch(valid, family.batch_tag,
+                                        family.item_size(), &batch),
+              protocol::ParseError::kOk);
+    const size_t first_slot = static_cast<size_t>(batch.slots - valid.data());
+
+    using Corrupt = std::function<void(uint8_t* slot)>;
+    std::vector<std::pair<std::string, Corrupt>> corruptions = {
+        {"sign byte 2",
+         [&](uint8_t* slot) { slot[family.sign_offset()] = 2; }},
+        {"index at the padded size",
+         [&](uint8_t* slot) {
+           const uint64_t padded =
+               family.padded_at(family.height == 0 ? 0 : slot[0]);
+           StoreIndex(slot + family.index_offset(), padded);
+         }},
+        {"index 2^64 - 1", [&](uint8_t* slot) {
+           StoreIndex(slot + family.index_offset(), UINT64_MAX);
+         }}};
+    if (family.height > 0) {
+      corruptions.push_back({"level 0", [](uint8_t* slot) { slot[0] = 0; }});
+      corruptions.push_back({"level above the height", [&](uint8_t* slot) {
+                               slot[0] =
+                                   static_cast<uint8_t>(family.height + 1);
+                             }});
+    }
+    uint64_t rejected = 0;
+    for (const auto& [what, corrupt] : corruptions) {
+      for (uint64_t offset = 0; offset < batch.count; ++offset) {
+        SCOPED_TRACE(what + " at slot " + std::to_string(offset));
+        std::vector<uint8_t> msg = valid;
+        corrupt(msg.data() + first_slot + offset * family.item_size());
+        ExpectBatchMatchesPerReport(family, *server, *twin, msg);
+        ++rejected;
+      }
+    }
+    EXPECT_EQ(server->rejected_reports(), rejected);
+    EXPECT_EQ(server->SerializeState(), twin->SerializeState());
+  }
 }
 
 TEST(BatchIngest, MergeFromRejectsIncompatibleMechanisms) {

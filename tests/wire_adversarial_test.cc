@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "frequency/hrr.h"
 #include "protocol/ahead_protocol.h"
 #include "protocol/envelope.h"
 #include "protocol/flat_protocol.h"
@@ -111,6 +112,44 @@ std::vector<IngestKind> AllIngestKinds() {
            protocol::ParseTreeHrrReportBatch),
        protocol::TreeHrrClient(128, 4, 1.0)
            .EncodeUsersSerialized(values, rng)});
+  // The same families at the smallest domains whose sums arrays hold
+  // more than kHrrLookAheadFloor counters, so their batch absorb looks
+  // ahead: flat (D counters) and haar (D - 1) at D = 2 x floor, tree
+  // (4^l counters at level l, 4^9 leaves) at D = floor. Each input the
+  // sweeps below make costs these pairs megabytes of fresh state, so
+  // their valid batch holds one report: every field of a slot is still
+  // corrupted, and the look-ahead's prologue still decodes and locates
+  // it (BatchIngest.LookAhead* covers every slot offset).
+  const std::vector<uint64_t> one = {33};
+  kinds.push_back(
+      {"flat_above_floor",
+       [] {
+         return std::make_unique<protocol::FlatHrrServer>(
+             2 * kHrrLookAheadFloor, 1.0);
+       },
+       ReferenceFor<protocol::FlatHrrServer>(protocol::ParseHrrReportBatch),
+       protocol::FlatHrrClient(2 * kHrrLookAheadFloor, 1.0)
+           .EncodeUsersSerialized(one, rng)});
+  kinds.push_back(
+      {"haar_above_floor",
+       [] {
+         return std::make_unique<protocol::HaarHrrServer>(
+             2 * kHrrLookAheadFloor, 1.0);
+       },
+       ReferenceFor<protocol::HaarHrrServer>(
+           protocol::ParseHaarHrrReportBatch),
+       protocol::HaarHrrClient(2 * kHrrLookAheadFloor, 1.0)
+           .EncodeUsersSerialized(one, rng)});
+  kinds.push_back(
+      {"tree_above_floor",
+       [] {
+         return std::make_unique<protocol::TreeHrrServer>(kHrrLookAheadFloor,
+                                                          4, 1.0);
+       },
+       ReferenceFor<protocol::TreeHrrServer>(
+           protocol::ParseTreeHrrReportBatch),
+       protocol::TreeHrrClient(kHrrLookAheadFloor, 4, 1.0)
+           .EncodeUsersSerialized(one, rng)});
   // AHEAD in both eras: phase 1 on a fresh server, phase 2 once a
   // report-free BuildTree has broadcast the full split of 64/4.
   protocol::AheadClient ahead(64, 4, 1.0);
