@@ -1,14 +1,13 @@
 // Streamed vs one-shot ingestion: what does the service layer cost?
 //
-// The acceptance claim for PR 5: at D = 2^16, streaming a population as
-// kStreamChunk messages through AggregatorService (session bookkeeping,
-// per-server strand queue, worker-pool handoff) lands within 10% of the
-// bare AbsorbBatchSerialized loop on the same chunk bytes — the stream
-// framing adds ~18 bytes and one map lookup per multi-thousand-report
-// chunk, so the absorb work dominates. BM_StreamedChunks covers worker
-// pool sizes 1 and 4; BM_OneShotBatch is the reference. Chunk bytes are
-// pre-encoded outside the timed region (client-side encode cost is the
-// same on both paths and is measured by bench_ingest_throughput).
+// The claim: at D = 2^16, streaming a population as kStreamChunk messages
+// through AggregatorService (session bookkeeping, the per-server strand,
+// the chunk copy out of the message) lands within 10% of the bare
+// AbsorbBatchSerialized loop on the same chunk bytes — the stream framing
+// adds ~18 bytes and one map lookup per multi-thousand-report chunk, so
+// the absorb work dominates. BM_OneShotBatch is the reference. Chunk
+// bytes are pre-encoded outside the timed region (client-side encode cost
+// is the same on both paths and is measured by bench_ingest_throughput).
 
 #include <benchmark/benchmark.h>
 
@@ -80,18 +79,14 @@ BENCHMARK(BM_OneShotBatch)
     ->UseRealTime();
 
 // Streamed: the same chunk bytes through the live service, one fresh
-// session per iteration (steady-state serving; the pool and server are
-// long-lived). Wall-clock time, since the absorb work runs on pool
-// workers. workers = 0 is inline mode — the acceptance comparison
-// against BM_OneShotBatch, isolating the framing + session cost from
-// core count (on a single-core box the pooled variants serialize the
-// producer and worker, so their wall time is the sum of both).
+// session per iteration (steady-state serving; the service and server are
+// long-lived). The service absorbs each chunk inside HandleMessage, on
+// this thread.
 void BM_StreamedChunks(benchmark::State& state) {
   uint64_t domain = state.range(0);
   int64_t num_chunks = state.range(1);
-  unsigned workers = static_cast<unsigned>(state.range(2));
   std::vector<std::vector<uint8_t>> chunks = MakeChunks(domain, num_chunks);
-  service::AggregatorService svc(workers);
+  service::AggregatorService svc;
   uint64_t id =
       svc.AddServer(service::MakeAggregatorServer(TreeSpec(domain)));
   uint64_t session = 0;
@@ -104,64 +99,15 @@ void BM_StreamedChunks(benchmark::State& state) {
     }
     svc.HandleMessage(service::SerializeStreamEnd(
         {session, static_cast<uint64_t>(num_chunks), 0}));
-    svc.Drain();
     benchmark::DoNotOptimize(svc.server(id).accepted_reports());
   }
   state.SetItemsProcessed(state.iterations() * num_chunks *
                           kReportsPerChunk);
 }
 BENCHMARK(BM_StreamedChunks)
-    ->Args({1 << 12, 8, 0})
-    ->Args({1 << 16, 8, 0})
-    ->Args({1 << 16, 32, 0})
-    ->Args({1 << 16, 8, 1})
-    ->Args({1 << 16, 32, 1})
-    ->Args({1 << 16, 32, 4})
-    ->UseRealTime();
-
-// Many mechanism instances ingesting concurrently — the case the worker
-// pool exists for: 4 servers, one session each per iteration. With one
-// worker the strands serialize; with 4 they genuinely overlap.
-void BM_StreamedMultiServer(benchmark::State& state) {
-  uint64_t domain = state.range(0);
-  int64_t num_chunks = state.range(1);
-  unsigned workers = static_cast<unsigned>(state.range(2));
-  std::vector<std::vector<uint8_t>> chunks = MakeChunks(domain, num_chunks);
-  constexpr int kServers = 4;
-  service::AggregatorService svc(workers);
-  std::vector<uint64_t> ids;
-  for (int s = 0; s < kServers; ++s) {
-    ids.push_back(
-        svc.AddServer(service::MakeAggregatorServer(TreeSpec(domain))));
-  }
-  uint64_t session = 0;
-  for (auto _ : state) {
-    uint64_t base = session;
-    for (int s = 0; s < kServers; ++s) {
-      svc.HandleMessage(service::SerializeStreamBegin({base + s, ids[s]}));
-    }
-    for (int64_t c = 0; c < num_chunks; ++c) {
-      for (int s = 0; s < kServers; ++s) {
-        svc.HandleMessage(service::SerializeStreamChunk(
-            base + s, static_cast<uint64_t>(c), chunks[c]));
-      }
-    }
-    // End each session so its sequence set is released; without this
-    // the timed region accumulates per-session state across iterations.
-    for (int s = 0; s < kServers; ++s) {
-      svc.HandleMessage(service::SerializeStreamEnd(
-          {base + s, static_cast<uint64_t>(num_chunks), 0}));
-    }
-    svc.Drain();
-    session += kServers;
-    benchmark::DoNotOptimize(svc.server(ids[0]).accepted_reports());
-  }
-  state.SetItemsProcessed(state.iterations() * kServers * num_chunks *
-                          kReportsPerChunk);
-}
-BENCHMARK(BM_StreamedMultiServer)
-    ->Args({1 << 16, 8, 1})
-    ->Args({1 << 16, 8, 4})
+    ->Args({1 << 12, 8})
+    ->Args({1 << 16, 8})
+    ->Args({1 << 16, 32})
     ->UseRealTime();
 
 }  // namespace

@@ -28,8 +28,7 @@
 // Output: human-readable summary on stdout, plus --json=PATH with the
 // medians-over---reps numbers in the same shape as the other checked-in
 // BENCH_*.json baselines. --assert-clean exits non-zero unless the run
-// was hygienic (no rejected/incomplete/late/malformed anything) — socket
-// pauses are NOT a failure, they are backpressure doing its job.
+// was hygienic (no rejected/incomplete/late/malformed anything).
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -88,7 +87,6 @@ struct Options {
   uint64_t domain = 1024;
   double eps = 1.0;
   uint64_t fanout = 4;
-  unsigned workers = 0;  // 0 => hardware_concurrency / 2, min 1
   uint64_t queries = 200;
   unsigned reps = 3;
   double min_seconds = 0.0;  // per ingest rep, keep streaming until this
@@ -136,7 +134,6 @@ Options ParseOptions(int argc, char** argv) {
     else if (ParseFlag(arg, "domain", &v)) opt.domain = std::stoull(v);
     else if (ParseFlag(arg, "eps", &v)) opt.eps = std::stod(v);
     else if (ParseFlag(arg, "fanout", &v)) opt.fanout = std::stoull(v);
-    else if (ParseFlag(arg, "workers", &v)) opt.workers = static_cast<unsigned>(std::stoul(v));
     else if (ParseFlag(arg, "queries", &v)) opt.queries = std::stoull(v);
     else if (ParseFlag(arg, "reps", &v)) opt.reps = static_cast<unsigned>(std::stoul(v));
     else if (ParseFlag(arg, "min-seconds", &v)) opt.min_seconds = std::stod(v);
@@ -151,7 +148,7 @@ Options ParseOptions(int argc, char** argv) {
                    "loadgen: unknown argument '%s'\n"
                    "flags: --host --port --connections --users --chunk "
                    "--mechanism=flat|haar|tree --domain --eps --fanout "
-                   "--workers --queries --reps --min-seconds --json "
+                   "--queries --reps --min-seconds --json "
                    "--trace --shards --seed --verify-fanin --assert-clean\n",
                    arg.c_str());
       std::exit(2);
@@ -326,11 +323,6 @@ ServerSpec SpecFromOptions(const Options& opt) {
   return spec;
 }
 
-unsigned ResolveWorkers(const Options& opt) {
-  if (opt.workers != 0) return opt.workers;
-  return std::max(1u, std::thread::hardware_concurrency() / 2);
-}
-
 // ---------------------------------------------------------------------
 // Single-process mode: one service hosts ingest and queries.
 
@@ -346,9 +338,8 @@ int RunSingle(const Options& opt) {
   std::string host = opt.host;
   uint16_t port = opt.port;
   uint64_t server_id = 0;
-  const unsigned workers = ResolveWorkers(opt);
   if (port == 0) {
-    svc = std::make_unique<AggregatorService>(workers);
+    svc = std::make_unique<AggregatorService>();
     server_id = svc->AddServer(MakeAggregatorServer(spec));
     front = std::make_unique<TcpFrontEnd>(*svc);
     if (!front->Start()) {
@@ -478,9 +469,7 @@ int RunSingle(const Options& opt) {
       static_cast<unsigned long long>(queries_ok),
       static_cast<unsigned long long>(opt.queries));
 
-  // Hygiene verdict. Socket pauses and read pauses are expected under
-  // load (they are the backpressure design working); anything dropped,
-  // rejected or malformed is not.
+  // Hygiene verdict: anything dropped, rejected or malformed fails it.
   bool clean = ingest_ok && queries_ok == opt.queries;
   ldp::service::ServiceStats sstats;
   ldp::net::TcpFrontEndStats fstats;
@@ -551,10 +540,9 @@ int RunSingle(const Options& opt) {
             sstats.duplicate_sessions == 0 && fstats.protocol_errors == 0;
     std::printf(
         "loadgen: service stats: %llu msgs, %llu chunks absorbed, "
-        "%llu socket pauses, %llu incomplete\n",
+        "%llu incomplete\n",
         static_cast<unsigned long long>(sstats.messages),
         static_cast<unsigned long long>(sstats.chunks_absorbed),
-        static_cast<unsigned long long>(sstats.socket_pauses),
         static_cast<unsigned long long>(sstats.incomplete_streams));
   }
 
@@ -577,9 +565,7 @@ int RunSingle(const Options& opt) {
     check(accepted + rejected == total_reports,
           "accepted + rejected == reports sent");
     // Every message sent was routed exactly once: nothing stranded in a
-    // paused connection, nothing routed twice after a resume. (Pauses and
-    // resumes need not pair up — a resumed connection can re-pause on
-    // its next message — so they are not compared with each other.)
+    // read buffer, nothing routed twice.
     check(scrape.metrics.CounterOr("net.messages_routed") == messages_sent,
           "net.messages_routed == messages sent");
     // The ingest queues drained to empty.
@@ -604,8 +590,6 @@ int RunSingle(const Options& opt) {
         {"service.oversized_declarations", sstats.oversized_declarations},
         {"service.chunks_enqueued", sstats.chunks_enqueued},
         {"service.chunks_absorbed", sstats.chunks_absorbed},
-        {"service.backpressure_waits", sstats.backpressure_waits},
-        {"service.socket_pauses", sstats.socket_pauses},
         {"service.queries_answered", sstats.queries_answered},
     };
     for (const auto& r : recon) {
@@ -643,7 +627,7 @@ int RunSingle(const Options& opt) {
         << "\", \"domain\": " << opt.domain << ", \"eps\": " << opt.eps
         << ", \"users\": " << opt.users << ", \"chunk\": " << opt.chunk
         << ", \"connections\": " << opt.connections
-        << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
+        << ", \"reps\": " << opt.reps
         << ", \"min_seconds\": " << opt.min_seconds
         << ", \"seed\": " << opt.seed << "},\n"
         << "  \"ingest\": {\"reports_per_sec_median\": " << ingest_median
@@ -666,15 +650,11 @@ int RunSingle(const Options& opt) {
         << squery_us[2] << "}},\n"
         << "  \"service_stats\": {\"messages\": " << sstats.messages
         << ", \"chunks_absorbed\": " << sstats.chunks_absorbed
-        << ", \"socket_pauses\": " << sstats.socket_pauses
-        << ", \"backpressure_waits\": " << sstats.backpressure_waits
         << ", \"incomplete_streams\": " << sstats.incomplete_streams
         << ", \"rejected_sessions\": " << sstats.rejected_sessions << "},\n"
         << "  \"front_end_stats\": {\"connections\": "
         << fstats.connections_accepted
         << ", \"bytes_received\": " << fstats.bytes_received
-        << ", \"read_pauses\": " << fstats.read_pauses
-        << ", \"read_resumes\": " << fstats.read_resumes
         << ", \"protocol_errors\": " << fstats.protocol_errors << "},\n"
         << "  \"clean\": " << (clean ? "true" : "false") << "\n"
         << "}\n";
@@ -750,7 +730,7 @@ int RunShardChild(const Options& opt, unsigned shard, int port_fd,
   }
 
   const ServerSpec spec = SpecFromOptions(opt);
-  AggregatorService svc(ResolveWorkers(opt));
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   if (!front.Start()) {
@@ -864,7 +844,7 @@ int RunFanIn(const Options& opt) {
   }
 
   // Fork the shard processes FIRST, before this process creates any
-  // thread (service workers, front-end loop, encoders): fork() from a
+  // thread (front-end loop, encoders): fork() from a
   // multi-threaded process duplicates only the calling thread. The
   // children block until the port arrives over their pipe.
   struct ChildHandle {
@@ -902,8 +882,7 @@ int RunFanIn(const Options& opt) {
   // Threads are safe from here on. Bring up the query node and release
   // the shards.
   const ServerSpec spec = SpecFromOptions(opt);
-  const unsigned workers = ResolveWorkers(opt);
-  AggregatorService svc(workers);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   if (!front.Start()) {
@@ -1167,7 +1146,7 @@ int RunFanIn(const Options& opt) {
         << ", \"users\": " << opt.users << ", \"chunk\": " << opt.chunk
         << ", \"shards\": " << opt.shards
         << ", \"connections_per_shard\": " << opt.connections
-        << ", \"workers\": " << workers << ", \"reps\": " << opt.reps
+        << ", \"reps\": " << opt.reps
         << ", \"verify_fanin\": " << (opt.verify_fanin ? "true" : "false")
         << ", \"seed\": " << opt.seed << "},\n"
         << "  \"ingest\": {\"aggregate_reports_per_sec\": " << aggregate_rps

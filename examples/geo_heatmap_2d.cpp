@@ -81,7 +81,7 @@ int main() {
   }
 
   // Aggregator side: the service hosts a 2-D grid server.
-  service::AggregatorService service(/*worker_threads=*/2);
+  service::AggregatorService service;
   service::ServerSpec spec;
   spec.kind = service::ServerKind::kGrid;
   spec.domain = kGrid;
@@ -99,8 +99,9 @@ int main() {
   std::vector<protocol::MultiDimReport> reports =
       client.EncodeUsersSharded(pickups, /*seed=*/17);
 
-  // Stream the reports in as a chunked ingestion session; the end message
-  // finalizes the server once every chunk has been absorbed.
+  // Stream the reports in as a chunked ingestion session: each chunk is
+  // absorbed inside HandleMessage, and the end message finalizes the
+  // server.
   const uint64_t kSession = 7001;
   service.HandleMessage(
       service::SerializeStreamBegin({kSession, server_id}));
@@ -116,7 +117,6 @@ int main() {
   }
   service.HandleMessage(service::SerializeStreamEnd(
       {kSession, sequence, service::kStreamFlagFinalize}));
-  service.Drain();
   if (!service.server_finalized(server_id)) {
     std::fprintf(stderr, "ingestion session failed to finalize\n");
     return 1;

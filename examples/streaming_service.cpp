@@ -105,8 +105,9 @@ int main() {
   Rng rng(2024);
   std::vector<uint64_t> values = DrawPopulation(rng);
 
-  // One service, two hosted mechanism instances, two ingestion workers.
-  service::AggregatorService svc(/*worker_threads=*/2);
+  // One service, two hosted mechanism instances; every chunk is absorbed
+  // inside the HandleMessage call that delivers it.
+  service::AggregatorService svc;
   service::ServerSpec haar;
   haar.kind = service::ServerKind::kHaar;
   haar.domain = kDomain;
@@ -124,7 +125,7 @@ int main() {
            EncodeChunks(haar_client, values, rng));
   StreamIn(svc, /*session=*/2, tree_id,
            EncodeChunks(tree_client, values, rng));
-  svc.Drain();  // both sessions carried the finalize flag
+  // Both sessions carried the finalize flag: both servers are final.
 
   double true_head = 0;
   for (uint64_t v : values) true_head += v < kDomain / 8 ? 1.0 : 0.0;

@@ -35,7 +35,7 @@ constexpr int kChunks = 4;
 int main() {
   // Aggregator side: one HaarHRR server behind a service, the service
   // behind a TCP front-end on an ephemeral loopback port.
-  service::AggregatorService svc(/*worker_threads=*/2);
+  service::AggregatorService svc;
   service::ServerSpec spec;
   spec.kind = service::ServerKind::kHaar;
   spec.domain = kDomain;
@@ -81,8 +81,9 @@ int main() {
   std::printf("streamed %" PRIu64 " users in %d chunks over TCP\n", kUsers,
               kChunks);
 
-  // Query over the same connection. Finalize is asynchronous, so retry
-  // while the server still answers kNotFinalized.
+  // Query over the same connection. The front-end routes one
+  // connection's messages in order and the service absorbs and finalizes
+  // inline, so the server is finalized by the time the query is routed.
   service::RangeQueryRequest request;
   request.query_id = 1;
   request.server_id = server_id;
@@ -90,15 +91,12 @@ int main() {
                        {0, kDomain / 2 - 1},
                        {kDomain / 2, kDomain - 1}};
   service::RangeQueryResponse response;
-  for (int attempt = 0; attempt < 5000; ++attempt) {
-    const std::vector<uint8_t> reply =
-        client.Call(service::SerializeRangeQueryRequest(request));
-    if (service::ParseRangeQueryResponse(reply, &response) !=
-        protocol::ParseError::kOk) {
-      std::fprintf(stderr, "query failed on the wire\n");
-      return 1;
-    }
-    if (response.status != service::QueryStatus::kNotFinalized) break;
+  const std::vector<uint8_t> reply =
+      client.Call(service::SerializeRangeQueryRequest(request));
+  if (service::ParseRangeQueryResponse(reply, &response) !=
+      protocol::ParseError::kOk) {
+    std::fprintf(stderr, "query failed on the wire\n");
+    return 1;
   }
   if (response.status != service::QueryStatus::kOk) {
     std::fprintf(stderr, "query status: %s\n",

@@ -468,9 +468,10 @@ int FuzzMultiDimAbsorb(const uint8_t* data, size_t size) {
 
 int FuzzStreamSession(const uint8_t* data, size_t size) {
   std::span<const uint8_t> bytes = AsSpan(data, size);
-  // Two hosted mechanism instances so server-id routing, concurrent
-  // strands, and cross-mechanism chunk payloads are all reachable.
-  service::AggregatorService svc(/*worker_threads=*/2);
+  // Two hosted mechanism instances so server-id routing and
+  // cross-mechanism chunk payloads are reachable. The service absorbs
+  // inline, on this thread, so a run is deterministic.
+  service::AggregatorService svc;
   service::ServerSpec spec;
   spec.kind = service::ServerKind::kFlat;
   spec.domain = 64;
@@ -504,7 +505,6 @@ int FuzzStreamSession(const uint8_t* data, size_t size) {
     }
     offset += advance;
   }
-  svc.Drain();
   service::ServiceStats stats = svc.stats();
   LDP_FUZZ_ASSERT(stats.chunks_absorbed == stats.chunks_enqueued);
 
@@ -600,8 +600,8 @@ int FuzzStateIntake(const uint8_t* data, size_t size) {
   request.merge_id = 1;
   const std::vector<uint8_t> frame = service::SerializeStateMerge(
       request, service::SerializeStateSnapshot(header, body));
-  service::AggregatorService buffered(/*worker_threads=*/0);
-  service::AggregatorService streamed(/*worker_threads=*/0);
+  service::AggregatorService buffered;
+  service::AggregatorService streamed;
   buffered.AddServer(service::MakeAggregatorServer(spec));
   streamed.AddServer(service::MakeAggregatorServer(spec));
   const std::span<const uint8_t> head = std::span<const uint8_t>(frame).first(

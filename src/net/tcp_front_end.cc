@@ -62,8 +62,6 @@ TcpFrontEnd::NetCounters::NetCounters(obs::MetricsRegistry& registry)
       responses_sent(&registry.GetCounter("net.responses_sent")),
       bytes_received(&registry.GetCounter("net.bytes_received")),
       bytes_sent(&registry.GetCounter("net.bytes_sent")),
-      read_pauses(&registry.GetCounter("net.read_pauses")),
-      read_resumes(&registry.GetCounter("net.read_resumes")),
       snapshot_intakes(&registry.GetCounter("net.snapshot_intakes")),
       intake_timeouts(&registry.GetCounter("net.intake_timeouts")),
       frame_assembly_ns(&registry.GetHistogram("net.frame_assembly_ns")) {}
@@ -119,18 +117,7 @@ bool TcpFrontEnd::Start() {
   ev.data.fd = wake_fd_;
   LDP_CHECK_EQ(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev), 0);
 
-  stop_requested_ = false;
-  // The drain hook runs on service worker threads: push the id into the
-  // mailbox and kick the loop awake. It must never touch epoll or
-  // connection state directly.
-  service_.SetQueueDrainHook([this](uint64_t server_id) {
-    {
-      std::lock_guard<std::mutex> lock(mailbox_mu_);
-      pending_drains_.push_back(server_id);
-    }
-    uint64_t kick = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &kick, sizeof(kick));
-  });
+  stop_requested_.store(false);
   running_.store(true);
   loop_ = std::thread([this] { EventLoop(); });
   return true;
@@ -138,14 +125,7 @@ bool TcpFrontEnd::Start() {
 
 void TcpFrontEnd::Stop() {
   if (loop_.joinable()) {
-    // Detach the hook first: SetQueueDrainHook serializes against any
-    // in-flight invocation, so after this line no worker thread can
-    // touch the mailbox or wake_fd_ again.
-    service_.SetQueueDrainHook(nullptr);
-    {
-      std::lock_guard<std::mutex> lock(mailbox_mu_);
-      stop_requested_ = true;
-    }
+    stop_requested_.store(true);
     uint64_t kick = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_fd_, &kick, sizeof(kick));
     loop_.join();
@@ -179,8 +159,6 @@ TcpFrontEndStats TcpFrontEnd::stats() const {
   out.responses_sent = stats_.responses_sent->value();
   out.bytes_received = stats_.bytes_received->value();
   out.bytes_sent = stats_.bytes_sent->value();
-  out.read_pauses = stats_.read_pauses->value();
-  out.read_resumes = stats_.read_resumes->value();
   out.snapshot_intakes = stats_.snapshot_intakes->value();
   out.intake_timeouts = stats_.intake_timeouts->value();
   return out;
@@ -223,16 +201,7 @@ void TcpFrontEnd::EventLoop() {
         HandleReadable(conn);
       }
     }
-    // Drain notifications and the stop flag arrive via the mailbox.
-    std::vector<uint64_t> drains;
-    bool stop = false;
-    {
-      std::lock_guard<std::mutex> lock(mailbox_mu_);
-      drains.swap(pending_drains_);
-      stop = stop_requested_;
-    }
-    for (uint64_t server_id : drains) ResumePaused(server_id);
-    if (stop) break;
+    if (stop_requested_.load()) break;
     if (config_.idle_timeout_ms > 0 || open_intakes_ > 0) SweepIdle();
   }
 }
@@ -405,7 +374,7 @@ void TcpFrontEnd::RecordFrameAssembly(Connection& conn) {
 
 bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
   using protocol::kEnvelopeHeaderSize;
-  while (!conn.paused && conn.intake == nullptr) {
+  while (conn.intake == nullptr) {
     const size_t available = conn.read_buf.size() - conn.read_pos;
     if (available < kEnvelopeHeaderSize) break;
     const uint8_t* head = conn.read_buf.data() + conn.read_pos;
@@ -460,7 +429,7 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
     }
     if (large) RecordFrameAssembly(conn);
     conn.frame_declined = false;
-    if (!RouteMessage(conn, std::move(message))) break;  // paused
+    if (!RouteMessage(conn, std::move(message))) return false;  // closed
   }
   // Compact once the consumed prefix dominates the buffer.
   if (conn.read_pos > kReadChunk &&
@@ -470,8 +439,7 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
                             static_cast<ptrdiff_t>(conn.read_pos));
     conn.read_pos = 0;
   }
-  if (conn.peer_eof && !conn.paused &&
-      conn.read_buf.size() != conn.read_pos) {
+  if (conn.peer_eof && conn.read_buf.size() != conn.read_pos) {
     // Trailing bytes that can never complete a message: the peer hung
     // up mid-frame.
     stats_.protocol_errors->Increment();
@@ -483,51 +451,12 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
 
 bool TcpFrontEnd::RouteMessage(Connection& conn,
                                std::vector<uint8_t>&& message) {
-  std::vector<uint8_t> response;
-  uint64_t blocked_server = 0;
-  service::AggregatorService::AdmitResult result =
-      service_.TryHandleMessage(message, &response, &blocked_server);
-  if (result == service::AggregatorService::AdmitResult::kWouldBlock) {
-    // Backpressure: park the message, stop reading this connection, let
-    // the kernel socket buffer (and the client's send window) absorb
-    // the pressure until the server's strand drains.
-    conn.pending_message = std::move(message);
-    conn.paused = true;
-    conn.paused_server = blocked_server;
-    stats_.read_pauses->Increment();
-    UpdateEpoll(conn, /*want_read=*/false);
-    return false;
-  }
+  std::vector<uint8_t> response = service_.HandleMessage(std::move(message));
   stats_.messages_routed->Increment();
-  if (!response.empty()) QueueResponse(conn, std::move(response));
-  return true;
-}
-
-void TcpFrontEnd::ResumePaused(uint64_t server_id) {
-  // Snapshot first: routing can close or re-pause connections, and both
-  // mutate the table we are walking.
-  std::vector<int> candidates;
-  candidates.reserve(conns_.size());
-  for (const auto& [fd, conn] : conns_) {
-    if (conn->paused && conn->paused_server == server_id) {
-      candidates.push_back(fd);
-    }
-  }
-  for (int fd : candidates) {
-    auto it = conns_.find(fd);
-    if (it == conns_.end()) continue;
-    Connection& conn = *it->second;
-    if (!conn.paused || conn.paused_server != server_id) continue;
-    std::vector<uint8_t> message = std::move(conn.pending_message);
-    conn.pending_message.clear();
-    conn.paused = false;
-    if (!RouteMessage(conn, std::move(message))) continue;  // paused again
-    stats_.read_resumes->Increment();
-    conn.last_activity_ns = obs::NowNanos();
-    UpdateEpoll(conn, /*want_read=*/!conn.peer_eof);
-    if (!DrainReadBuffer(conn)) continue;  // closed
-    MaybeFinishClose(conn);
-  }
+  if (response.empty()) return true;
+  const int fd = conn.fd;
+  QueueResponse(conn, std::move(response));
+  return conns_.contains(fd);  // a failed write closes the connection
 }
 
 void TcpFrontEnd::QueueResponse(Connection& conn,
@@ -552,7 +481,7 @@ void TcpFrontEnd::FlushWrites(Connection& conn) {
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         if (!conn.want_write) {
           conn.want_write = true;
-          UpdateEpoll(conn, /*want_read=*/!conn.paused && !conn.peer_eof);
+          UpdateEpoll(conn, /*want_read=*/!conn.peer_eof);
         }
         return;
       }
@@ -564,14 +493,14 @@ void TcpFrontEnd::FlushWrites(Connection& conn) {
   }
   if (conn.want_write) {
     conn.want_write = false;
-    UpdateEpoll(conn, /*want_read=*/!conn.paused && !conn.peer_eof);
+    UpdateEpoll(conn, /*want_read=*/!conn.peer_eof);
   }
 }
 
 void TcpFrontEnd::HandleWritable(Connection& conn) {
+  const int fd = conn.fd;
   FlushWrites(conn);
-  auto it = conns_.find(conn.fd);
-  if (it == conns_.end()) return;  // FlushWrites closed it
+  if (!conns_.contains(fd)) return;  // FlushWrites closed it
   MaybeFinishClose(conn);
 }
 
@@ -608,8 +537,8 @@ void TcpFrontEnd::CloseConnection(int fd) {
 }
 
 void TcpFrontEnd::MaybeFinishClose(Connection& conn) {
-  if (conn.peer_eof && !conn.paused &&
-      conn.read_buf.size() == conn.read_pos && conn.write_queue.empty()) {
+  if (conn.peer_eof && conn.read_buf.size() == conn.read_pos &&
+      conn.write_queue.empty()) {
     CloseConnection(conn.fd);
   }
 }
@@ -629,9 +558,7 @@ void TcpFrontEnd::SweepIdle() {
       // An open intake holds a clone and a merge-buffer slot: no byte
       // within its deadline closes it.
       if (quiet > stall_ns) stalled.push_back(fd);
-    } else if (idle_ms > 0 && !conn->paused && quiet > idle_ns) {
-      // A paused connection is waiting on the service, not the client;
-      // its clock restarts when it resumes.
+    } else if (idle_ms > 0 && quiet > idle_ns) {
       idle.push_back(fd);
     }
   }

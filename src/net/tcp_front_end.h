@@ -7,7 +7,7 @@
 // just a concatenation of framed messages:
 //
 //   client                        TcpFrontEnd                 service
-//   bytes --TCP--> [8-byte header | payload] split --------> TryHandleMessage
+//   bytes --TCP--> [8-byte header | payload] split --------> HandleMessage
 //          <-TCP-- [kRangeQueryResponse / kMultiDimQueryResponse] <- queries
 //
 // Stream messages (kStreamBegin/Chunk/End) are fire-and-forget exactly
@@ -19,14 +19,12 @@
 // unrecoverable on a byte stream: the connection is closed and counted
 // in stats().protocol_errors.
 //
-// Backpressure is propagated from the bounded ingestion queues to the
-// socket instead of blocking a thread: a chunk whose target server queue
-// is at its high-water mark makes TryHandleMessage return kWouldBlock,
-// and the front-end then parks the message, deregisters the connection
-// from EPOLLIN (the kernel socket buffer and ultimately the client's
-// send window absorb the pressure), and re-arms when the service's
-// queue-drain hook fires for that server. No service thread ever blocks
-// on a socket's behalf; ServiceStats.socket_pauses counts the deferrals.
+// Every message is handled on the event-loop thread: the service absorbs
+// each chunk inline, inside HandleMessage, so the loop reads no more
+// bytes while it absorbs. What a connection has already read waits in its
+// read buffer, and the read loop drains the socket before it routes, so
+// that buffer is not bounded by the kernel's: a sender that outpaces the
+// absorb grows it (a per-connection byte budget is still open work).
 //
 // Fan-in snapshots skip the read buffer. A kStateMerge frame of at least
 // one 64 KiB read chunk is offered to the service as soon as its head
@@ -46,15 +44,11 @@
 // until (a) the peer closes or half-closes — remaining complete messages
 // are processed and pending responses flushed before the close
 // (graceful, so "send session + shutdown(SHUT_WR)" is a correct client),
-// (b) they sit idle past config.idle_timeout_ms (paused connections are
-// exempt — they are waiting on the service, not the client), or (c) a
-// framing violation. Everything runs on one event-loop thread; the only
-// cross-thread touch points are the drain hook (an eventfd wakeup) and
-// Stop().
+// (b) they sit idle past config.idle_timeout_ms, or (c) a framing
+// violation. Everything runs on one event-loop thread; the only
+// cross-thread touch point is Stop() (an eventfd wakeup).
 //
-// One front-end serves one AggregatorService (it owns the service's
-// queue-drain hook); the service must outlive the front-end, and
-// Stop()/the destructor detach the hook before tearing anything down.
+// One front-end serves one AggregatorService, which must outlive it.
 
 #ifndef LDPRANGE_NET_TCP_FRONT_END_H_
 #define LDPRANGE_NET_TCP_FRONT_END_H_
@@ -63,7 +57,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -90,9 +83,8 @@ struct TcpFrontEndConfig {
   /// field allows 4 GiB; no real chunk or query comes within a mile of
   /// 64 MiB, so anything larger is treated as a framing attack.
   uint32_t max_message_bytes = uint32_t{1} << 26;
-  /// Connections idle longer than this are closed (0 disables). Paused
-  /// connections — waiting on a congested server queue — are exempt. It
-  /// is also the no-progress deadline of an open snapshot intake
+  /// Connections idle longer than this are closed (0 disables). It is
+  /// also the no-progress deadline of an open snapshot intake
   /// (kIntakeStallMs when 0).
   int64_t idle_timeout_ms = 0;
   /// Accept cap; connections past it are closed immediately on accept.
@@ -111,8 +103,6 @@ struct TcpFrontEndStats {
   uint64_t responses_sent = 0;   // query responses queued for write
   uint64_t bytes_received = 0;
   uint64_t bytes_sent = 0;
-  uint64_t read_pauses = 0;   // EPOLLIN deregistrations (backpressure)
-  uint64_t read_resumes = 0;  // re-arms after a queue-drain notification
   uint64_t snapshot_intakes = 0;  // pushes received straight into a clone
   uint64_t intake_timeouts = 0;   // intakes closed by their deadline
 };
@@ -127,13 +117,13 @@ class TcpFrontEnd {
   TcpFrontEnd(const TcpFrontEnd&) = delete;
   TcpFrontEnd& operator=(const TcpFrontEnd&) = delete;
 
-  /// Binds, listens, registers the service drain hook and spawns the
-  /// event loop. False (with errno intact) when the socket setup fails;
-  /// a started front-end must be Stop()ped (the destructor does).
+  /// Binds, listens and spawns the event loop. False (with errno intact)
+  /// when the socket setup fails; a started front-end must be Stop()ped
+  /// (the destructor does).
   bool Start();
 
-  /// Detaches the drain hook, wakes the loop, closes every connection
-  /// and joins the thread. Idempotent.
+  /// Wakes the loop, closes every connection and joins the thread.
+  /// Idempotent.
   void Stop();
 
   bool running() const { return running_; }
@@ -155,15 +145,11 @@ class TcpFrontEnd {
     std::deque<std::vector<uint8_t>> write_queue;
     size_t write_pos = 0;
     bool want_write = false;  // EPOLLOUT currently armed
-    // Whether the fd is registered with epoll at all. An EOF'd paused
-    // connection is deregistered outright: with a zero event mask the
-    // kernel would still report EPOLLHUP every round and spin the loop.
+    // Whether the fd is registered with epoll at all. An EOF'd connection
+    // with nothing to write is deregistered outright: with a zero event
+    // mask the kernel would still report EPOLLHUP every round and spin
+    // the loop.
     bool in_epoll = true;
-    // Backpressure: a complete message the service would-blocked on,
-    // re-presented verbatim when `paused_server`'s queue drains.
-    bool paused = false;
-    uint64_t paused_server = 0;
-    std::vector<uint8_t> pending_message;
     bool peer_eof = false;  // read side done; close once drained+flushed
     // Open snapshot intake of the frame at the front of the stream: while
     // set, reads land in its windows, not in read_buf.
@@ -208,16 +194,15 @@ class TcpFrontEnd {
   /// Records net.frame_assembly_ns for the large frame just completed.
   void RecordFrameAssembly(Connection& conn);
   void HandleWritable(Connection& conn);
-  /// Parses and routes every complete message in the read buffer; stops
-  /// early when the connection pauses. Returns false when the
-  /// connection was closed (framing violation).
+  /// Parses and routes every complete message in the read buffer.
+  /// Returns false when the connection was closed (a framing violation,
+  /// or a failed response write).
   bool DrainReadBuffer(Connection& conn);
-  /// Routes one complete message (consuming `message`); returns false
-  /// when the service would-blocked and the connection paused.
+  /// Routes one complete message (consuming `message`) and queues its
+  /// response. Returns false when the connection was closed.
   bool RouteMessage(Connection& conn, std::vector<uint8_t>&& message);
-  /// Retries the parked message of every connection paused on
-  /// `server_id`, then resumes parsing their read buffers.
-  void ResumePaused(uint64_t server_id);
+  /// Queues `response` and flushes what the socket takes now. A failed
+  /// write closes — and destroys — the connection.
   void QueueResponse(Connection& conn, std::vector<uint8_t> response);
   void FlushWrites(Connection& conn);
   void UpdateEpoll(Connection& conn, bool want_read);
@@ -232,17 +217,11 @@ class TcpFrontEnd {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: drain notifications + stop
+  int wake_fd_ = -1;  // eventfd: Stop() wakes the loop
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
+  std::atomic<bool> stop_requested_{false};
   std::thread loop_;
-
-  // Cross-thread mailbox: the service's drain hook (worker threads)
-  // pushes server ids here and signals wake_fd_; the loop swaps the
-  // vector out under the same mutex. stop_requested_ rides along.
-  std::mutex mailbox_mu_;
-  std::vector<uint64_t> pending_drains_;
-  bool stop_requested_ = false;
 
   // Connection table: event-loop thread only.
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
@@ -264,8 +243,6 @@ class TcpFrontEnd {
     obs::Counter* responses_sent;
     obs::Counter* bytes_received;
     obs::Counter* bytes_sent;
-    obs::Counter* read_pauses;
-    obs::Counter* read_resumes;
     obs::Counter* snapshot_intakes;
     obs::Counter* intake_timeouts;
     // Per inbound frame of at least one read chunk, intake or buffered:

@@ -312,26 +312,31 @@ class AggregatorServer {
       return open;
     }
     constexpr bool kLookAhead = !std::is_same_v<LocateFn, std::nullptr_t>;
-    uint64_t ok = 0;
+    // Locals, not `batch`'s fields: `batch` escaped into OpenReportBatch,
+    // so the compiler would assume each add into the sums may rewrite it
+    // and reload the fields from memory after every report.
+    const uint64_t count = batch.count;
+    const size_t item_size = batch.item_size;
     const uint8_t* slot = batch.slots;
+    uint64_t ok = 0;
     if constexpr (kLookAhead) {
-      const uint64_t warm = std::min(batch.count, kLookAheadSlots);
+      const uint64_t warm = std::min(count, kLookAheadSlots);
       for (uint64_t i = 0; i < warm; ++i) {
-        PrefetchSlot<Report>(slot + i * batch.item_size, decode, locate);
+        PrefetchSlot<Report>(slot + i * item_size, decode, locate);
       }
     }
-    for (uint64_t i = 0; i < batch.count; ++i, slot += batch.item_size) {
+    for (uint64_t i = 0; i < count; ++i, slot += item_size) {
       if constexpr (kLookAhead) {
-        if (i + kLookAheadSlots < batch.count) {
-          PrefetchSlot<Report>(slot + kLookAheadSlots * batch.item_size,
-                               decode, locate);
+        if (i + kLookAheadSlots < count) {
+          PrefetchSlot<Report>(slot + kLookAheadSlots * item_size, decode,
+                               locate);
         }
       }
       Report report;
       if (decode(slot, &report) && fold(report)) ++ok;
     }
     stats_.CountAccepted(ok);
-    stats_.CountRejected(batch.count - ok);
+    stats_.CountRejected(count - ok);
     if (accepted != nullptr) *accepted = ok;
     return protocol::ParseError::kOk;
   }

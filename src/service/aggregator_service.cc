@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "obs/scoped_timer.h"
 #include "obs/stats_wire.h"
 #include "protocol/envelope.h"
@@ -33,8 +32,6 @@ AggregatorService::ServiceCounters::ServiceCounters(
           &registry.GetCounter("service.oversized_declarations")},
       chunks_enqueued{&registry.GetCounter("service.chunks_enqueued")},
       chunks_absorbed{&registry.GetCounter("service.chunks_absorbed")},
-      backpressure_waits{&registry.GetCounter("service.backpressure_waits")},
-      socket_pauses{&registry.GetCounter("service.socket_pauses")},
       queries_answered{&registry.GetCounter("service.queries_answered")},
       merge_requests{&registry.GetCounter("service.merge_requests")},
       merge_rejects{&registry.GetCounter("service.merge_rejects")},
@@ -44,29 +41,9 @@ AggregatorService::ServiceCounters::ServiceCounters(
       sessions_completed{&registry.GetCounter("service.sessions_completed")},
       finalizes{&registry.GetCounter("service.finalizes")} {}
 
-AggregatorService::AggregatorService(unsigned worker_threads,
-                                     size_t queue_high_water,
-                                     size_t max_sessions)
-    : queue_high_water_(queue_high_water == 0 ? 1 : queue_high_water),
-      max_sessions_(max_sessions == 0 ? 1 : max_sessions) {
-  // worker_threads == 0 is inline mode: no pool, chunks absorbed on the
-  // caller's thread inside HandleMessage.
-  workers_.reserve(worker_threads);
-  for (unsigned i = 0; i < worker_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-AggregatorService::~AggregatorService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  queue_space_.notify_all();
-  for (std::thread& worker : workers_) {
-    worker.join();
-  }
+AggregatorService::AggregatorService(unsigned worker_threads)
+    : AggregatorService() {
+  LDP_CHECK_EQ(worker_threads, 0u);
 }
 
 uint64_t AggregatorService::AddServer(
@@ -108,8 +85,9 @@ std::vector<uint8_t> AggregatorService::HandleMessage(
         ++stats_.malformed_messages;
         return {};
       }
-      // Copy the nested batch out of the caller's buffer before it goes
-      // async (the move overload keeps the whole buffer instead).
+      // Copy the nested batch out of the caller's buffer: it may queue
+      // behind another thread's absorb and outlive this call (the move
+      // overload keeps the whole buffer instead).
       QueuedChunk chunk;
       chunk.buffer.assign(msg.payload.begin(), msg.payload.end());
       EnqueueChunk(msg.session_id, msg.sequence, std::move(chunk));
@@ -138,9 +116,9 @@ std::vector<uint8_t> AggregatorService::HandleMessage(
 
 std::vector<uint8_t> AggregatorService::HandleMessage(
     std::vector<uint8_t>&& bytes) {
-  // Only the chunk path benefits from ownership (its payload outlives
-  // the call on the ingestion queue); everything else reads the bytes
-  // synchronously.
+  // Only the chunk path benefits from ownership (a chunk queued behind
+  // another thread's absorb outlives the call); everything else reads the
+  // bytes synchronously.
   Envelope env;
   if (DecodeEnvelope(bytes, &env) == protocol::ParseError::kOk &&
       env.mechanism == MechanismTag::kStreamChunk) {
@@ -158,87 +136,6 @@ std::vector<uint8_t> AggregatorService::HandleMessage(
     return {};
   }
   return HandleMessage(std::span<const uint8_t>(bytes));
-}
-
-AggregatorService::AdmitResult AggregatorService::TryHandleMessage(
-    std::vector<uint8_t>& bytes, std::vector<uint8_t>* response,
-    uint64_t* blocked_server) {
-  response->clear();
-  Envelope env;
-  if (DecodeEnvelope(bytes, &env) != protocol::ParseError::kOk ||
-      env.mechanism != MechanismTag::kStreamChunk) {
-    // Everything except a chunk is handled synchronously and can never
-    // block; delegate to the owning overload.
-    *response = HandleMessage(std::move(bytes));
-    return AdmitResult::kHandled;
-  }
-  StreamChunk msg;
-  if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
-    ++stats_.messages;
-    ++stats_.malformed_messages;
-    return AdmitResult::kHandled;
-  }
-  const size_t nested_offset =
-      static_cast<size_t>(msg.payload.data() - bytes.data());
-  std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(msg.session_id);
-  if (it == sessions_.end()) {
-    ++stats_.messages;
-    ++stats_.unknown_sessions;
-    return AdmitResult::kHandled;
-  }
-  IngestSession& session = it->second;
-  ServerEntry& entry = *entries_[session.server_id()];
-  if (entry.state != EntryState::kLive || session.ended()) {
-    ++stats_.messages;
-    ++stats_.late_chunks;
-    return AdmitResult::kHandled;
-  }
-  if (!session.CanAdmit(msg.sequence)) {
-    // Duplicates and out-of-policy sequences are dropped without ever
-    // consulting the queue — same accounting as the blocking path, and
-    // no pause for a chunk that would not be admitted anyway.
-    ++stats_.messages;
-    ++stats_.duplicate_chunks;
-    return AdmitResult::kHandled;
-  }
-  if (!workers_.empty() && entry.queue.size() >= queue_high_water_) {
-    // The strand is congested. Unlike EnqueueChunk this does NOT block
-    // and does NOT admit the sequence: the caller pauses its input and
-    // re-presents the identical bytes after the queue-drain hook fires.
-    ++stats_.socket_pauses;
-    if (blocked_server != nullptr) *blocked_server = session.server_id();
-    return AdmitResult::kWouldBlock;
-  }
-  ++stats_.messages;
-  LDP_CHECK(session.AdmitChunk(msg.sequence));
-  const uint64_t server_id = session.server_id();
-  QueuedChunk chunk;
-  chunk.nested_offset = nested_offset;
-  chunk.buffer = std::move(bytes);
-  chunk.enqueue_ns = obs::NowNanos();
-  entry.queue.push_back(std::move(chunk));
-  ++stats_.chunks_enqueued;
-  queue_depth_->Add(1);
-  ScheduleLocked(lock, server_id);
-  return AdmitResult::kHandled;
-}
-
-void AggregatorService::SetQueueDrainHook(
-    std::function<void(uint64_t)> hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  queue_drain_hook_ = std::move(hook);
-}
-
-void AggregatorService::NotifyQueueDrain(uint64_t server_id) {
-  // An inline service never pauses a reader: TryHandleMessage returns
-  // kWouldBlock only when there are workers (inline admission absorbs on
-  // the caller's thread, so no queue can fill). With nothing to re-arm,
-  // skip the hook — a front-end would otherwise wake its event loop for
-  // every absorbed chunk.
-  if (workers_.empty()) return;
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  if (queue_drain_hook_) queue_drain_hook_(server_id);
 }
 
 void AggregatorService::HandleStreamBegin(std::span<const uint8_t> bytes) {
@@ -284,31 +181,11 @@ void AggregatorService::EnqueueChunk(uint64_t session_id, uint64_t sequence,
     ++stats_.duplicate_chunks;
     return;
   }
-  const uint64_t server_id = session.server_id();
-  // Bounded queue: at the high-water mark the producer BLOCKS until the
-  // strand drains — backpressure instead of unbounded buffering or drops.
-  // Inline mode never queues (ScheduleLocked absorbs synchronously), so
-  // only pooled services can reach the bound. References stay valid
-  // across the wait: entries_ holds pointers and sessions_ is node-based.
-  if (!workers_.empty() && entry.queue.size() >= queue_high_water_) {
-    ++stats_.backpressure_waits;
-    queue_space_.wait(lock, [&] {
-      return stopping_ || entry.state != EntryState::kLive ||
-             entry.queue.size() < queue_high_water_;
-    });
-    if (stopping_) return;
-    if (entry.state != EntryState::kLive) {
-      // The server finalized while we were blocked; the chunk is late
-      // exactly as if it had arrived after the transition.
-      ++stats_.late_chunks;
-      return;
-    }
-  }
   chunk.enqueue_ns = obs::NowNanos();
   entry.queue.push_back(std::move(chunk));
   ++stats_.chunks_enqueued;
   queue_depth_->Add(1);
-  ScheduleLocked(lock, server_id);
+  RunStrandLocked(lock, session.server_id());
 }
 
 void AggregatorService::HandleStreamEnd(std::span<const uint8_t> bytes) {
@@ -348,7 +225,7 @@ void AggregatorService::HandleStreamEnd(std::span<const uint8_t> bytes) {
     ServerEntry& entry = *entries_[server_id];
     if (entry.state == EntryState::kLive) {
       entry.finalize_pending = true;
-      ScheduleLocked(lock, server_id);
+      RunStrandLocked(lock, server_id);
     }
   }
 }
@@ -792,14 +669,10 @@ std::vector<uint8_t> AggregatorService::StateIntake::Finish() {
 MergeStatus AggregatorService::RunFanInMergeLocked(
     std::unique_lock<std::mutex>& lock, uint64_t server_id,
     MergeSession group) {
-  // Drain-and-claim under one lock hold, exactly like FinalizeServer: no
-  // worker can slip an absorb between the idle wait and the claim.
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  if (!ClaimIdleStrandLocked(lock, server_id)) {
+    return MergeStatus::kAlreadyFinalized;
+  }
   ServerEntry& entry = *entries_[server_id];
-  if (entry.state != EntryState::kLive) return MergeStatus::kAlreadyFinalized;
-  entry.scheduled = true;
-  ++busy_entries_;
-  const bool finalize = (group.flags & kMergeFlagFinalize) != 0;
   lock.unlock();
 
   const uint64_t start_ns = obs::NowNanos();
@@ -810,28 +683,16 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
   }
   // Pairwise reduction rounds over a FIXED pairing (adjacent shard
   // indices; odd survivor carries over). The pairing never depends on
-  // scheduling and every aggregate is a commutative integer sum, so the
-  // merged state is bit-identical for 0, 1, or N workers.
+  // arrival order and every aggregate is a commutative integer sum, so
+  // the merged state is bit-identical for every push order.
   MergeStatus status = MergeStatus::kOk;
-  const unsigned threads =
-      workers_.empty() ? 1u : static_cast<unsigned>(workers_.size());
   while (clones.size() > 1 && status == MergeStatus::kOk) {
     const size_t pairs = clones.size() / 2;
-    std::vector<MergeStatus> outcomes(pairs, MergeStatus::kOk);
-    ParallelFor(pairs, threads,
-                [&](unsigned, uint64_t begin, uint64_t end) {
-                  for (uint64_t p = begin; p < end; ++p) {
-                    outcomes[p] = clones[2 * p]->MergeFrom(*clones[2 * p + 1]);
-                  }
-                });
-    for (MergeStatus outcome : outcomes) {
-      if (outcome != MergeStatus::kOk) {
-        // Clones were validated against the hosted config at push time,
-        // so only a body-level disagreement (kStateMismatch: two
-        // different AHEAD trees) can land here.
-        status = outcome;
-        break;
-      }
+    for (size_t p = 0; p < pairs && status == MergeStatus::kOk; ++p) {
+      // Clones were validated against the hosted config at push time, so
+      // only a body-level disagreement (kStateMismatch: two different
+      // AHEAD trees) can fail here.
+      status = clones[2 * p]->MergeFrom(*clones[2 * p + 1]);
     }
     std::vector<std::unique_ptr<AggregatorServer>> next;
     next.reserve(pairs + 1);
@@ -844,56 +705,53 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
   }
   merge_fan_in_ns_->Record(obs::NowNanos() - start_ns);
 
-  if (status == MergeStatus::kOk && finalize) {
-    // The strand is already claimed; mirror the FinalizeServer body.
-    lock.lock();
-    entry.state = EntryState::kFinalizing;
-    queue_space_.notify_all();  // blocked producers now observe "late"
-    lock.unlock();
-    NotifyQueueDrain(server_id);  // paused reads re-check (now "late")
-    entry.server->Finalize();
-    ++stats_.finalizes;
-    lock.lock();
-    entry.state = EntryState::kFinalized;
-  } else {
-    lock.lock();
+  lock.lock();
+  if (status == MergeStatus::kOk && (group.flags & kMergeFlagFinalize) != 0) {
+    FinalizeClaimedLocked(lock, entry);
   }
-  entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
-    idle_.notify_all();
-  }
+  ReleaseStrandLocked(entry);
   return status;
 }
 
-void AggregatorService::ScheduleLocked(std::unique_lock<std::mutex>& lock,
-                                       size_t entry_index) {
-  ServerEntry& entry = *entries_[entry_index];
-  if (entry.scheduled) return;
+bool AggregatorService::ClaimIdleStrandLocked(
+    std::unique_lock<std::mutex>& lock, uint64_t server_id) {
+  // Wait and claim under ONE lock hold: releasing in between would let a
+  // concurrent chunk claim the strand, and finalizing or merging against
+  // an in-flight absorb is a data race.
+  idle_.wait(lock, [this] { return busy_entries_ == 0; });
+  ServerEntry& entry = *entries_[server_id];
+  if (entry.state != EntryState::kLive) return false;
   entry.scheduled = true;
   ++busy_entries_;
-  if (workers_.empty()) {
-    // Inline mode: the caller's thread is the worker.
-    ProcessEntry(lock, entry_index);
-    return;
-  }
-  ready_.push_back(entry_index);
-  work_ready_.notify_one();
+  return true;
 }
 
-// Drains one claimed entry: its queue, then any pending finalize. The
-// claim (`scheduled` stays true throughout) is the strand that keeps
-// mechanism code single-threaded per server. Enters and leaves with
-// `lock` held; absorb/finalize run unlocked.
-void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
-                                     size_t entry_index) {
+void AggregatorService::FinalizeClaimedLocked(
+    std::unique_lock<std::mutex>& lock, ServerEntry& entry) {
+  entry.state = EntryState::kFinalizing;  // new chunks are late from here
+  lock.unlock();
+  entry.server->Finalize();
+  ++stats_.finalizes;
+  lock.lock();
+  entry.state = EntryState::kFinalized;
+}
+
+void AggregatorService::ReleaseStrandLocked(ServerEntry& entry) {
+  entry.scheduled = false;
+  if (--busy_entries_ == 0) idle_.notify_all();
+}
+
+void AggregatorService::RunStrandLocked(std::unique_lock<std::mutex>& lock,
+                                        size_t entry_index) {
   ServerEntry& entry = *entries_[entry_index];
+  if (entry.scheduled) return;  // the holder absorbs what was just queued
+  entry.scheduled = true;
+  ++busy_entries_;
   while (true) {
     if (!entry.queue.empty()) {
       std::deque<QueuedChunk> batch;
       batch.swap(entry.queue);
-      queue_space_.notify_all();  // the strand drained: unblock producers
       lock.unlock();
-      NotifyQueueDrain(entry_index);  // paused socket reads re-arm
       const uint64_t picked_up_ns = obs::NowNanos();
       for (const QueuedChunk& chunk : batch) {
         queue_wait_ns_->Record(picked_up_ns - chunk.enqueue_ns);
@@ -908,68 +766,28 @@ void AggregatorService::ProcessEntry(std::unique_lock<std::mutex>& lock,
       continue;
     }
     if (entry.finalize_pending && entry.state == EntryState::kLive) {
-      entry.state = EntryState::kFinalizing;
-      queue_space_.notify_all();  // blocked producers now observe "late"
-      lock.unlock();
-      NotifyQueueDrain(entry_index);  // paused reads re-check (now "late")
-      entry.server->Finalize();
-      ++stats_.finalizes;
-      lock.lock();
-      entry.state = EntryState::kFinalized;
+      FinalizeClaimedLocked(lock, entry);
       entry.finalize_pending = false;
       continue;  // re-check the queue before releasing the strand
     }
     entry.finalize_pending = false;
     break;
   }
-  entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
-    idle_.notify_all();
-  }
-}
-
-void AggregatorService::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    work_ready_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
-    if (stopping_) return;
-    size_t index = ready_.front();
-    ready_.pop_front();
-    ProcessEntry(lock, index);
-  }
+  ReleaseStrandLocked(entry);
 }
 
 void AggregatorService::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  idle_.wait(lock, [this] { return busy_entries_ == 0; });
 }
 
 bool AggregatorService::FinalizeServer(uint64_t server_id) {
   std::unique_lock<std::mutex> lock(mu_);
   if (server_id >= entries_.size()) return false;
-  // Drain and claim under ONE lock hold: releasing between the idle
-  // wait and the claim would let a concurrent chunk hand the entry to a
-  // worker, and finalizing against an in-flight absorb is a data race.
-  idle_.wait(lock, [this] { return busy_entries_ == 0 && ready_.empty(); });
+  if (!ClaimIdleStrandLocked(lock, server_id)) return false;
   ServerEntry& entry = *entries_[server_id];
-  if (entry.state != EntryState::kLive) return false;
-  // Claim the entry like a worker would so concurrent Drain()s wait and
-  // no worker can take it; kFinalizing makes new chunks late, not
-  // absorbed.
-  entry.scheduled = true;
-  ++busy_entries_;
-  entry.state = EntryState::kFinalizing;
-  queue_space_.notify_all();  // blocked producers now observe "late"
-  lock.unlock();
-  NotifyQueueDrain(server_id);  // paused reads re-check (now "late")
-  entry.server->Finalize();
-  ++stats_.finalizes;
-  lock.lock();
-  entry.state = EntryState::kFinalized;
-  entry.scheduled = false;
-  if (--busy_entries_ == 0 && ready_.empty()) {
-    idle_.notify_all();
-  }
+  FinalizeClaimedLocked(lock, entry);
+  ReleaseStrandLocked(entry);
   return true;
 }
 
@@ -997,8 +815,6 @@ ServiceStats AggregatorService::stats() const {
   s.oversized_declarations = stats_.oversized_declarations.value();
   s.chunks_enqueued = stats_.chunks_enqueued.value();
   s.chunks_absorbed = stats_.chunks_absorbed.value();
-  s.backpressure_waits = stats_.backpressure_waits.value();
-  s.socket_pauses = stats_.socket_pauses.value();
   s.queries_answered = stats_.queries_answered.value();
   s.merge_requests = stats_.merge_requests.value();
   s.merge_rejects = stats_.merge_rejects.value();

@@ -4,25 +4,23 @@
 //            client                      AggregatorService
 //   reports --batch--> kStreamChunk --> session admit (dedupe) --+
 //                                                                |
-//                      worker pool: one strand per hosted server |
-//                        drains chunks -> AbsorbBatchSerialized <+
+//                 per-server strand: the admitting thread drains |
+//                 the queue -> AbsorbBatchSerialized  <----------+
 //                                                                |
 //   answer <-- kRangeQueryResponse <-- query plane <- Finalize --+
 //
-// Ingestion is streaming and concurrent: chunks are enqueued per target
-// server and drained by a fixed worker pool, with at most one worker
-// inside any given server at a time (a strand), so multiple mechanism
-// instances ingest in parallel with no locking inside the mechanisms.
-// Because every server aggregate is a commutative integer counter, the
-// final state is bit-identical for every worker-thread count and for any
-// chunk arrival order — the same determinism contract as
-// EncodeUsersSharded on the client side.
-//
-// Per-server queues are BOUNDED: past the configured high-water mark the
-// producer blocks inside HandleMessage until the strand drains (counted
-// in stats().backpressure_waits). Memory is then bounded by
-// servers x high_water x chunk size regardless of how fast clients push,
-// and no admitted chunk is ever dropped — backpressure, not load shed.
+// Ingestion is inline: an admitted chunk is absorbed on the thread that
+// handed it over, before HandleMessage returns. The service starts no
+// threads of its own. Each hosted server has a strand — a chunk queue
+// plus a claim — that keeps at most one thread inside that server at a
+// time, so concurrent callers ingest into different servers in parallel
+// with no locking inside the mechanisms. A chunk for a server another
+// thread is absorbing into is queued, and that thread absorbs it before
+// it lets the strand go; its own caller returns at once. Because every
+// server aggregate is a commutative integer counter, the final state is
+// bit-identical for any number of calling threads and any chunk arrival
+// order — the same determinism contract as EncodeUsersSharded on the
+// client side.
 //
 // HandleMessage is safe to call from multiple threads; stream messages
 // return an empty vector (fire-and-forget, failures are counted in
@@ -33,16 +31,15 @@
 // shard-local ingest processes each push their partial aggregate as a
 // kStateMerge message (state_wire.h), and the query node buffers the
 // validated shard clones until the group is complete, then reduces them
-// pairwise — a fixed pairing, ParallelFor over each round — into the
-// hosted server under the same strand discipline as ingestion. Because
-// every mechanism's aggregate is a commutative integer sum, the merged
-// state is bit-identical to single-process ingestion of the union, for
-// every shard count, push order, and worker count. A full snapshot
-// buffer acks kWouldBlock (push NOT recorded): the shard backs off and
-// retries, mirroring ingestion backpressure. A socket front-end can also
-// receive a flat, haar or tree push straight into its clone as the bytes
-// arrive (OpenStateIntake); both paths share one admission and one
-// landing.
+// pairwise over a fixed pairing, on the thread that lands the last shard,
+// into the hosted server under the same strand discipline as ingestion.
+// Because every mechanism's aggregate is a commutative integer sum, the
+// merged state is bit-identical to single-process ingestion of the union,
+// for every shard count and push order. A full snapshot buffer acks
+// kWouldBlock (push NOT recorded): the shard backs off and retries. A
+// socket front-end can also receive a flat, haar or tree push straight
+// into its clone as the bytes arrive (OpenStateIntake); both paths share
+// one admission and one landing.
 
 #ifndef LDPRANGE_SERVICE_AGGREGATOR_SERVICE_H_
 #define LDPRANGE_SERVICE_AGGREGATOR_SERVICE_H_
@@ -50,12 +47,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -88,10 +83,6 @@ struct ServiceStats {
   uint64_t oversized_declarations = 0;
   uint64_t chunks_enqueued = 0;
   uint64_t chunks_absorbed = 0;
-  uint64_t backpressure_waits = 0;  // producer blocks on a full queue
-  // Non-blocking admits deferred because the target queue was at its
-  // high-water mark — each is one socket front-end read pause.
-  uint64_t socket_pauses = 0;
   uint64_t queries_answered = 0;    // responses returned (any status)
   // Distributed fan-in plane (kStateMerge pushes).
   uint64_t merge_requests = 0;      // kStateMerge messages received
@@ -112,34 +103,22 @@ class AggregatorService {
   /// and counted in stats().rejected_sessions.
   static constexpr size_t kMaxSessions = size_t{1} << 20;
 
-  /// Default per-server ingestion queue bound, in chunks (see the file
-  /// comment on backpressure).
-  static constexpr size_t kDefaultQueueHighWater = 1024;
-
   /// Default cap on buffered merge shards (restored clones waiting for
   /// their fan-in group to complete), across all in-flight merge groups.
   /// A push past the cap is acked kWouldBlock and NOT recorded — the
-  /// shard backs off and retries (net/snapshot_push.h), the merge-plane
-  /// analogue of ingestion backpressure. A buffered push that completes
-  /// its group bypasses the cap (completion frees buffer space, so
-  /// refusing it could deadlock the buffer against its own drain); a
-  /// snapshot intake always holds one slot (OpenStateIntake).
+  /// shard backs off and retries (net/snapshot_push.h). A buffered push
+  /// that completes its group bypasses the cap (completion frees buffer
+  /// space, so refusing it could deadlock the buffer against its own
+  /// drain); a snapshot intake always holds one slot (OpenStateIntake).
   static constexpr size_t kDefaultMergeBufferShards = 256;
 
-  /// `worker_threads` sizes the ingestion pool; it exists for the
-  /// service's whole lifetime. 0 selects inline mode: chunks are
-  /// absorbed synchronously inside HandleMessage (no pool, no handoff) —
-  /// the right choice on small machines and in deterministic tests,
-  /// and bit-identical to every pooled configuration.
-  /// `queue_high_water` caps each server's pending-chunk queue: an
-  /// enqueue at the cap blocks until a worker drains the strand (clamped
-  /// to >= 1; irrelevant in inline mode, where nothing ever queues).
-  /// `max_sessions` caps tracked sessions (clamped to >= 1); the default
-  /// is the production bound, tests shrink it to drive cap churn cheaply.
-  explicit AggregatorService(unsigned worker_threads = 1,
-                             size_t queue_high_water = kDefaultQueueHighWater,
-                             size_t max_sessions = kMaxSessions);
-  ~AggregatorService();
+  AggregatorService() = default;
+
+  /// The constructor of the former worker-pool service, whose argument
+  /// was its worker-thread count. Only 0 — inline, now the one mode — is
+  /// accepted. It remains for bench/e2e's host, which passes 0, until
+  /// that benchmark drops the argument.
+  explicit AggregatorService(unsigned worker_threads);
 
   AggregatorService(const AggregatorService&) = delete;
   AggregatorService& operator=(const AggregatorService&) = delete;
@@ -166,41 +145,16 @@ class AggregatorService {
   /// returns an empty vector.
   std::vector<uint8_t> HandleMessage(std::span<const uint8_t> bytes);
 
-  /// Same routing, taking ownership of the buffer: a chunk's nested
-  /// batch is kept (not copied) on the ingestion queue — the fast path
-  /// for callers that materialize each message anyway.
+  /// Same routing, taking ownership of the buffer: a chunk's nested batch
+  /// is absorbed (or queued behind another thread's absorb) where it
+  /// lies, not copied — the path for callers that materialize each
+  /// message anyway.
   std::vector<uint8_t> HandleMessage(std::vector<uint8_t>&& bytes);
 
-  /// Outcome of TryHandleMessage. kHandled covers every terminal result
-  /// (routed, rejected, counted) — the caller is done with the message.
-  enum class AdmitResult : uint8_t { kHandled, kWouldBlock };
-
-  /// Non-blocking HandleMessage for socket front-ends: identical routing
-  /// except that a stream chunk whose target server queue is at its
-  /// high-water mark is NOT admitted. On kWouldBlock nothing has been
-  /// recorded for the chunk, `bytes` is left untouched, `*blocked_server`
-  /// names the congested server, and stats().socket_pauses is
-  /// incremented — the caller should stop reading its input source and
-  /// re-present the SAME bytes after a queue-drain notification for that
-  /// server. On kHandled the buffer has been consumed and `*response`
-  /// holds whatever HandleMessage would have returned.
-  AdmitResult TryHandleMessage(std::vector<uint8_t>& bytes,
-                               std::vector<uint8_t>* response,
-                               uint64_t* blocked_server);
-
-  /// Registers a hook invoked whenever a server's ingestion queue drains
-  /// (drops from possibly-full to empty) or the server leaves the live
-  /// state — the signal a paused socket front-end uses to re-arm
-  /// connections. Called with the service lock NOT held, from a worker
-  /// (or finalizing) thread; the hook must be fast and must not call
-  /// back into blocking service methods. Invocations are serialized
-  /// against SetQueueDrainHook itself: once SetQueueDrainHook(nullptr)
-  /// returns, no in-flight invocation remains and none can start — the
-  /// guarantee a front-end's teardown depends on.
-  void SetQueueDrainHook(std::function<void(uint64_t server_id)> hook);
-
-  /// Blocks until every enqueued chunk has been absorbed (and any
-  /// in-flight finalize finished).
+  /// Blocks until no thread holds a strand: every admitted chunk has been
+  /// absorbed and any in-flight finalize or fan-in reduce finished. A
+  /// caller whose own HandleMessage calls have returned needs it only
+  /// when other threads are still routing messages.
   void Drain();
 
   /// In-process control: drain, then finalize `server_id` if it is not
@@ -286,6 +240,13 @@ class AggregatorService {
     merge_buffer_limit_ = shards == 0 ? 1 : shards;
   }
 
+  /// Caps tracked sessions (clamped to >= 1; default kMaxSessions). Not
+  /// thread-safe against HandleMessage — configure before serving
+  /// traffic; tests shrink it to drive cap churn cheaply.
+  void set_max_sessions(size_t sessions) {
+    max_sessions_ = sessions == 0 ? 1 : sessions;
+  }
+
   ServiceStats stats() const;
 
   /// The service's metrics registry: every "service.*" counter behind
@@ -302,7 +263,7 @@ class AggregatorService {
   /// One queued chunk: the owning buffer plus the offset of the nested
   /// batch message inside it (0 when the buffer is the batch itself).
   /// `enqueue_ns` is the admit timestamp feeding the queue-wait
-  /// histogram when a worker picks the chunk up.
+  /// histogram when the strand's thread picks the chunk up.
   struct QueuedChunk {
     std::vector<uint8_t> buffer;
     size_t nested_offset = 0;
@@ -336,8 +297,6 @@ class AggregatorService {
     CounterRef oversized_declarations;
     CounterRef chunks_enqueued;
     CounterRef chunks_absorbed;
-    CounterRef backpressure_waits;
-    CounterRef socket_pauses;
     CounterRef queries_answered;
     CounterRef merge_requests;
     CounterRef merge_rejects;
@@ -349,10 +308,13 @@ class AggregatorService {
     CounterRef finalizes;
   };
 
+  /// A hosted server and its strand: `queue` holds admitted chunks not
+  /// yet absorbed, and `scheduled` is the claim of the one thread allowed
+  /// inside the server — it drains the queue before it lets go.
   struct ServerEntry {
     std::unique_ptr<AggregatorServer> server;
     std::deque<QueuedChunk> queue;  // FIFO
-    bool scheduled = false;  // claimed by the ready list or a worker
+    bool scheduled = false;  // a thread holds the strand
     bool finalize_pending = false;
     EntryState state = EntryState::kLive;
   };
@@ -372,17 +334,29 @@ class AggregatorService {
     size_t filled = 0;  // non-nullptr slots; == shard_count triggers merge
   };
 
-  void WorkerLoop();
-  void ScheduleLocked(std::unique_lock<std::mutex>& lock,
-                      size_t entry_index);
-  void ProcessEntry(std::unique_lock<std::mutex>& lock, size_t entry_index);
+  /// Runs `entry_index`'s strand on the calling thread: claims it, then
+  /// absorbs its queue and any pending finalize until both are empty. A
+  /// no-op when another thread holds the claim — that thread absorbs
+  /// whatever was queued before it lets go. Enters and leaves with
+  /// `lock` held; absorb and finalize run unlocked.
+  void RunStrandLocked(std::unique_lock<std::mutex>& lock,
+                       size_t entry_index);
+  /// Claims `server_id`'s strand for a finalize or a fan-in reduce once
+  /// no strand is held (one lock hold: no absorb can slip in between).
+  /// False, with nothing claimed, for a server that is no longer live.
+  bool ClaimIdleStrandLocked(std::unique_lock<std::mutex>& lock,
+                             uint64_t server_id);
+  /// Finalizes a live server whose strand the caller holds: Finalize
+  /// runs unlocked, with chunks arriving meanwhile counted late. Enters
+  /// and leaves with `lock` held; the claim stays held.
+  void FinalizeClaimedLocked(std::unique_lock<std::mutex>& lock,
+                             ServerEntry& entry);
+  /// Releases a strand claim; wakes Drain() once no strand is held.
+  void ReleaseStrandLocked(ServerEntry& entry);
   void HandleStreamBegin(std::span<const uint8_t> bytes);
   void EnqueueChunk(uint64_t session_id, uint64_t sequence,
                     QueuedChunk chunk);
   void HandleStreamEnd(std::span<const uint8_t> bytes);
-  /// Fires the registered drain hook for `server_id` (no-op when none).
-  /// Must be called with mu_ NOT held.
-  void NotifyQueueDrain(uint64_t server_id);
   std::vector<uint8_t> HandleRangeQuery(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleMultiDimQuery(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleStatsQuery(std::span<const uint8_t> bytes);
@@ -419,31 +393,20 @@ class AggregatorService {
                                  uint64_t shards_received);
   /// The completed-group reduction: claims the target server's strand
   /// (FinalizeServer's drain-and-claim idiom), merges the group's clones
-  /// pairwise — adjacent shard indices, ParallelFor over the pairs of
-  /// each round, so the result is bit-identical for every worker count
-  /// and push order — folds the survivor into the hosted server, and
-  /// finalizes it when the group asked (kMergeFlagFinalize). Enters and
-  /// leaves with `lock` held; the reduction itself runs unlocked under
-  /// the claim.
+  /// pairwise on the calling thread — adjacent shard indices, so the
+  /// result is bit-identical for every push order — folds the survivor
+  /// into the hosted server, and finalizes it when the group asked
+  /// (kMergeFlagFinalize). Enters and leaves with `lock` held; the
+  /// reduction itself runs unlocked under the claim.
   MergeStatus RunFanInMergeLocked(std::unique_lock<std::mutex>& lock,
                                   uint64_t server_id, MergeSession group);
 
   // Declared before every member that binds metrics out of it.
   obs::MetricsRegistry registry_;
   mutable std::mutex mu_;
-  std::condition_variable work_ready_;
+  // Signaled when the last held strand is released.
   std::condition_variable idle_;
-  // Signaled whenever a server queue drains or its entry leaves kLive:
-  // wakes producers blocked on a full queue.
-  std::condition_variable queue_space_;
-  size_t queue_high_water_;
-  size_t max_sessions_;
-  // Socket-front-end drain notifications. hook_mu_ is held across every
-  // invocation (never while mu_ is held), so SetQueueDrainHook(nullptr)
-  // synchronizes with in-flight calls; it also serializes notifications,
-  // which fire at most once per strand drain — far off the hot path.
-  std::mutex hook_mu_;
-  std::function<void(uint64_t)> queue_drain_hook_;
+  size_t max_sessions_ = kMaxSessions;
   std::vector<std::unique_ptr<ServerEntry>> entries_;
   std::unordered_map<uint64_t, IngestSession> sessions_;  // by session_id
   // In-flight fan-in groups, by merge_id. Guarded by mu_; the buffered
@@ -452,9 +415,7 @@ class AggregatorService {
   std::unordered_map<uint64_t, MergeSession> merge_sessions_;
   size_t buffered_merge_shards_ = 0;
   size_t merge_buffer_limit_ = kDefaultMergeBufferShards;
-  std::deque<size_t> ready_;  // entry indices with claimed work
-  size_t busy_entries_ = 0;
-  bool stopping_ = false;
+  size_t busy_entries_ = 0;  // strands currently claimed
   ServiceCounters stats_{registry_};
   // Ingestion-plane instrumentation: chunks pending across all strands,
   // admit-to-absorb wait, and end-to-end query handling latency.
@@ -471,7 +432,6 @@ class AggregatorService {
       &registry_.GetHistogram("merge.absorb_ns");
   obs::LatencyHistogram* merge_fan_in_ns_ =
       &registry_.GetHistogram("merge.fan_in_ns");
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace ldp::service

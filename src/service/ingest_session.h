@@ -6,7 +6,7 @@
 // kStreamEnd completeness check — did every declared chunk arrive? — is
 // exact even under arbitrary reordering. It holds no report bytes and no
 // mechanism state; chunk payloads flow straight to the target server's
-// ingestion queue.
+// strand.
 
 #ifndef LDPRANGE_SERVICE_INGEST_SESSION_H_
 #define LDPRANGE_SERVICE_INGEST_SESSION_H_
@@ -43,9 +43,8 @@ class IngestSession {
   uint64_t server_id() const { return server_id_; }
 
   /// True when AdmitChunk(sequence) would admit: the session is live,
-  /// the sequence is in policy and not yet seen. Const — the peek a
-  /// non-blocking caller uses to decide whether a full queue is worth
-  /// pausing for before anything is recorded.
+  /// the sequence is in policy and not yet seen. Const: nothing is
+  /// recorded.
   bool CanAdmit(uint64_t sequence) const {
     return !ended_ && sequence < kMaxSequences && !seen_.contains(sequence);
   }

@@ -313,7 +313,7 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
   // The acceptance flow: one sharded encode, absorbed once in process and
   // once as streamed kMultiDimReportBatch chunks through the service;
   // every rectangle answered over the wire must match the in-process
-  // estimate bit for bit, at every worker count.
+  // estimate bit for bit.
   const uint64_t kDomain = 64;
   const double kEps = 1.1;
   MultiDimClient client(kDomain, 2, kEps);
@@ -334,48 +334,46 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
   const std::vector<std::pair<AxisInterval, AxisInterval>> rects = {
       {{0, 63}, {0, 63}}, {{10, 37}, {22, 41}}, {{0, 0}, {63, 63}}};
 
-  for (unsigned workers : {0u, 2u}) {
-    AggregatorService service(workers);
-    const uint64_t server_id =
-        service.AddServer(MakeAggregatorServer(GridSpec(kDomain, 2, kEps)));
-    const uint64_t kSession = 4242;
-    service.HandleMessage(service::SerializeStreamBegin({kSession, server_id}));
-    const size_t kPerChunk = 7000;
-    uint64_t sequence = 0;
-    for (size_t begin = 0; begin < reports.size(); begin += kPerChunk) {
-      const size_t count = std::min(kPerChunk, reports.size() - begin);
-      service.HandleMessage(service::SerializeStreamChunk(
-          kSession, sequence++,
-          SerializeMultiDimReportBatch(
-              2, std::span<const MultiDimReport>(reports).subspan(begin,
-                                                                  count))));
-    }
-    service.HandleMessage(service::SerializeStreamEnd(
-        {kSession, sequence, service::kStreamFlagFinalize}));
-    service.Drain();
-    ASSERT_TRUE(service.server_finalized(server_id));
-    EXPECT_EQ(service.server(server_id).accepted_reports(), reports.size());
+  AggregatorService service;
+  const uint64_t server_id =
+      service.AddServer(MakeAggregatorServer(GridSpec(kDomain, 2, kEps)));
+  const uint64_t kSession = 4242;
+  service.HandleMessage(service::SerializeStreamBegin({kSession, server_id}));
+  const size_t kPerChunk = 7000;
+  uint64_t sequence = 0;
+  for (size_t begin = 0; begin < reports.size(); begin += kPerChunk) {
+    const size_t count = std::min(kPerChunk, reports.size() - begin);
+    service.HandleMessage(service::SerializeStreamChunk(
+        kSession, sequence++,
+        SerializeMultiDimReportBatch(
+            2, std::span<const MultiDimReport>(reports).subspan(begin,
+                                                                count))));
+  }
+  service.HandleMessage(service::SerializeStreamEnd(
+      {kSession, sequence, service::kStreamFlagFinalize}));
+  service.Drain();
+  ASSERT_TRUE(service.server_finalized(server_id));
+  EXPECT_EQ(service.server(server_id).accepted_reports(), reports.size());
 
-    for (size_t r = 0; r < rects.size(); ++r) {
-      QueryBox box;
-      box.axes = {{rects[r].first.lo, rects[r].first.hi},
-                  {rects[r].second.lo, rects[r].second.hi}};
-      service::MultiDimQueryResponse response =
-          AskBox(service, server_id, r + 1, {box});
-      ASSERT_EQ(response.status, QueryStatus::kOk);
-      ASSERT_EQ(response.estimates.size(), 1u);
-      const AxisInterval direct[2] = {rects[r].first, rects[r].second};
-      RangeEstimate expected = in_process.BoxQueryWithUncertainty(direct);
-      EXPECT_EQ(response.estimates[0].estimate, expected.value)
-          << "rect " << r << " at " << workers << " workers";
-      EXPECT_EQ(response.estimates[0].variance,
-                expected.stddev * expected.stddev);
-    }
+  for (size_t r = 0; r < rects.size(); ++r) {
+    QueryBox box;
+    box.axes = {{rects[r].first.lo, rects[r].first.hi},
+                {rects[r].second.lo, rects[r].second.hi}};
+    service::MultiDimQueryResponse response =
+        AskBox(service, server_id, r + 1, {box});
+    ASSERT_EQ(response.status, QueryStatus::kOk);
+    ASSERT_EQ(response.estimates.size(), 1u);
+    const AxisInterval direct[2] = {rects[r].first, rects[r].second};
+    RangeEstimate expected = in_process.BoxQueryWithUncertainty(direct);
+    EXPECT_EQ(response.estimates[0].estimate, expected.value)
+        << "rect " << r;
+    EXPECT_EQ(response.estimates[0].variance,
+              expected.stddev * expected.stddev);
   }
 }
 
 TEST(MultiDimService, QueryErrorLadder) {
-  AggregatorService service(0);
+  AggregatorService service;
   const uint64_t grid_id =
       service.AddServer(MakeAggregatorServer(GridSpec(16, 2, 1.0)));
   ServerSpec flat;

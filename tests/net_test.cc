@@ -1,20 +1,17 @@
 // The TCP front-end end to end on loopback: the identical framed bytes
 // through a real socket must produce query responses bit-identical to
-// the in-process HandleMessage path — including while the connection is
-// paused by queue backpressure — plus connection lifecycle (graceful
+// the in-process HandleMessage path — including a query answered while
+// another connection streams — plus connection lifecycle (graceful
 // half-close, idle timeout, framing violations) and session-cap churn
 // parity between the two paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -147,67 +144,6 @@ bool EventuallyTrue(Pred&& pred) {
   return true;
 }
 
-// Same gate pattern as service_test.cc: an absorb that parks the worker
-// until the test opens it, so backpressure points are reached
-// deterministically instead of by racing the strand.
-class GatedServer : public AggregatorServer {
- public:
-  std::string Name() const override { return "Gated"; }
-  uint64_t domain() const override { return 1; }
-  bool AbsorbSerialized(std::span<const uint8_t>) override { return true; }
-  protocol::ParseError DoAbsorbBatchSerialized(std::span<const uint8_t>,
-                                             uint64_t* accepted) override {
-    absorbing_.store(true, std::memory_order_release);
-    std::unique_lock<std::mutex> lock(mu_);
-    gate_cv_.wait(lock, [&] { return open_; });
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (accepted != nullptr) *accepted = 1;
-    return protocol::ParseError::kOk;
-  }
-  double RangeQuery(uint64_t, uint64_t) const override { return 0.0; }
-  RangeEstimate RangeQueryWithUncertainty(uint64_t, uint64_t) const override {
-    return {0.0, 0.0};
-  }
-  std::vector<double> EstimateFrequencies() const override { return {0.0}; }
-
-  void Open() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    gate_cv_.notify_all();
-  }
-  bool absorbing() const { return absorbing_.load(std::memory_order_acquire); }
-  uint64_t batches() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  void DoFinalize() override {}
-  // Inert state plumbing: this double exercises backpressure, never the
-  // fan-in plane.
-  service::StateKind state_kind() const override {
-    return service::StateKind::kFlat;
-  }
-  double state_epsilon() const override { return 1.0; }
-  void AppendStateBody(std::vector<uint8_t>&) const override {}
-  size_t StateBodyBytes() const override { return 0; }
-  bool RestoreStateBody(std::span<const uint8_t>) override { return true; }
-  std::unique_ptr<AggregatorServer> DoCloneEmpty() const override {
-    return nullptr;
-  }
-  service::MergeStatus DoMergeFrom(AggregatorServer&) override {
-    return service::MergeStatus::kOk;
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable gate_cv_;
-  bool open_ = false;
-  std::atomic<bool> absorbing_{false};
-  std::atomic<uint64_t> batches_{0};
-};
-
 // --- Bit-identity: socket path vs in-process path --------------------
 
 TEST(NetLoopback, QueryResponsesBitIdenticalToInProcess) {
@@ -221,7 +157,7 @@ TEST(NetLoopback, QueryResponsesBitIdenticalToInProcess) {
     SCOPED_TRACE(ServerKindName(spec.kind));
     const auto chunks = EncodeChunks(spec, values, /*seed=*/0x51D);
 
-    AggregatorService reference(/*worker_threads=*/2);
+    AggregatorService reference;
     const uint64_t ref_id = reference.AddServer(MakeAggregatorServer(spec));
     const auto trace = SessionTrace(11, ref_id, chunks, /*finalize=*/true);
     for (const auto& msg : trace) reference.HandleMessage(msg);
@@ -230,7 +166,7 @@ TEST(NetLoopback, QueryResponsesBitIdenticalToInProcess) {
     const std::vector<uint8_t> expected =
         reference.HandleMessage(QueryBytes(ref_id, spec.domain));
 
-    AggregatorService svc(/*worker_threads=*/2);
+    AggregatorService svc;
     const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
     ASSERT_EQ(server_id, ref_id);
     TcpFrontEnd front(svc);
@@ -260,7 +196,7 @@ TEST(NetLoopback, MultipleConnectionsOneSessionEach) {
   const std::vector<uint64_t> values = TestValues(kUsers, kDomain);
   const auto chunks = EncodeChunks(spec, values, /*seed=*/0xA11);
 
-  AggregatorService reference(/*worker_threads=*/0);
+  AggregatorService reference;
   const uint64_t ref_id = reference.AddServer(MakeAggregatorServer(spec));
   for (size_t c = 0; c < chunks.size(); ++c) {
     const auto trace = SessionTrace(100 + c, ref_id, {chunks[c]},
@@ -271,7 +207,7 @@ TEST(NetLoopback, MultipleConnectionsOneSessionEach) {
   const std::vector<uint8_t> expected =
       reference.HandleMessage(QueryBytes(ref_id, spec.domain));
 
-  AggregatorService svc(/*worker_threads=*/3);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -311,84 +247,79 @@ TEST(NetLoopback, MultipleConnectionsOneSessionEach) {
   EXPECT_EQ(stats.duplicate_chunks, 0u);
 }
 
-// --- Backpressure: socket pause instead of a blocked thread ----------
-
-TEST(NetBackpressure, ForcedSocketPauseStillBitIdentical) {
-  // Two servers, one worker each: the gated server's strand is held
-  // shut, its 1-chunk queue fills, and the connection's third gated
-  // chunk forces a socket pause (TryHandleMessage would-block →
-  // EPOLLIN deregistered). The haar session's bytes are already queued
-  // BEHIND the pause on the same connection, so nothing of it may be
-  // processed early; once the gate opens, the drain hook re-arms the
-  // read, the parked chunk is re-presented (exactly once), and the
-  // remaining bytes replay — query responses must still be
-  // bit-identical to the in-process path.
+TEST(NetLoopback, QueryAnsweredWhileAnotherConnectionStreams) {
+  // One event loop serves every connection and absorbs each chunk inline,
+  // so a query waits at most for the absorb in progress. A query to a
+  // finalized server is answered, byte-identical to the in-process reply,
+  // while a second connection is mid-session into another server.
   const ServerSpec spec{ServerKind::kHaar, kDomain, kEps};
   const std::vector<uint64_t> values = TestValues(kUsers, kDomain);
-  const auto chunks = EncodeChunks(spec, values, /*seed=*/0xFACE);
+  const auto queried_chunks = EncodeChunks(spec, values, /*seed=*/0x9E7);
+  const auto streamed_chunks = EncodeChunks(spec, values, /*seed=*/0x57E);
 
-  AggregatorService reference(/*worker_threads=*/0);
-  const uint64_t ref_gated = reference.AddServer(
-      [] {
-        auto owned = std::make_unique<GatedServer>();
-        owned->Open();
-        return owned;
-      }());
-  const uint64_t ref_haar = reference.AddServer(MakeAggregatorServer(spec));
-  (void)ref_gated;
-  const auto haar_trace = SessionTrace(21, ref_haar, chunks, true);
-  for (const auto& msg : haar_trace) reference.HandleMessage(msg);
-  ASSERT_TRUE(reference.server_finalized(ref_haar));
-  const std::vector<uint8_t> expected =
-      reference.HandleMessage(QueryBytes(ref_haar, spec.domain));
+  AggregatorService reference;
+  const uint64_t ref_queried = reference.AddServer(MakeAggregatorServer(spec));
+  const uint64_t ref_streamed =
+      reference.AddServer(MakeAggregatorServer(spec));
+  for (const auto& msg : SessionTrace(1, ref_queried, queried_chunks, true)) {
+    reference.HandleMessage(msg);
+  }
+  for (const auto& msg :
+       SessionTrace(2, ref_streamed, streamed_chunks, true)) {
+    reference.HandleMessage(msg);
+  }
+  const std::vector<uint8_t> expected_queried =
+      reference.HandleMessage(QueryBytes(ref_queried, spec.domain));
+  const std::vector<uint8_t> expected_streamed =
+      reference.HandleMessage(QueryBytes(ref_streamed, spec.domain));
 
-  auto owned = std::make_unique<GatedServer>();
-  GatedServer* gated = owned.get();
-  AggregatorService svc(/*worker_threads=*/2, /*queue_high_water=*/1);
-  const uint64_t gated_id = svc.AddServer(std::move(owned));
-  const uint64_t haar_id = svc.AddServer(MakeAggregatorServer(spec));
-  ASSERT_EQ(haar_id, ref_haar);
+  AggregatorService svc;
+  const uint64_t queried = svc.AddServer(MakeAggregatorServer(spec));
+  const uint64_t streamed = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
+  TcpClient querier;
+  ASSERT_TRUE(querier.Connect("127.0.0.1", front.port()));
+  for (const auto& msg : SessionTrace(1, queried, queried_chunks, true)) {
+    ASSERT_TRUE(querier.Send(msg));
+  }
+  // The streaming connection opens its session and sends half its chunks.
+  TcpClient streamer;
+  ASSERT_TRUE(streamer.Connect("127.0.0.1", front.port()));
+  const auto trace = SessionTrace(2, streamed, streamed_chunks, true);
+  const size_t mid = 1 + streamed_chunks.size() / 2;
+  for (size_t i = 0; i < mid; ++i) ASSERT_TRUE(streamer.Send(trace[i]));
+  ASSERT_TRUE(EventuallyTrue([&] {
+    return svc.stats().chunks_absorbed == queried_chunks.size() + mid - 1;
+  }));
+  // The querier's session precedes its query on one connection, so the
+  // query finds its server finalized.
+  EXPECT_EQ(querier.Call(QueryBytes(queried, spec.domain)), expected_queried);
+  EXPECT_FALSE(svc.server_finalized(streamed));  // still mid-session
 
-  TcpClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", front.port()));
-  // Gated session: chunk 0 parks a worker inside the gate, chunk 1
-  // fills the 1-slot queue, chunk 2 must pause the connection.
-  const std::vector<uint8_t> tiny = {0xAB};
-  ASSERT_TRUE(
-      client.Send(service::SerializeStreamBegin({20, gated_id})));
-  ASSERT_TRUE(client.Send(service::SerializeStreamChunk(20, 0, tiny)));
-  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
-  ASSERT_TRUE(client.Send(service::SerializeStreamChunk(20, 1, tiny)));
-  ASSERT_TRUE(client.Send(service::SerializeStreamChunk(20, 2, tiny)));
-  ASSERT_TRUE(
-      EventuallyTrue([&] { return svc.stats().socket_pauses >= 1; }));
-  EXPECT_GE(front.stats().read_pauses, 1u);
-  // The haar session rides the same (paused) connection.
-  for (const auto& msg : haar_trace) ASSERT_TRUE(client.Send(msg));
-  StreamEnd gated_end;
-  gated_end.session_id = 20;
-  gated_end.chunk_count = 3;
-  ASSERT_TRUE(client.Send(service::SerializeStreamEnd(gated_end)));
-  // Paused means parked: the haar bytes sit in buffers, unprocessed.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(svc.server_finalized(haar_id));
-
-  gated->Open();
-  ASSERT_TRUE(
-      EventuallyTrue([&] { return svc.server_finalized(haar_id); }));
-  ASSERT_TRUE(EventuallyTrue([&] { return front.stats().read_resumes >= 1; }));
-  EXPECT_EQ(client.Call(QueryBytes(haar_id, spec.domain)), expected);
-  svc.Drain();
+  // The rest of the session interleaves with more queries on the loop.
+  std::thread rest([&] {
+    for (size_t i = mid; i < trace.size(); ++i) {
+      ASSERT_TRUE(streamer.Send(trace[i]));
+    }
+  });
+  do {
+    EXPECT_EQ(querier.Call(QueryBytes(queried, spec.domain)),
+              expected_queried);
+  } while (!svc.server_finalized(streamed));
+  rest.join();
+  EXPECT_EQ(querier.Call(QueryBytes(streamed, spec.domain)),
+            expected_streamed);
   front.Stop();
 
   const service::ServiceStats stats = svc.stats();
-  EXPECT_GE(stats.socket_pauses, 1u);
-  EXPECT_EQ(stats.backpressure_waits, 0u);  // no thread ever blocked
-  EXPECT_EQ(stats.duplicate_chunks, 0u);    // re-present admitted once
+  EXPECT_EQ(stats.chunks_enqueued,
+            queried_chunks.size() + streamed_chunks.size());
+  EXPECT_EQ(stats.chunks_absorbed, stats.chunks_enqueued);
+  EXPECT_EQ(stats.duplicate_chunks, 0u);
+  EXPECT_EQ(stats.late_chunks, 0u);
   EXPECT_EQ(stats.incomplete_streams, 0u);
-  EXPECT_EQ(gated->batches(), 3u);  // every gated chunk absorbed once
+  EXPECT_EQ(front.stats().protocol_errors, 0u);
 }
 
 // --- Session-cap churn: TCP path vs in-process path ------------------
@@ -420,9 +351,8 @@ TEST(NetChurn, SessionCapRejectionsMatchInProcessBitForBit) {
     trace.push_back(service::SerializeStreamBegin({600 + s, 0}));
   }
 
-  AggregatorService reference(/*worker_threads=*/0,
-                              AggregatorService::kDefaultQueueHighWater,
-                              /*max_sessions=*/kCap);
+  AggregatorService reference;
+  reference.set_max_sessions(kCap);
   reference.AddServer(MakeAggregatorServer(spec));
   for (const auto& msg : trace) reference.HandleMessage(msg);
   ASSERT_TRUE(reference.server_finalized(0));
@@ -431,9 +361,8 @@ TEST(NetChurn, SessionCapRejectionsMatchInProcessBitForBit) {
   const service::ServiceStats ref_stats = reference.stats();
   ASSERT_EQ(ref_stats.rejected_sessions, kExtra);
 
-  AggregatorService svc(/*worker_threads=*/2,
-                        AggregatorService::kDefaultQueueHighWater,
-                        /*max_sessions=*/kCap);
+  AggregatorService svc;
+  svc.set_max_sessions(kCap);
   svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -467,7 +396,7 @@ TEST(NetLifecycle, GracefulHalfCloseFlushesResponses) {
   const ServerSpec spec{ServerKind::kHaar, kDomain, kEps};
   const std::vector<uint64_t> values = TestValues(kUsers / 4, kDomain);
   const auto chunks = EncodeChunks(spec, values, /*seed=*/0x7A);
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -492,7 +421,7 @@ TEST(NetLifecycle, GracefulHalfCloseFlushesResponses) {
 }
 
 TEST(NetLifecycle, IdleConnectionIsClosed) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   TcpFrontEndConfig config;
   config.idle_timeout_ms = 100;
   TcpFrontEnd front(svc, config);
@@ -509,7 +438,7 @@ TEST(NetLifecycle, IdleConnectionIsClosed) {
 }
 
 TEST(NetLifecycle, MaxConnectionsRejectsTheOverflow) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   TcpFrontEndConfig config;
   config.max_connections = 2;
   TcpFrontEnd front(svc, config);
@@ -531,7 +460,7 @@ TEST(NetLifecycle, MaxConnectionsRejectsTheOverflow) {
 // --- Framing discipline ----------------------------------------------
 
 TEST(NetProtocol, BadMagicClosesTheConnection) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
   TcpClient client;
@@ -547,7 +476,7 @@ TEST(NetProtocol, BadMagicClosesTheConnection) {
 }
 
 TEST(NetProtocol, OversizedDeclaredLengthClosesTheConnection) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   TcpFrontEndConfig config;
   config.max_message_bytes = 1024;
   TcpFrontEnd front(svc, config);
@@ -568,7 +497,7 @@ TEST(NetProtocol, OversizedDeclaredLengthClosesTheConnection) {
 }
 
 TEST(NetProtocol, TruncatedFinalMessageIsAProtocolError) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
   TcpClient client;
@@ -589,7 +518,7 @@ TEST(NetTimeout, ReceiveDeadlineSurfacesTypedTimeout) {
   // Stream messages are fire-and-forget: the front-end never writes
   // back, so a timed receive after one is the cleanest "server accepts,
   // never replies" scenario.
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.AddServer(MakeAggregatorServer({ServerKind::kFlat, kDomain, kEps}));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -626,7 +555,7 @@ TEST(NetFanIn, TwoShardSnapshotPushMatchesSingleProcess) {
   const auto chunks = EncodeChunks(spec, values, /*seed=*/0xFA11);
   ASSERT_GE(chunks.size(), 2u);
 
-  AggregatorService reference(/*worker_threads=*/0);
+  AggregatorService reference;
   const uint64_t ref_id = reference.AddServer(MakeAggregatorServer(spec));
   const auto trace = SessionTrace(61, ref_id, chunks, /*finalize=*/true);
   for (const auto& msg : trace) reference.HandleMessage(msg);
@@ -642,7 +571,7 @@ TEST(NetFanIn, TwoShardSnapshotPushMatchesSingleProcess) {
               protocol::ParseError::kOk);
   }
 
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -693,7 +622,7 @@ TEST(NetFanIn, WouldBlockRetriesReconcileWithServiceCounters) {
     return shard->SerializeState();
   };
 
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.set_merge_buffer_limit(1);
   const uint64_t id_a = svc.AddServer(MakeAggregatorServer(spec));
   const uint64_t id_b = svc.AddServer(MakeAggregatorServer(spec));
@@ -888,7 +817,7 @@ TEST(NetFanIn, LargeSnapshotFramesMergeBitIdenticalOverEveryDelivery) {
     const std::vector<uint8_t> reference_state = reference->SerializeState();
     reference->Finalize();
 
-    AggregatorService svc(/*worker_threads=*/2);
+    AggregatorService svc;
     uint64_t ids[3];
     for (uint64_t& id : ids) id = svc.AddServer(MakeAggregatorServer(spec));
     TcpFrontEnd front(svc);
@@ -1076,7 +1005,7 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> FailingBodies(
 // buffered path.
 std::vector<uint8_t> BufferedAck(const ServerSpec& spec,
                                  std::span<const uint8_t> frame) {
-  AggregatorService parent(/*worker_threads=*/0);
+  AggregatorService parent;
   parent.AddServer(MakeAggregatorServer(spec));
   return parent.HandleMessage(frame);
 }
@@ -1088,7 +1017,7 @@ TEST(NetIntake, BodyFailingMidWayIsNackedOnceTheFrameIsConsumed) {
     const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x1D0);
     const auto bodies =
         FailingBodies(BodyOf(snapshot), kind != ServerKind::kFlat);
-    AggregatorService svc(/*worker_threads=*/0);
+    AggregatorService svc;
     const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
     TcpFrontEnd front(svc);
     ASSERT_TRUE(front.Start());
@@ -1149,7 +1078,7 @@ TEST(NetIntake, LengthOutsideTheWindowTakesTheBufferedPath) {
     longer.resize(body.size() + 4096);
     std::vector<uint8_t> shorter(body.begin(),
                                        body.begin() + body.size() / 2);
-    AggregatorService svc(/*worker_threads=*/0);
+    AggregatorService svc;
     const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
     TcpFrontEnd front(svc);
     ASSERT_TRUE(front.Start());
@@ -1188,7 +1117,7 @@ TEST(NetIntake, EofMidBodyReleasesTheReservation) {
   for (const auto& snap : snaps) {
     ASSERT_EQ(reference->MergeSerializedState(snap), service::MergeStatus::kOk);
   }
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -1226,7 +1155,7 @@ TEST(NetIntake, EofMidBodyReleasesTheReservation) {
 TEST(NetIntake, StalledPeerHitsTheDeadlineAndFreesItsSlot) {
   const ServerSpec spec = IntakeSpec(ServerKind::kFlat);
   const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x57A);
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.set_merge_buffer_limit(1);
   const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEndConfig config;
@@ -1270,7 +1199,7 @@ TEST(NetIntake, StalledPeerHitsTheDeadlineAndFreesItsSlot) {
 TEST(NetIntake, DuplicateAndWouldBlockPushesMidIntakeGetTheParentsAcks) {
   const ServerSpec spec = IntakeSpec(ServerKind::kTree);
   const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0xD0B);
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.set_merge_buffer_limit(1);
   const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
@@ -1318,7 +1247,7 @@ TEST(NetIntake, StalledSingleShardPushesNeverExceedTheCap) {
   // buffered path, which commits nothing before their bytes arrive.
   const ServerSpec spec = IntakeSpec(ServerKind::kFlat);
   const std::vector<uint8_t> snapshot = ShardSnapshot(spec, 0x5111);
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.set_merge_buffer_limit(2);
   const uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   TcpFrontEnd front(svc);
@@ -1358,7 +1287,7 @@ TEST(NetProtocol, MalformedButFramedMessageSurvivesTheConnection) {
   // tag) is the SERVICE's problem: counted malformed, skipped, and the
   // connection keeps answering.
   const ServerSpec spec{ServerKind::kFlat, kDomain, kEps};
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   svc.FinalizeServer(server_id);
   TcpFrontEnd front(svc);

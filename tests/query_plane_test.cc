@@ -126,7 +126,7 @@ TEST(QueryPlaneWire, ForgedCountsAndBadStatusAreRejected) {
 
 class QueryErrorPaths : public ::testing::Test {
  protected:
-  QueryErrorPaths() : svc_(1) {
+  QueryErrorPaths() {
     id_ = svc_.AddServer(MakeAggregatorServer(FlatSpec()));
   }
 

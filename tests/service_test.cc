@@ -2,7 +2,7 @@
 // through the identical bytes-in -> query-response-bytes-out path, with
 // the in-process batch path as the bit-for-bit reference; plus the
 // shared ServerStats accounting, session hygiene (duplicates,
-// reordering, incompleteness), and worker-count determinism.
+// reordering, incompleteness), and determinism across concurrent callers.
 
 #include <gtest/gtest.h>
 
@@ -61,15 +61,15 @@ std::vector<uint64_t> TestValues(uint64_t n, uint64_t domain) {
   return values;
 }
 
-// Splits `values` into kChunks batch messages for one non-AHEAD
+// Splits `values` into `chunk_count` batch messages for one non-AHEAD
 // mechanism. The same bytes feed both the reference server and the
 // streamed service, so their aggregates must agree bit for bit.
 std::vector<std::vector<uint8_t>> EncodeChunks(
     const ServerSpec& spec, const std::vector<uint64_t>& values,
-    uint64_t seed) {
+    uint64_t seed, int chunk_count = kChunks) {
   std::vector<std::vector<uint8_t>> chunks;
-  uint64_t per_chunk = (values.size() + kChunks - 1) / kChunks;
-  for (int c = 0; c < kChunks; ++c) {
+  uint64_t per_chunk = (values.size() + chunk_count - 1) / chunk_count;
+  for (int c = 0; c < chunk_count; ++c) {
     uint64_t begin = c * per_chunk;
     uint64_t end = std::min<uint64_t>(values.size(), begin + per_chunk);
     if (begin >= end) break;
@@ -120,15 +120,21 @@ void StreamSession(AggregatorService& svc, uint64_t session_id,
   svc.HandleMessage(service::SerializeStreamEnd(end));
 }
 
-RangeQueryResponse QueryOverWire(AggregatorService& svc, uint64_t server_id,
-                                 std::vector<QueryInterval> intervals,
-                                 uint64_t query_id = 7) {
+std::vector<uint8_t> QueryBytes(uint64_t server_id,
+                                std::vector<QueryInterval> intervals,
+                                uint64_t query_id = 7) {
   RangeQueryRequest request;
   request.query_id = query_id;
   request.server_id = server_id;
   request.intervals = std::move(intervals);
+  return service::SerializeRangeQueryRequest(request);
+}
+
+RangeQueryResponse QueryOverWire(AggregatorService& svc, uint64_t server_id,
+                                 std::vector<QueryInterval> intervals,
+                                 uint64_t query_id = 7) {
   std::vector<uint8_t> bytes =
-      svc.HandleMessage(service::SerializeRangeQueryRequest(request));
+      svc.HandleMessage(QueryBytes(server_id, std::move(intervals), query_id));
   RangeQueryResponse response;
   EXPECT_EQ(service::ParseRangeQueryResponse(bytes, &response),
             ParseError::kOk);
@@ -209,7 +215,7 @@ TEST_P(ServiceEndToEnd, StreamedMatchesInProcessBitForBit) {
   reference->Finalize();
 
   // Streamed: the same bytes through the service.
-  AggregatorService svc(/*worker_threads=*/3);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   StreamSession(svc, /*session_id=*/1, id, chunks, /*finalize=*/true);
   svc.Drain();
@@ -285,7 +291,7 @@ TEST(ServiceEndToEnd, AheadTwoPhaseStreamedMatchesInProcess) {
 
   // Streamed: phase-1 session, tree broadcast, phase-2 session with the
   // finalize flag — the full protocol over serialized bytes.
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   StreamSession(svc, /*session_id=*/1, id, phase1_chunks,
                 /*finalize=*/false);
@@ -309,33 +315,64 @@ TEST(ServiceEndToEnd, AheadTwoPhaseStreamedMatchesInProcess) {
 // --- Determinism and session hygiene -----------------------------------
 
 TEST(ServiceDeterminism, FinalStateIsInvariantAcrossWorkerCounts) {
+  // The workers are the threads calling HandleMessage: the service starts
+  // none of its own. Session k carries one chunk to server k / chunks and
+  // caller t sends sessions t, t + callers, ..., so callers feeding one
+  // server meet on its strand and queue chunks behind each other's
+  // absorbs. Every server's state bytes and query reply bytes must equal
+  // one caller's, for 1-3 servers and 1, 2 or 4 callers.
   ServerSpec spec;
   spec.kind = ServerKind::kTree;
   spec.domain = kDomain;
   spec.eps = kEps;
-  std::vector<uint64_t> values = TestValues(kUsers, kDomain);
-  std::vector<std::vector<uint8_t>> chunks = EncodeChunks(spec, values, 9);
+  const std::vector<std::vector<uint8_t>> chunks =
+      EncodeChunks(spec, TestValues(kUsers, kDomain), 9, /*chunk_count=*/24);
+  const std::vector<QueryInterval> intervals = {
+      {0, kDomain - 1}, {3, 17}, {100, 200}, {31, 31}};
 
-  std::vector<double> reference_frequencies;
-  // 0 = inline mode (no pool); the pooled counts must match it bitwise.
-  for (unsigned workers : {0u, 1u, 3u, 8u}) {
-    SCOPED_TRACE(workers);
-    AggregatorService svc(workers);
-    uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
-    // Two concurrent mechanism instances so the pool actually
-    // interleaves strands; the second is a bystander whose presence must
-    // not perturb the first.
-    uint64_t other = svc.AddServer(MakeAggregatorServer(spec));
-    svc.HandleMessage(service::SerializeStreamBegin({77, other}));
-    svc.HandleMessage(
-        service::SerializeStreamChunk(77, 0, chunks.front()));
-    StreamSession(svc, /*session_id=*/1, id, chunks, /*finalize=*/true);
-    svc.Drain();
-    std::vector<double> frequencies = svc.server(id).EstimateFrequencies();
-    if (reference_frequencies.empty()) {
-      reference_frequencies = frequencies;
-    } else {
-      EXPECT_EQ(frequencies, reference_frequencies);  // bit-identical
+  AggregatorService reference;
+  const uint64_t ref_id = reference.AddServer(MakeAggregatorServer(spec));
+  StreamSession(reference, /*session_id=*/1, ref_id, chunks,
+                /*finalize=*/false);
+  const std::vector<uint8_t> expected_state =
+      reference.server(ref_id).SerializeState();
+  ASSERT_TRUE(reference.FinalizeServer(ref_id));
+  const std::vector<uint8_t> expected_reply =
+      reference.HandleMessage(QueryBytes(ref_id, intervals));
+
+  for (unsigned servers : {1u, 2u, 3u}) {
+    for (unsigned callers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << servers << " servers, " << callers << " callers");
+      AggregatorService svc;
+      for (unsigned s = 0; s < servers; ++s) {
+        svc.AddServer(MakeAggregatorServer(spec));
+      }
+      const size_t sessions = servers * chunks.size();
+      std::vector<std::thread> threads;
+      for (unsigned t = 0; t < callers; ++t) {
+        threads.emplace_back([&, t] {
+          for (size_t k = t; k < sessions; k += callers) {
+            StreamSession(svc, /*session_id=*/100 + k,
+                          /*server_id=*/k / chunks.size(),
+                          {chunks[k % chunks.size()]}, /*finalize=*/false);
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      // No Drain(): a chunk is absorbed before the last HandleMessage
+      // call that touched its server returns.
+      const service::ServiceStats stats = svc.stats();
+      EXPECT_EQ(stats.chunks_enqueued, sessions);
+      EXPECT_EQ(stats.chunks_absorbed, sessions);
+      EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
+      for (uint64_t id = 0; id < servers; ++id) {
+        SCOPED_TRACE(id);
+        EXPECT_EQ(svc.server(id).SerializeState(), expected_state);
+        ASSERT_TRUE(svc.FinalizeServer(id));
+        EXPECT_EQ(svc.HandleMessage(QueryBytes(id, intervals)),
+                  expected_reply);
+      }
     }
   }
 }
@@ -355,7 +392,7 @@ TEST(ServiceSessions, OutOfOrderAndDuplicateChunksAreHandled) {
   }
   reference->Finalize();
 
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   svc.HandleMessage(service::SerializeStreamBegin({1, id}));
   // Reversed order, with sequence 0 replayed twice.
@@ -382,7 +419,7 @@ TEST(ServiceSessions, IncompleteStreamDoesNotFinalize) {
   spec.kind = ServerKind::kFlat;
   spec.domain = 64;
   spec.eps = kEps;
-  AggregatorService svc(1);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   svc.HandleMessage(service::SerializeStreamBegin({1, id}));
   // Declares two chunks but only one was sent.
@@ -409,7 +446,7 @@ TEST(ServiceSessions, DuplicateAndUnknownSessionsAreCounted) {
   spec.kind = ServerKind::kFlat;
   spec.domain = 64;
   spec.eps = kEps;
-  AggregatorService svc(1);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   svc.HandleMessage(service::SerializeStreamBegin({5, id}));
   svc.HandleMessage(service::SerializeStreamBegin({5, id}));  // duplicate
@@ -433,7 +470,7 @@ TEST(ServiceSessions, DuplicateAndUnknownSessionsAreCounted) {
 }
 
 TEST(ServiceRouting, UnroutableMessagesAreCountedNotCrashed) {
-  AggregatorService svc(1);
+  AggregatorService svc;
   ServerSpec spec;
   spec.kind = ServerKind::kFlat;
   spec.domain = 64;
@@ -449,8 +486,9 @@ TEST(ServiceRouting, UnroutableMessagesAreCountedNotCrashed) {
 }
 
 // A server whose batch absorb blocks on an external gate, so a test can
-// hold the (single) worker inside the strand while chunks pile up behind
-// it. Queries are inert; only the ingestion path matters here.
+// hold a calling thread inside the strand while other callers' chunks
+// pile up behind it. Queries are inert; only the ingestion path matters
+// here.
 class GatedServer : public AggregatorServer {
  public:
   std::string Name() const override { return "Gated"; }
@@ -510,7 +548,8 @@ class GatedServer : public AggregatorServer {
 };
 
 // Polls `pred` until it holds or a generous deadline passes. The waits in
-// this test are all bounded by worker progress, not wall-clock sleeps.
+// these tests are all bounded by another thread's progress, not
+// wall-clock sleeps.
 template <typename Pred>
 bool EventuallyTrue(Pred&& pred) {
   const auto deadline =
@@ -522,97 +561,6 @@ bool EventuallyTrue(Pred&& pred) {
   return true;
 }
 
-TEST(ServiceBackpressure, FullQueueBlocksProducerUntilDrain) {
-  // One worker, queue bound of 2: with the worker held inside an absorb,
-  // two more chunks fill the queue and the next enqueue must BLOCK (not
-  // drop) until the strand drains — and every admitted chunk must still
-  // be absorbed exactly once.
-  auto owned = std::make_unique<GatedServer>();
-  GatedServer* gated = owned.get();
-  AggregatorService svc(/*worker_threads=*/1, /*queue_high_water=*/2);
-  const uint64_t server_id = svc.AddServer(std::move(owned));
-  const uint64_t session_id = 77;
-  svc.HandleMessage(service::SerializeStreamBegin({session_id, server_id}));
-
-  const std::vector<uint8_t> payload = {0xAB};
-  // Chunk 0 is claimed by the worker, which then parks inside the gate.
-  svc.HandleMessage(service::SerializeStreamChunk(session_id, 0, payload));
-  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
-  // Chunks 1 and 2 queue up behind the held strand (bound not yet hit).
-  svc.HandleMessage(service::SerializeStreamChunk(session_id, 1, payload));
-  svc.HandleMessage(service::SerializeStreamChunk(session_id, 2, payload));
-  EXPECT_EQ(svc.stats().chunks_enqueued, 3u);
-  EXPECT_EQ(svc.stats().backpressure_waits, 0u);
-
-  // Chunk 3 hits the high-water mark: the producer thread must block
-  // inside HandleMessage until the worker drains the queue.
-  std::thread producer([&] {
-    svc.HandleMessage(service::SerializeStreamChunk(session_id, 3, payload));
-  });
-  ASSERT_TRUE(
-      EventuallyTrue([&] { return svc.stats().backpressure_waits >= 1; }));
-  // Still blocked: the fourth chunk has not been admitted to the queue.
-  EXPECT_EQ(svc.stats().chunks_enqueued, 3u);
-
-  gated->Open();
-  producer.join();
-  svc.Drain();
-  const service::ServiceStats stats = svc.stats();
-  EXPECT_EQ(stats.chunks_enqueued, 4u);
-  EXPECT_EQ(stats.chunks_absorbed, 4u);
-  EXPECT_EQ(stats.backpressure_waits, 1u);
-  EXPECT_EQ(gated->batches(), 4u);
-  EXPECT_TRUE(svc.FinalizeServer(server_id));
-}
-
-TEST(ServiceBackpressure, BlockedProducerDoesNotStallOtherServers) {
-  // Regression for a blocking-producer hazard: a producer blocked on one
-  // server's full queue waits on queue_space_ with the service mutex
-  // RELEASED — it must not hold the session map hostage. With a second
-  // worker free, a session against a different server must begin,
-  // stream, end and finalize to completion while the first producer is
-  // still blocked.
-  auto owned_gated = std::make_unique<GatedServer>();
-  GatedServer* gated = owned_gated.get();
-  auto owned_free = std::make_unique<GatedServer>();
-  GatedServer* free_server = owned_free.get();
-  free_server->Open();  // never parks
-  AggregatorService svc(/*worker_threads=*/2, /*queue_high_water=*/1);
-  const uint64_t gated_id = svc.AddServer(std::move(owned_gated));
-  const uint64_t free_id = svc.AddServer(std::move(owned_free));
-
-  const std::vector<uint8_t> payload = {0xEE};
-  svc.HandleMessage(service::SerializeStreamBegin({1, gated_id}));
-  // Chunk 0 parks worker 1 inside the gate; chunk 1 fills the queue.
-  svc.HandleMessage(service::SerializeStreamChunk(1, 0, payload));
-  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
-  svc.HandleMessage(service::SerializeStreamChunk(1, 1, payload));
-  std::thread producer([&] {
-    svc.HandleMessage(service::SerializeStreamChunk(1, 2, payload));
-  });
-  ASSERT_TRUE(
-      EventuallyTrue([&] { return svc.stats().backpressure_waits >= 1; }));
-
-  // The free server's whole lifecycle completes under the blockade.
-  svc.HandleMessage(service::SerializeStreamBegin({2, free_id}));
-  svc.HandleMessage(service::SerializeStreamChunk(2, 0, payload));
-  StreamEnd end;
-  end.session_id = 2;
-  end.chunk_count = 1;
-  end.flags = service::kStreamFlagFinalize;
-  svc.HandleMessage(service::SerializeStreamEnd(end));
-  ASSERT_TRUE(EventuallyTrue([&] { return svc.server_finalized(free_id); }));
-  EXPECT_EQ(free_server->batches(), 1u);
-  // The gated producer is still blocked the whole time.
-  EXPECT_EQ(svc.stats().chunks_enqueued, 3u);
-
-  gated->Open();
-  producer.join();
-  svc.Drain();
-  EXPECT_EQ(gated->batches(), 3u);
-  EXPECT_EQ(svc.stats().chunks_absorbed, 4u);
-}
-
 TEST(ServiceSessions, OversizedEndDeclarationRejectedSessionStaysLive) {
   // kStreamEnd declaring more chunks than a session can ever admit is
   // rejected with its own counter — NOT silently filed as incomplete —
@@ -621,7 +569,7 @@ TEST(ServiceSessions, OversizedEndDeclarationRejectedSessionStaysLive) {
   spec.kind = ServerKind::kHaar;
   spec.domain = kDomain;
   spec.eps = kEps;
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
   const auto chunks =
       EncodeChunks(spec, TestValues(200, kDomain), /*seed=*/0x0E);
@@ -653,51 +601,89 @@ TEST(ServiceSessions, OversizedEndDeclarationRejectedSessionStaysLive) {
 }
 
 TEST(ServiceBackpressure, InlineModeNeverQueuesOrWaits) {
-  // 0 workers absorbs synchronously inside HandleMessage — the bound is
-  // irrelevant and nothing ever blocks, even with a 1-chunk high water.
+  // One caller: each chunk is absorbed inside the HandleMessage call that
+  // delivers it, so nothing is ever left queued.
   auto owned = std::make_unique<GatedServer>();
   GatedServer* gated = owned.get();
-  gated->Open();  // inline absorb must not park the caller
-  AggregatorService svc(/*worker_threads=*/0, /*queue_high_water=*/1);
+  gated->Open();
+  AggregatorService svc;
   const uint64_t server_id = svc.AddServer(std::move(owned));
+  obs::Gauge& depth = svc.registry().GetGauge("service.queue_depth");
   svc.HandleMessage(service::SerializeStreamBegin({5, server_id}));
   const std::vector<uint8_t> payload = {0xCD};
   for (uint64_t c = 0; c < 6; ++c) {
     svc.HandleMessage(service::SerializeStreamChunk(5, c, payload));
+    EXPECT_EQ(svc.stats().chunks_absorbed, c + 1);
+    EXPECT_EQ(depth.value(), 0);
   }
-  EXPECT_EQ(svc.stats().chunks_absorbed, 6u);
-  EXPECT_EQ(svc.stats().backpressure_waits, 0u);
   EXPECT_EQ(gated->batches(), 6u);
 }
 
-TEST(ServiceBackpressure, QueueDrainHookFiresOnlyWhenReadersCanPause) {
-  // The drain hook is a front-end's cue to re-arm paused reads. An inline
-  // service never pauses one (TryHandleMessage returns kWouldBlock only
-  // with workers), so across a whole session — every chunk and the
-  // finalize — the hook must stay silent; a pooled service still fires it.
-  ServerSpec spec;
-  spec.kind = ServerKind::kFlat;
-  spec.domain = kDomain;
-  spec.eps = kEps;
-  const auto chunks = EncodeChunks(spec, TestValues(kUsers, kDomain), 31);
-  for (unsigned workers : {0u, 2u}) {
-    SCOPED_TRACE(workers);
-    AggregatorService svc(workers);
-    std::atomic<uint64_t> calls{0};
-    svc.SetQueueDrainHook([&calls](uint64_t) { calls.fetch_add(1); });
-    const uint64_t server_id = svc.AddServer(MakeAggregatorServer(spec));
-    StreamSession(svc, /*session_id=*/1, server_id, chunks,
-                  /*finalize=*/true);
-    svc.Drain();
-    EXPECT_TRUE(svc.server_finalized(server_id));
-    EXPECT_EQ(svc.stats().chunks_absorbed, chunks.size());
-    svc.SetQueueDrainHook(nullptr);
-    if (workers == 0) {
-      EXPECT_EQ(calls.load(), 0u);
-    } else {
-      EXPECT_GE(calls.load(), 1u);
-    }
-  }
+TEST(ServiceStrand, ChunkForAHeldStrandQueuesWithoutWaiting) {
+  // A caller whose chunk meets a strand another thread holds never
+  // waits: the chunk queues, its HandleMessage returns at once, and the
+  // holder absorbs it, exactly once, before it lets the strand go.
+  auto owned = std::make_unique<GatedServer>();
+  GatedServer* gated = owned.get();
+  AggregatorService svc;
+  const uint64_t server_id = svc.AddServer(std::move(owned));
+  const std::vector<uint8_t> payload = {0xAB};
+  svc.HandleMessage(service::SerializeStreamBegin({7, server_id}));
+  // Chunk 0's caller claims the strand and parks inside the gate.
+  std::thread holder([&] {
+    svc.HandleMessage(service::SerializeStreamChunk(7, 0, payload));
+  });
+  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
+  svc.HandleMessage(service::SerializeStreamChunk(7, 1, payload));
+  svc.HandleMessage(service::SerializeStreamChunk(7, 2, payload));
+  EXPECT_EQ(svc.stats().chunks_enqueued, 3u);
+  EXPECT_EQ(svc.stats().chunks_absorbed, 0u);
+  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 3);
+
+  gated->Open();
+  holder.join();
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.chunks_absorbed, 3u);
+  EXPECT_EQ(stats.duplicate_chunks, 0u);
+  EXPECT_EQ(gated->batches(), 3u);
+  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
+  EXPECT_TRUE(svc.FinalizeServer(server_id));
+}
+
+TEST(ServiceStrand, HeldStrandDoesNotStallOtherServers) {
+  // One server's strand held inside an absorb blocks nothing else: a
+  // session against a different server begins, streams, ends and
+  // finalizes to completion, on another thread, meanwhile.
+  auto owned_gated = std::make_unique<GatedServer>();
+  GatedServer* gated = owned_gated.get();
+  auto owned_free = std::make_unique<GatedServer>();
+  GatedServer* free_server = owned_free.get();
+  free_server->Open();
+  AggregatorService svc;
+  const uint64_t gated_id = svc.AddServer(std::move(owned_gated));
+  const uint64_t free_id = svc.AddServer(std::move(owned_free));
+  const std::vector<uint8_t> payload = {0xEE};
+  svc.HandleMessage(service::SerializeStreamBegin({1, gated_id}));
+  std::thread holder([&] {
+    svc.HandleMessage(service::SerializeStreamChunk(1, 0, payload));
+  });
+  ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
+
+  svc.HandleMessage(service::SerializeStreamBegin({2, free_id}));
+  svc.HandleMessage(service::SerializeStreamChunk(2, 0, payload));
+  StreamEnd end;
+  end.session_id = 2;
+  end.chunk_count = 1;
+  end.flags = service::kStreamFlagFinalize;
+  svc.HandleMessage(service::SerializeStreamEnd(end));
+  EXPECT_TRUE(svc.server_finalized(free_id));
+  EXPECT_EQ(free_server->batches(), 1u);
+  EXPECT_EQ(gated->batches(), 0u);  // still held the whole time
+
+  gated->Open();
+  holder.join();
+  EXPECT_EQ(gated->batches(), 1u);
+  EXPECT_EQ(svc.stats().chunks_absorbed, 2u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // snapshots, the merge algebra (associativity, canonical round trips),
 // and the service merge plane — N-shard fan-in must be bit-identical to
 // single-process ingestion of the union, for every mechanism family,
-// push order, and worker count. Plus the typed MergeStatus error matrix.
+// push order, and number of pushing threads. Plus the typed MergeStatus
+// error matrix.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -393,25 +395,64 @@ TEST(ServiceMergePlane, FanInBitIdenticalAcrossWorkersAndPushOrder) {
     }
     const std::vector<uint8_t> expected_bytes =
         service::SerializeRangeQueryResponse(expected);
+    const std::vector<uint8_t> expected_state = reference->SerializeState();
 
-    for (unsigned workers : {0u, 1u, 4u, 8u}) {
-      for (bool reversed : {false, true}) {
-        SCOPED_TRACE(std::to_string(workers) +
-                     (reversed ? " reversed" : " in order"));
-        AggregatorService svc(workers);
-        uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
-        uint64_t pushed = 0;
-        for (int i = 0; i < kShards; ++i) {
-          const int s = reversed ? kShards - 1 - i : i;
-          StateMergeResponse ack = MustParseAck(
-              MergePush(svc, /*merge_id=*/9, id, s, kShards,
-                        service::kMergeFlagFinalize, snaps[s]));
-          EXPECT_EQ(ack.merge_id, 9u);
-          ASSERT_EQ(ack.status, MergeStatus::kOk);
-          EXPECT_EQ(ack.shards_received, ++pushed);
+    // One caller pushes the shards in order or reversed; 2 or 4 callers
+    // push them concurrently, so each group completes on whichever thread
+    // lands its last shard and the reduce runs there. Every hosted server
+    // gets its own group.
+    struct Delivery {
+      unsigned servers;
+      unsigned callers;
+      bool reversed;
+    };
+    std::vector<Delivery> deliveries;
+    for (unsigned servers : {1u, 2u, 3u}) {
+      deliveries.push_back({servers, 1, false});
+      deliveries.push_back({servers, 1, true});
+      deliveries.push_back({servers, 2, false});
+      deliveries.push_back({servers, 4, false});
+    }
+    for (const Delivery& d : deliveries) {
+      SCOPED_TRACE(testing::Message()
+                   << d.servers << " servers, " << d.callers << " callers"
+                   << (d.reversed ? ", reversed" : ""));
+      AggregatorService svc;
+      for (unsigned s = 0; s < d.servers; ++s) {
+        svc.AddServer(MakeAggregatorServer(spec));
+      }
+      // Push k lands shard k % kShards (or its mirror) of server
+      // k / kShards, as merge group 9 + server.
+      const size_t pushes = d.servers * kShards;
+      std::vector<StateMergeResponse> acks(pushes);
+      std::vector<std::thread> threads;
+      for (unsigned t = 0; t < d.callers; ++t) {
+        threads.emplace_back([&, t] {
+          for (size_t k = t; k < pushes; k += d.callers) {
+            const uint64_t id = k / kShards;
+            const int i = static_cast<int>(k % kShards);
+            const int shard = d.reversed ? kShards - 1 - i : i;
+            acks[k] = MustParseAck(MergePush(svc, /*merge_id=*/9 + id, id,
+                                             shard, kShards,
+                                             service::kMergeFlagFinalize,
+                                             snaps[shard]));
+          }
+        });
+      }
+      for (std::thread& thread : threads) thread.join();
+      for (size_t k = 0; k < pushes; ++k) {
+        SCOPED_TRACE(k);
+        EXPECT_EQ(acks[k].merge_id, 9 + k / kShards);
+        ASSERT_EQ(acks[k].status, MergeStatus::kOk);
+        if (d.callers == 1) {
+          EXPECT_EQ(acks[k].shards_received, k % kShards + 1);
         }
-        ASSERT_TRUE(svc.server_finalized(id));
+      }
 
+      for (uint64_t id = 0; id < d.servers; ++id) {
+        SCOPED_TRACE(id);
+        ASSERT_TRUE(svc.server_finalized(id));
+        EXPECT_EQ(svc.server(id).SerializeState(), expected_state);
         RangeQueryRequest request;
         request.query_id = 42;
         request.server_id = id;
@@ -419,19 +460,19 @@ TEST(ServiceMergePlane, FanInBitIdenticalAcrossWorkersAndPushOrder) {
         EXPECT_EQ(
             svc.HandleMessage(service::SerializeRangeQueryRequest(request)),
             expected_bytes);
-
-        service::ServiceStats stats = svc.stats();
-        EXPECT_EQ(stats.merge_requests, 3u);
-        EXPECT_EQ(stats.merges_completed, 1u);
-        EXPECT_EQ(stats.merge_rejects, 0u);
-        EXPECT_EQ(stats.merge_would_block, 0u);
-        EXPECT_EQ(
-            svc.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
-            3u);
-        EXPECT_EQ(
-            svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
-            1u);
       }
+
+      service::ServiceStats stats = svc.stats();
+      EXPECT_EQ(stats.merge_requests, pushes);
+      EXPECT_EQ(stats.merges_completed, d.servers);
+      EXPECT_EQ(stats.merge_rejects, 0u);
+      EXPECT_EQ(stats.merge_would_block, 0u);
+      EXPECT_EQ(
+          svc.registry().GetHistogram("merge.absorb_ns").Snapshot().count,
+          pushes);
+      EXPECT_EQ(
+          svc.registry().GetHistogram("merge.fan_in_ns").Snapshot().count,
+          d.servers);
     }
   }
 }
@@ -465,8 +506,8 @@ TEST(ServiceMergePlane, IntakeLandsLikeTheBufferedPathAtEverySplit) {
           std::min(frame.size() - 1, service::kMaxStateMergeHeadBytes));
       for (size_t piece : {size_t{1}, size_t{7}, size_t{4096}, frame.size()}) {
         SCOPED_TRACE(testing::Message() << "body " << b << " piece " << piece);
-        AggregatorService buffered(/*worker_threads=*/0);
-        AggregatorService streamed(/*worker_threads=*/0);
+        AggregatorService buffered;
+        AggregatorService streamed;
         const uint64_t id = buffered.AddServer(MakeAggregatorServer(spec));
         streamed.AddServer(MakeAggregatorServer(spec));
         std::unique_ptr<AggregatorService::StateIntake> intake =
@@ -517,7 +558,7 @@ TEST(ServiceMergePlane, TypedErrorMatrix) {
   const std::vector<uint8_t> flat_snapshot =
       IngestedServer(flat, {&flat_batch, 1})->SerializeState();
 
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   uint64_t flat_id = svc.AddServer(MakeAggregatorServer(flat));
   uint64_t haar_id = svc.AddServer(MakeAggregatorServer(haar));
 
@@ -623,7 +664,7 @@ TEST(ServiceMergePlane, StreamedAndMergedIngestCompose) {
   std::unique_ptr<AggregatorServer> reference = IngestedServer(spec, batches);
   reference->Finalize();
 
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   uint64_t id = svc.AddServer(MakeAggregatorServer(spec));
   svc.HandleMessage(service::SerializeStreamBegin({1, id}));
   svc.HandleMessage(service::SerializeStreamChunk(1, 0, batches[0]));

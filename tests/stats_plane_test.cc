@@ -221,7 +221,7 @@ TEST(StatsWire, ForgedHistogramExtremesAreRejected) {
 // --- service surface -----------------------------------------------------
 
 TEST(StatsPlane, HandleStatsQueryServesServiceAndServerMetrics) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
   // A second, unfinalized server takes two state snapshots (a shard's
   // hand-off), so the per-server serialize histogram has something to
@@ -261,7 +261,7 @@ TEST(StatsPlane, HandleStatsQueryServesServiceAndServerMetrics) {
 }
 
 TEST(StatsPlane, IncludeGlobalFlagMergesTheProcessRegistry) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   svc.AddServer(MakeAggregatorServer(FlatSpec()));
   // Plant a sentinel in the process-global registry; it must appear only
   // when the flag asks for it.
@@ -282,7 +282,7 @@ TEST(StatsPlane, IncludeGlobalFlagMergesTheProcessRegistry) {
 }
 
 TEST(StatsPlane, MalformedStatsQueryGetsTypedRejection) {
-  AggregatorService svc(/*worker_threads=*/0);
+  AggregatorService svc;
   // A kStatsQuery envelope whose payload is one byte short: re-frame a
   // truncated payload through the envelope encoder.
   std::vector<uint8_t> good = SerializeStatsQuery({5, 0});
@@ -306,12 +306,12 @@ TEST(StatsPlane, MalformedStatsQueryGetsTypedRejection) {
 // before the snapshot), so a scrape at quiescence must reconcile
 // EXACTLY with a ServiceStats read taken right after it.
 TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
   // A session with one duplicate chunk and a stray unknown-session chunk
   // so the hygiene counters are non-zero. It goes before the finalizing
-  // session: a chunk that reaches the server once its finalize has
-  // started is late, so sending it after would race the worker.
+  // session: a chunk that reaches the server once it has finalized is
+  // late, not absorbed.
   svc.HandleMessage(service::SerializeStreamBegin({2, server_id}));
   std::vector<uint8_t> chunk = EncodeBatch(50, 3);
   svc.HandleMessage(service::SerializeStreamChunk(2, 0, chunk));
@@ -344,9 +344,6 @@ TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
             stats.oversized_declarations);
   EXPECT_EQ(m.CounterOr("service.chunks_enqueued"), stats.chunks_enqueued);
   EXPECT_EQ(m.CounterOr("service.chunks_absorbed"), stats.chunks_absorbed);
-  EXPECT_EQ(m.CounterOr("service.backpressure_waits"),
-            stats.backpressure_waits);
-  EXPECT_EQ(m.CounterOr("service.socket_pauses"), stats.socket_pauses);
   EXPECT_EQ(m.CounterOr("service.queries_answered"),
             stats.queries_answered);
   // Cross-counter invariants at quiescence.
@@ -366,7 +363,7 @@ TEST(StatsPlane, ScrapeReconcilesExactlyWithServiceStats) {
 // --- TCP scrape (the ISSUE acceptance criterion) -------------------------
 
 TEST(StatsPlane, LiveTcpScrapeReturnsNonZeroIngestHistograms) {
-  AggregatorService svc(/*worker_threads=*/2);
+  AggregatorService svc;
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
   TcpFrontEnd front(svc);
   ASSERT_TRUE(front.Start());
@@ -382,8 +379,8 @@ TEST(StatsPlane, LiveTcpScrapeReturnsNonZeroIngestHistograms) {
   end.chunk_count = 1;
   ASSERT_TRUE(client.Send(service::SerializeStreamEnd(end)));
   // A Call on the same connection synchronizes: its response proves
-  // every prior message was routed (per-connection FIFO), after which
-  // Drain() flushes the ingestion queues.
+  // every prior message was routed (per-connection FIFO), and the service
+  // absorbs each chunk inside the routing call.
   std::vector<uint8_t> sync =
       client.Call(SerializeStatsQuery({1, 0}));
   ASSERT_FALSE(sync.empty());
@@ -406,14 +403,13 @@ TEST(StatsPlane, LiveTcpScrapeReturnsNonZeroIngestHistograms) {
   EXPECT_GT(m.CounterOr("net.bytes_received"), 0u);
   EXPECT_GT(m.CounterOr("net.messages_routed"), 0u);
   EXPECT_GT(m.CounterOr("net.connections_accepted"), 0u);
-  EXPECT_EQ(m.CounterOr("net.read_pauses"), m.CounterOr("net.read_resumes"));
   front.Stop();
 }
 
 // --- satellite 2: scrape-while-ingesting must be race-free ---------------
 
 TEST(StatsPlane, ConcurrentScrapesDuringIngestAreCoherent) {
-  AggregatorService svc(/*worker_threads=*/4, /*queue_high_water=*/4);
+  AggregatorService svc;
   uint64_t server_id = svc.AddServer(MakeAggregatorServer(FlatSpec()));
   constexpr int kProducers = 3;
   constexpr int kChunksPerProducer = 8;

@@ -207,7 +207,7 @@ TEST(ServedUncertainty, NoReportsAndOneReportNeverAnswerNaN) {
     for (size_t users : {0, 1}) {
       SCOPED_TRACE(::testing::Message() << method.Name() << " users=" << users);
       const std::vector<uint64_t> values(users, 10);
-      service::AggregatorService svc(/*worker_threads=*/0);
+      service::AggregatorService svc;
       const uint64_t id = svc.AddServer(Server(method, d, eps));
       Rng client_rng(21);
       ASSERT_EQ(svc.server(id).AbsorbBatchSerialized(
