@@ -1,5 +1,7 @@
 #include "common/binomial.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "common/check.h"
@@ -137,6 +139,18 @@ BinomialSampler::BinomialSampler(int64_t n, double p) : n_(n), p_(p) {
   btrs_m_ = std::floor((nd + 1) * p_);
 }
 
+namespace {
+
+// log|Gamma(x)|, bit-identical to std::lgamma, through the reentrant
+// lgamma_r: samplers are built on ParallelFor threads, and std::lgamma
+// writes the process-global signgam. The sign is not needed.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 void BinomialSampler::BuildAlias() {
   const uint64_t k = static_cast<uint64_t>(n_) + 1;
   std::vector<double> pmf(k, 0.0);
@@ -147,8 +161,8 @@ void BinomialSampler::BuildAlias() {
   int64_t mode = static_cast<int64_t>(std::floor((nd + 1) * p_));
   if (mode > n_) mode = n_;
   const double log_mode_pmf =
-      std::lgamma(nd + 1) - std::lgamma(static_cast<double>(mode) + 1) -
-      std::lgamma(nd - static_cast<double>(mode) + 1) +
+      LogGamma(nd + 1) - LogGamma(static_cast<double>(mode) + 1) -
+      LogGamma(nd - static_cast<double>(mode) + 1) +
       static_cast<double>(mode) * std::log(p_) +
       (nd - static_cast<double>(mode)) * std::log1p(-p_);
   pmf[static_cast<uint64_t>(mode)] = std::exp(log_mode_pmf);

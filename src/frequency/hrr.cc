@@ -9,16 +9,23 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
+#include "common/huge_pages.h"
 #include "frequency/hadamard.h"
 #include "protocol/wire.h"
 
 namespace ldp {
 
 HrrOracle::HrrOracle(uint64_t domain, double eps)
-    : FrequencyOracle(domain, eps),
-      padded_(NextPowerOfTwo(domain)),
-      coefficient_sums_(padded_, 0) {
+    : FrequencyOracle(domain, eps), padded_(NextPowerOfTwo(domain)) {
   LDP_CHECK_GE(domain, 1u);
+  // The absorb's adds, a snapshot's restore and the finalize's load all
+  // sweep the sums, so their whole 2 MiB pages are advised for huge
+  // pages before the zero-fill first touches them. In place, on the
+  // default allocator: freed sums stay plain heap chunks of their own
+  // size, which a finalize's estimate vectors reuse warm.
+  coefficient_sums_.reserve(padded_);
+  AdviseHugePages(coefficient_sums_.data(), padded_ * sizeof(int64_t));
+  coefficient_sums_.resize(padded_);
 }
 
 double HrrOracle::KeepProbability() const {
@@ -68,7 +75,11 @@ std::vector<double> HrrOracle::EstimateFractions() const {
   // the two 1/sqrt(D) normalizations cancel exactly. One transform loads
   // the sums, decodes and applies the debias factor (frequency/hadamard.h);
   // the padded tail is then cut off (a shrink, never a reallocation).
-  std::vector<double> est(padded_);
+  // Huge pages are advised as for the sums (see the constructor).
+  std::vector<double> est;
+  est.reserve(padded_);
+  AdviseHugePages(est.data(), padded_ * sizeof(double));
+  est.resize(padded_);
   double scale =
       1.0 / (static_cast<double>(reports_) * (2.0 * KeepProbability() - 1.0));
   ScaledWalshHadamard(coefficient_sums_, scale, est);

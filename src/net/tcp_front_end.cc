@@ -27,6 +27,15 @@ namespace {
 // stack.
 constexpr size_t kReadChunk = 64 * 1024;
 
+// Bytes ReceiveBuffered reads from one connection per readiness event
+// before it routes them. The loop absorbs chunks inline, so without a
+// bound a sender that never waits keeps one connection reading and the
+// loop then absorbs that whole backlog before it serves anyone else;
+// with it, the other ready connections get their turn after at most one
+// budget's absorb, and TCP flow control holds the sender. Level-triggered
+// EPOLLIN reports the connection again while bytes remain.
+constexpr size_t kReadBudget = size_t{1} << 20;
+
 // Events processed per epoll_wait round.
 constexpr int kMaxEvents = 64;
 
@@ -266,6 +275,7 @@ void TcpFrontEnd::NoteRead(Connection& conn, size_t n) {
 
 TcpFrontEnd::ReadResult TcpFrontEnd::ReceiveBuffered(Connection& conn) {
   using protocol::kEnvelopeHeaderSize;
+  size_t received = 0;
   while (true) {
     const size_t old_size = conn.read_buf.size();
     conn.read_buf.resize(old_size + kReadChunk);
@@ -275,6 +285,7 @@ TcpFrontEnd::ReadResult TcpFrontEnd::ReceiveBuffered(Connection& conn) {
       conn.read_buf.resize(old_size + static_cast<size_t>(n));
       NoteRead(conn, static_cast<size_t>(n));
       if (static_cast<size_t>(n) < kReadChunk) return ReadResult::kDrained;
+      received += kReadChunk;
       // The one header peek: a frame of at least a read chunk at the
       // front, incomplete and not yet refused an intake, stops the read
       // so that it can open one after this first read, not after the
@@ -287,6 +298,7 @@ TcpFrontEnd::ReadResult TcpFrontEnd::ReceiveBuffered(Connection& conn) {
           return ReadResult::kLargeFrame;
         }
       }
+      if (received >= kReadBudget) return ReadResult::kDrained;
       continue;
     }
     conn.read_buf.resize(old_size);

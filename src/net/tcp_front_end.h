@@ -21,10 +21,11 @@
 //
 // Every message is handled on the event-loop thread: the service absorbs
 // each chunk inline, inside HandleMessage, so the loop reads no more
-// bytes while it absorbs. What a connection has already read waits in its
-// read buffer, and the read loop drains the socket before it routes, so
-// that buffer is not bounded by the kernel's: a sender that outpaces the
-// absorb grows it (a per-connection byte budget is still open work).
+// bytes while it absorbs. A readiness event reads at most 1 MiB from one
+// connection before routing it, so a sender that outpaces the absorb
+// waits in its own socket buffers (TCP flow control), not in the read
+// buffer, and a query on another connection waits for at most that much
+// absorb.
 //
 // Fan-in snapshots skip the read buffer. A kStateMerge frame of at least
 // one 64 KiB read chunk is offered to the service as soon as its head
@@ -165,7 +166,8 @@ class TcpFrontEnd {
   };
 
   enum class ReadResult : uint8_t {
-    kDrained,     // the socket has nothing more right now (or hit EOF)
+    kDrained,     // this event's read is over: the socket has nothing
+                  // more right now, hit EOF, or the read budget is spent
     kLargeFrame,  // a full read put a large frame's header at the front
     kLanded,      // an intake's last byte landed; the stream reads on
     kClosed,      // the connection was closed
@@ -174,9 +176,10 @@ class TcpFrontEnd {
   void EventLoop();
   void AcceptReady();
   void HandleReadable(Connection& conn);
-  /// recv()s into read_buf, 64 KiB at a time, until the socket drains or
+  /// recv()s into read_buf, 64 KiB at a time, until the socket drains,
   /// a full read leaves a large frame's header at the front of the
-  /// buffer — one 8-byte header peek per full read.
+  /// buffer (one 8-byte header peek per full read), or 1 MiB has landed
+  /// in this call.
   ReadResult ReceiveBuffered(Connection& conn);
   /// recv()s into the open intake's windows until the socket drains or
   /// the frame completes (then lands it). EOF mid-body is a protocol

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "common/check.h"
+#include "common/huge_pages.h"
 #include "obs/scoped_timer.h"
 
 namespace ldp::service {
@@ -55,8 +56,11 @@ std::vector<uint8_t> AggregatorServer::SerializeState() const {
   header.accepted = counts.accepted;
   header.rejected = counts.rejected;
   const size_t body_bytes = StateBodyBytes();
+  // A TreeHRR frame at D = 2^20 is 11 MB: its whole 2 MiB pages are
+  // advised for huge pages before the header and body first touch them.
   std::vector<uint8_t> out;
   out.reserve(kMaxStateSnapshotHeaderBytes + body_bytes);
+  AdviseHugePages(out.data(), out.capacity());
   const size_t frame = BeginStateSnapshot(out, header);
   const size_t body_start = out.size();
   AppendStateBody(out);

@@ -42,13 +42,6 @@ class IngestSession {
   uint64_t session_id() const { return session_id_; }
   uint64_t server_id() const { return server_id_; }
 
-  /// True when AdmitChunk(sequence) would admit: the session is live,
-  /// the sequence is in policy and not yet seen. Const: nothing is
-  /// recorded.
-  bool CanAdmit(uint64_t sequence) const {
-    return !ended_ && sequence < kMaxSequences && !seen_.contains(sequence);
-  }
-
   /// Admits chunk `sequence`: true when it is new (caller should enqueue
   /// its payload), false for a duplicate, an out-of-policy sequence
   /// (>= kMaxSequences), or a chunk after the session ended (caller

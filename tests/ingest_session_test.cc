@@ -19,7 +19,6 @@ constexpr uint64_t kMax = IngestSession::kMaxSequences;
 TEST(IngestSession, HappyPathInOrder) {
   IngestSession s(1, 0);
   for (uint64_t seq = 0; seq < 5; ++seq) {
-    EXPECT_TRUE(s.CanAdmit(seq));
     EXPECT_TRUE(s.AdmitChunk(seq));
   }
   EXPECT_EQ(s.chunks_admitted(), 5u);
@@ -34,7 +33,6 @@ TEST(IngestSession, RejectedMaxSequenceThenZeroIsStillComplete) {
   // chunk" with "first AdmitChunk call". After admitting only sequence
   // 0, End(1) must report a complete session.
   IngestSession s(1, 0);
-  EXPECT_FALSE(s.CanAdmit(kMax));
   EXPECT_FALSE(s.AdmitChunk(kMax));
   EXPECT_TRUE(s.AdmitChunk(0));
   EXPECT_EQ(s.chunks_admitted(), 1u);
@@ -57,10 +55,8 @@ TEST(IngestSession, OutOfOrderAdmitTracksTrueMaximum) {
 TEST(IngestSession, DuplicatesAndPostEndChunksRejected) {
   IngestSession s(1, 0);
   EXPECT_TRUE(s.AdmitChunk(0));
-  EXPECT_FALSE(s.CanAdmit(0));
   EXPECT_FALSE(s.AdmitChunk(0));  // duplicate
   EXPECT_EQ(s.End(1, 0), EndResult::kOk);
-  EXPECT_FALSE(s.CanAdmit(1));
   EXPECT_FALSE(s.AdmitChunk(1));  // after end
   EXPECT_TRUE(s.complete());
 }
@@ -94,15 +90,6 @@ TEST(IngestSession, ReplayedEndKeepsFirstDeclaration) {
   EXPECT_EQ(s.End(99, 0), EndResult::kAlreadyEnded);
   EXPECT_EQ(s.declared_chunks(), 1u);
   EXPECT_TRUE(s.complete());
-}
-
-TEST(IngestSession, CanAdmitIsAPureMirrorOfAdmitChunk) {
-  IngestSession s(1, 0);
-  const uint64_t probes[] = {0, 1, kMax - 1, kMax, kMax + 17};
-  for (uint64_t seq : probes) {
-    const bool peek = s.CanAdmit(seq);
-    EXPECT_EQ(s.AdmitChunk(seq), peek) << "sequence " << seq;
-  }
 }
 
 }  // namespace

@@ -5,13 +5,21 @@
 // half-close, idle timeout, framing violations) and session-cap churn
 // parity between the two paths.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <thread>
@@ -319,6 +327,178 @@ TEST(NetLoopback, QueryAnsweredWhileAnotherConnectionStreams) {
   EXPECT_EQ(stats.duplicate_chunks, 0u);
   EXPECT_EQ(stats.late_chunks, 0u);
   EXPECT_EQ(stats.incomplete_streams, 0u);
+  EXPECT_EQ(front.stats().protocol_errors, 0u);
+}
+
+// A server for the read-budget test. Its batch absorb counts chunks and
+// holds chunk `gate_at` until Open(); its range answer is the chunk count
+// of `counted`, read on the event loop at the moment the query is
+// served. Nothing else about it matters.
+class CountingServer : public AggregatorServer {
+ public:
+  explicit CountingServer(uint64_t gate_at,
+                          const CountingServer* counted = nullptr)
+      : gate_at_(gate_at), counted_(counted) {}
+
+  std::string Name() const override { return "Counting"; }
+  uint64_t domain() const override { return kDomain; }
+  bool AbsorbSerialized(std::span<const uint8_t>) override { return true; }
+  protocol::ParseError DoAbsorbBatchSerialized(std::span<const uint8_t>,
+                                               uint64_t* accepted) override {
+    if (batches_.load() == gate_at_) {
+      absorbing_.store(true);
+      std::unique_lock<std::mutex> lock(mu_);
+      gate_cv_.wait(lock, [&] { return open_; });
+    }
+    batches_.fetch_add(1);
+    if (accepted != nullptr) *accepted = 1;
+    return protocol::ParseError::kOk;
+  }
+  double RangeQuery(uint64_t, uint64_t) const override {
+    return static_cast<double>(counted_->batches());
+  }
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a,
+                                          uint64_t b) const override {
+    return {RangeQuery(a, b), 0.0};
+  }
+  std::vector<double> EstimateFrequencies() const override { return {0.0}; }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+  bool absorbing() const { return absorbing_.load(); }
+  uint64_t batches() const { return batches_.load(); }
+
+ protected:
+  void DoFinalize() override {}
+  service::StateKind state_kind() const override {
+    return service::StateKind::kFlat;
+  }
+  double state_epsilon() const override { return 1.0; }
+  void AppendStateBody(std::vector<uint8_t>&) const override {}
+  size_t StateBodyBytes() const override { return 0; }
+  bool RestoreStateBody(std::span<const uint8_t>) override { return true; }
+  std::unique_ptr<AggregatorServer> DoCloneEmpty() const override {
+    return nullptr;
+  }
+  service::MergeStatus DoMergeFrom(AggregatorServer&) override {
+    return service::MergeStatus::kOk;
+  }
+
+ private:
+  const uint64_t gate_at_;
+  const CountingServer* counted_;
+  std::mutex mu_;
+  std::condition_variable gate_cv_;
+  bool open_ = false;
+  std::atomic<bool> absorbing_{false};
+  std::atomic<uint64_t> batches_{0};
+};
+
+TEST(NetLoopback, QueryWaitsForOneReadBudgetNotTheSendersBacklog) {
+  // A sender that never waits queues megabytes of chunks while the loop
+  // is busy. The front-end reads at most 1 MiB of them per readiness
+  // event before it routes them, so a query that arrives on a second
+  // connection is served after that much absorb, not after the whole
+  // backlog. The query's answer is the number of the sender's chunks
+  // absorbed when it was served: an order, not a clock.
+  constexpr size_t kChunkBytes = 16 * 1024;
+  // Absorbed straight away, so the connection's receive window grows as
+  // a busy one's does and the backlog can wait on the loop's side.
+  constexpr uint64_t kWarmupChunks = 256;   // 4 MiB
+  constexpr uint64_t kBacklogChunks = 256;  // 4 MiB
+  constexpr uint64_t kChunksPerBudget = (1u << 20) / kChunkBytes;
+
+  AggregatorService svc;
+  auto counted_owner = std::make_unique<CountingServer>(kWarmupChunks);
+  CountingServer& counted = *counted_owner;
+  const uint64_t streamed = svc.AddServer(std::move(counted_owner));
+  const uint64_t probe =
+      svc.AddServer(std::make_unique<CountingServer>(0, &counted));
+  TcpFrontEnd front(svc);
+  ASSERT_TRUE(front.Start());
+
+  // The querier is connected and its server finalized before the
+  // sender starts.
+  TcpClient querier;
+  ASSERT_TRUE(querier.Connect("127.0.0.1", front.port()));
+  for (const auto& msg : SessionTrace(1, probe, {}, /*finalize=*/true)) {
+    ASSERT_TRUE(querier.Send(msg));
+  }
+  ASSERT_TRUE(EventuallyTrue([&] { return svc.server_finalized(probe); }));
+  const std::vector<uint8_t> query = QueryBytes(probe, kDomain);
+
+  // The sender's whole stream: begin, the chunks, end. A raw socket with
+  // a large send buffer, so the backlog can sit in the kernel.
+  const std::vector<std::vector<uint8_t>> chunks(
+      kWarmupChunks + 1 + kBacklogChunks,
+      std::vector<uint8_t>(kChunkBytes, 0));
+  const auto trace = SessionTrace(2, streamed, chunks, false);
+  std::vector<uint8_t> stream;
+  size_t held_chunk_end = 0;  // the stream up to the held chunk
+  for (size_t i = 0; i < trace.size(); ++i) {
+    stream.insert(stream.end(), trace[i].begin(), trace[i].end());
+    if (i == 1 + kWarmupChunks) held_chunk_end = stream.size();
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  const int send_buffer = 4 << 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &send_buffer, sizeof(send_buffer));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(front.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  size_t sent = 0;
+  auto send_until = [&](size_t end, int flags) {
+    while (sent < end) {
+      const ssize_t n = ::send(fd, stream.data() + sent, end - sent,
+                               flags | MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;  // EAGAIN: the kernel buffers are full
+      sent += static_cast<size_t>(n);
+    }
+  };
+
+  // The held chunk stops the loop inside its absorb; the rest of the
+  // stream then fills the socket buffers, as far as they take it, and
+  // the query follows it.
+  send_until(held_chunk_end, 0);
+  ASSERT_EQ(sent, held_chunk_end);
+  ASSERT_TRUE(EventuallyTrue([&] { return counted.absorbing(); }));
+  send_until(stream.size(), MSG_DONTWAIT);
+  const size_t queued = sent;
+  const bool query_sent = querier.Send(query);
+  counted.Open();
+  std::thread rest([&] { send_until(stream.size(), 0); });
+  std::vector<uint8_t> reply;
+  const bool replied = query_sent && querier.ReceiveMessage(&reply);
+  rest.join();
+  ::close(fd);
+  EXPECT_EQ(sent, stream.size());
+  ASSERT_GT(queued, held_chunk_end);
+  ASSERT_TRUE(replied);
+  service::RangeQueryResponse response;
+  ASSERT_EQ(service::ParseRangeQueryResponse(reply, &response),
+            protocol::ParseError::kOk);
+  ASSERT_EQ(response.status, service::QueryStatus::kOk);
+  ASSERT_EQ(response.estimates.size(), 4u);
+  const double backlog_absorbed_at_query =
+      response.estimates[0].estimate - static_cast<double>(kWarmupChunks);
+  // The held chunk, then at most one budget's worth (a budget ends
+  // mid-frame, so one more chunk can complete from what it read).
+  EXPECT_LE(backlog_absorbed_at_query,
+            static_cast<double>(1 + kChunksPerBudget + 1))
+      << "with " << queued << " bytes queued";
+  EXPECT_TRUE(EventuallyTrue([&] {
+    return counted.batches() == kWarmupChunks + 1 + kBacklogChunks;
+  }));
+  front.Stop();
   EXPECT_EQ(front.stats().protocol_errors, 0u);
 }
 
