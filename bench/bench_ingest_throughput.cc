@@ -15,8 +15,9 @@
 // All three produce bit-identical support counts (tests/olh_test.cc).
 //
 // The mechanism-level benches measure the end-to-end EncodeUsers batch path
-// and the EncodeUsersSharded driver for the paper's three mechanism
-// families.
+// and sharded EncodePointsSharded ingestion for the paper's three mechanism
+// families (BM_MechanismEncodeUsersSharded keeps its name, so recorded
+// baselines still match).
 //
 // Release-mode numbers for this binary are checked in as
 // BENCH_baseline.json (see bench/run_baselines.sh); later PRs claim
@@ -130,7 +131,7 @@ void RunMechanismIngest(benchmark::State& state, bool sharded) {
   for (auto _ : state) {
     auto mech = MakeMechanism(spec, d, kEps);
     if (sharded) {
-      EncodeUsersSharded(*mech, values, /*seed=*/42, /*threads=*/0);
+      EncodePointsSharded(*mech, values, /*seed=*/42, /*threads=*/0);
     } else {
       Rng rng(42);
       mech->EncodeUsers(values, rng);

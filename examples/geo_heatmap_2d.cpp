@@ -6,8 +6,7 @@
 // eps-LDP using the 2-D hierarchical decomposition.
 //
 // This is the full deployment shape, not an in-process simulation: riders
-// randomize locally (MultiDimClient, sharded across cores and
-// bit-identical for any thread count), reports travel as framed
+// randomize locally (MultiDimClient), reports travel as framed
 // kMultiDimReportBatch chunks through a streaming ingestion session into
 // the aggregator service, and every rectangle query goes over the wire as
 // a kMultiDimQuery message answered with an (estimate, variance) pair.
@@ -93,11 +92,12 @@ int main() {
 
   // Client side: every rider's point is eps-LDP randomized before any
   // byte leaves the device; the simulation driver encodes the whole
-  // population sharded across cores.
+  // population from one stream of randomness.
   protocol::MultiDimClient client(kGrid, /*dimensions=*/2, kEpsilon,
                                   /*fanout=*/2);
+  Rng client_rng(17);
   std::vector<protocol::MultiDimReport> reports =
-      client.EncodeUsersSharded(pickups, /*seed=*/17);
+      client.EncodeUsers(pickups, client_rng);
 
   // Stream the reports in as a chunked ingestion session: each chunk is
   // absorbed inside HandleMessage, and the end message finalizes the

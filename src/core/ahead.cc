@@ -195,20 +195,21 @@ std::vector<int64_t> AdaptiveTree::ParentIndices() const {
   return parents;
 }
 
-// --- Shared estimate plumbing ---------------------------------------------
+// --- AheadEstimate and the split rule ------------------------------------
 
-void CombineFrontierEstimates(
+AheadEstimate::AheadEstimate(
     const AdaptiveTree& tree,
     std::span<const std::vector<double>> level_estimates,
-    std::span<const double> level_variances,
-    std::vector<double>* node_values, std::vector<double>* node_variances) {
+    std::span<const double> level_variances, bool consistency,
+    bool nonnegativity)
+    : tree_(&tree) {
   LDP_CHECK_EQ(level_estimates.size(), size_t{tree.num_levels()});
   LDP_CHECK_EQ(level_variances.size(), size_t{tree.num_levels()});
   const std::vector<AdaptiveNode>& nodes = tree.nodes();
-  node_values->assign(nodes.size(), 0.0);
-  node_variances->assign(nodes.size(), kInf);
-  (*node_values)[0] = 1.0;  // the root mass is known exactly
-  (*node_variances)[0] = 0.0;
+  values_.assign(nodes.size(), 0.0);
+  variances_.assign(nodes.size(), kInf);
+  values_[0] = 1.0;  // the root mass is known exactly
+  variances_[0] = 0.0;
   for (uint32_t i = 1; i < nodes.size(); ++i) {
     auto [lo, hi] = tree.NodeLevelRange(i);
     double weight_sum = 0.0;
@@ -222,10 +223,28 @@ void CombineFrontierEstimates(
       weighted += w * level_estimates[l - 1][j];
     }
     if (weight_sum > 0.0) {
-      (*node_values)[i] = weighted / weight_sum;
-      (*node_variances)[i] = 1.0 / weight_sum;
+      values_[i] = weighted / weight_sum;
+      variances_[i] = 1.0 / weight_sum;
     }
   }
+  std::vector<int64_t> parents = tree.ParentIndices();
+  if (consistency) {
+    EnforceAdaptiveConsistency(parents, values_, variances_,
+                               /*root_pin=*/1.0);
+  }
+  if (nonnegativity) {
+    NonNegativeRescaleTopDown(parents, values_);
+  }
+}
+
+double AheadEstimate::NodeValue(uint32_t i) const {
+  LDP_CHECK_LT(i, values_.size());
+  return values_[i];
+}
+
+double AheadEstimate::NodeVariance(uint32_t i) const {
+  LDP_CHECK_LT(i, variances_.size());
+  return variances_[i];
 }
 
 namespace {
@@ -264,36 +283,43 @@ void AccumulateRange(const AdaptiveTree& tree,
 
 }  // namespace
 
-RangeEstimate AdaptiveRangeEstimate(const AdaptiveTree& tree,
-                                    std::span<const double> node_values,
-                                    std::span<const double> node_variances,
-                                    uint64_t a, uint64_t b) {
-  LDP_CHECK_EQ(node_values.size(), tree.nodes().size());
-  LDP_CHECK_EQ(node_variances.size(), tree.nodes().size());
+RangeEstimate AheadEstimate::RangeQueryWithUncertainty(uint64_t a,
+                                                       uint64_t b) const {
   LDP_CHECK_LE(a, b);
-  LDP_CHECK_LT(b, tree.shape().padded_domain());
+  LDP_CHECK_LT(b, tree_->shape().padded_domain());
   double value = 0.0;
   double variance = 0.0;
-  AccumulateRange(tree, node_values, node_variances, 0, a, b, value,
-                  variance);
+  AccumulateRange(*tree_, values_, variances_, 0, a, b, value, variance);
   return RangeEstimate{value, std::sqrt(variance)};
 }
 
-std::vector<double> AdaptiveLeafFrequencies(
-    const AdaptiveTree& tree, std::span<const double> node_values,
-    uint64_t domain) {
-  LDP_CHECK_EQ(node_values.size(), tree.nodes().size());
+std::vector<double> AheadEstimate::LeafFrequencies(uint64_t domain) const {
   std::vector<double> freqs(domain, 0.0);
-  for (uint32_t i = 0; i < tree.nodes().size(); ++i) {
-    const AdaptiveNode& n = tree.nodes()[i];
+  for (uint32_t i = 0; i < tree_->nodes().size(); ++i) {
+    const AdaptiveNode& n = tree_->nodes()[i];
     if (!n.is_leaf()) continue;
-    double per_cell = node_values[i] / static_cast<double>(n.block_length());
+    double per_cell = values_[i] / static_cast<double>(n.block_length());
     uint64_t end = std::min(n.block_end, domain);
     for (uint64_t z = n.block_start; z < end; ++z) {
       freqs[z] = per_cell;
     }
   }
   return freqs;
+}
+
+AdaptiveTree GrowAheadTree(
+    const TreeShape& shape, uint32_t depth_cap, double eps,
+    double threshold_scale, uint64_t phase1_reports, uint64_t phase2_reports,
+    const std::function<double(const TreeNode&)>& node_mass) {
+  double level_reports =
+      std::max(1.0, static_cast<double>(phase2_reports) / depth_cap);
+  double theta =
+      threshold_scale * 2.0 * std::sqrt(OracleVariance(eps, level_reports));
+  bool no_signal = phase1_reports == 0;
+  return AdaptiveTree::Grow(shape, depth_cap, [&](const TreeNode& n) {
+    if (threshold_scale <= 0.0 || no_signal) return true;
+    return node_mass(n) > theta;
+  });
 }
 
 // --- AheadMechanism -------------------------------------------------------
@@ -404,27 +430,12 @@ void AheadMechanism::Finalize(Rng& rng) {
   // the property the split decisions depend on).
   phase1_tree_->Finalize(rng);
 
-  // Adaptive decomposition: split a node only when its estimated mass
-  // clears the noise floor of the phase-2 estimates its children would
-  // receive — AHEAD's criterion. With level sampling each frontier gets
-  // roughly n2 / depth-cap reporters, so a child estimate carries
-  // Var_F(eps, n2/max_depth) of noise; a node whose whole mass is within
-  // ~2 of those sigmas (at the default scale) cannot be resolved by
-  // splitting, only made noisier. The threshold is deliberately
-  // independent of the node's size or depth: an under-split of a heavy
-  // node costs a large uniform-within-leaf bias, while an over-split of
-  // an empty one costs a little variance, so ties break toward
-  // splitting.
-  double phase2_level_reports = std::max(
-      1.0, static_cast<double>(phase2_users_) / max_depth_);
-  double theta = config_.threshold_scale * 2.0 *
-                 std::sqrt(OracleVariance(eps_, phase2_level_reports));
-  bool no_signal = phase1_users_ == 0;
-  auto should_split = [&](const TreeNode& n) {
-    if (config_.threshold_scale <= 0.0 || no_signal) return true;
-    return phase1_tree_->NodeEstimate(n) > theta;
-  };
-  tree_ = AdaptiveTree::Grow(shape_, max_depth_, should_split);
+  // Adaptive decomposition, judged at the phase-2 population each
+  // frontier's estimates will actually come from.
+  tree_ = GrowAheadTree(
+      shape_, max_depth_, eps_, config_.threshold_scale, phase1_users_,
+      phase2_users_,
+      [&](const TreeNode& n) { return phase1_tree_->NodeEstimate(n); });
 
   // Phase 2: simulate the level-sampled reports over the frontiers (the
   // kOueSimulated idiom — the aggregate noise is drawn here rather than
@@ -461,17 +472,8 @@ void AheadMechanism::Finalize(Rng& rng) {
     }
   }
 
-  CombineFrontierEstimates(*tree_, level_estimates, level_vars,
-                           &node_values_, &node_variances_);
-
-  std::vector<int64_t> parents = tree_->ParentIndices();
-  if (config_.consistency) {
-    EnforceAdaptiveConsistency(parents, node_values_, node_variances_,
-                               /*root_pin=*/1.0);
-  }
-  if (config_.nonnegativity) {
-    NonNegativeRescaleTopDown(parents, node_values_);
-  }
+  estimate_.emplace(*tree_, level_estimates, level_vars, config_.consistency,
+                    config_.nonnegativity);
   finalized_ = true;
 }
 
@@ -482,14 +484,12 @@ const AdaptiveTree& AheadMechanism::tree() const {
 
 double AheadMechanism::NodeEstimate(uint32_t i) const {
   LDP_CHECK_MSG(finalized_, "NodeEstimate before Finalize");
-  LDP_CHECK_LT(i, node_values_.size());
-  return node_values_[i];
+  return estimate_->NodeValue(i);
 }
 
 double AheadMechanism::NodeVariance(uint32_t i) const {
   LDP_CHECK_MSG(finalized_, "NodeVariance before Finalize");
-  LDP_CHECK_LT(i, node_variances_.size());
-  return node_variances_[i];
+  return estimate_->NodeVariance(i);
 }
 
 double AheadMechanism::RangeQuery(uint64_t a, uint64_t b) const {
@@ -500,12 +500,12 @@ RangeEstimate AheadMechanism::RangeQueryWithUncertainty(uint64_t a,
                                                         uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
   LDP_CHECK_LT(b, domain_);
-  return AdaptiveRangeEstimate(*tree_, node_values_, node_variances_, a, b);
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> AheadMechanism::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return AdaptiveLeafFrequencies(*tree_, node_values_, domain_);
+  return estimate_->LeafFrequencies(domain_);
 }
 
 }  // namespace ldp

@@ -136,34 +136,67 @@ class AdaptiveTree {
   std::vector<std::vector<uint64_t>> starts_;
 };
 
-/// Combines per-frontier-level estimates into per-node values: a node
-/// appearing in several frontiers (a carried leaf) gets the
-/// inverse-variance weighted average of its appearances — the
-/// minimum-variance unbiased combination. `level_estimates[l-1][j]` is
-/// frontier l's estimate for its j-th element and `level_variances[l-1]`
-/// that level's per-element estimator variance (+inf for a level with no
-/// reports). Outputs are indexed like tree.nodes(); the root is pinned to
-/// (1, 0), a node with no usable level to (0, +inf). Shared by
-/// AheadMechanism and the wire server (protocol/ahead_protocol.h).
-void CombineFrontierEstimates(
-    const AdaptiveTree& tree,
-    std::span<const std::vector<double>> level_estimates,
-    std::span<const double> level_variances,
-    std::vector<double>* node_values, std::vector<double>* node_variances);
+/// The finalized half of AHEAD: per-node values and variances over an
+/// adaptive tree, and the queries over them. AheadMechanism and the wire
+/// server (protocol/ahead_protocol.h) both answer through it.
+class AheadEstimate {
+ public:
+  /// Combines per-frontier-level estimates into per-node values: a node
+  /// appearing in several frontiers (a carried leaf) gets the
+  /// inverse-variance weighted average of its appearances — the
+  /// minimum-variance unbiased combination. `level_estimates[l-1][j]` is
+  /// frontier l's estimate for its j-th element and `level_variances[l-1]`
+  /// that level's per-element estimator variance (+inf for a level with no
+  /// reports). The root is pinned to (1, 0), a node with no usable level
+  /// to (0, +inf). Then runs the irregular-tree constrained inference
+  /// (core/consistency.h) when `consistency` is set and the non-negativity
+  /// rebalance when `nonnegativity` is. `tree` must outlive the estimate;
+  /// the mechanism and the server each own the tree their estimate reads.
+  AheadEstimate(const AdaptiveTree& tree,
+                std::span<const std::vector<double>> level_estimates,
+                std::span<const double> level_variances, bool consistency,
+                bool nonnegativity);
 
-/// Range estimate over an adaptive tree given per-node values/variances:
-/// sums the maximal tree nodes inside [a, b] (inclusive) and resolves a
-/// partial overlap with a leaf by the uniform-within-leaf assumption.
-RangeEstimate AdaptiveRangeEstimate(const AdaptiveTree& tree,
-                                    std::span<const double> node_values,
-                                    std::span<const double> node_variances,
-                                    uint64_t a, uint64_t b);
+  /// Estimate (and variance) of node i's population mass, i indexing
+  /// the tree's nodes().
+  double NodeValue(uint32_t i) const;
+  double NodeVariance(uint32_t i) const;
 
-/// Per-item frequency vector (length `domain`): each leaf's mass spread
-/// uniformly over its block, padding cells beyond `domain` dropped.
-std::vector<double> AdaptiveLeafFrequencies(
-    const AdaptiveTree& tree, std::span<const double> node_values,
-    uint64_t domain);
+  /// Sums the maximal tree nodes inside [a, b] (inclusive, b < padded
+  /// domain) and resolves a partial overlap with a leaf by the
+  /// uniform-within-leaf assumption; the variance is those nodes' own, a
+  /// partial leaf's scaled by its squared covered fraction.
+  RangeEstimate RangeQueryWithUncertainty(uint64_t a, uint64_t b) const;
+
+  /// Per-item frequency vector (length `domain`): each leaf's mass spread
+  /// uniformly over its block, padding cells beyond `domain` dropped.
+  std::vector<double> LeafFrequencies(uint64_t domain) const;
+
+ private:
+  const AdaptiveTree* tree_;
+  std::vector<double> values_;  // indexed like tree_->nodes()
+  std::vector<double> variances_;
+};
+
+/// AHEAD's split rule: grows the adaptive tree over `shape` down to
+/// `depth_cap`, splitting a node only when its phase-1 mass estimate
+/// `node_mass(node)` clears the noise floor of the phase-2 estimates its
+/// children would receive. With level sampling each frontier gets roughly
+/// `phase2_reports` / depth_cap reporters, so a child estimate carries
+/// Var_F(eps, phase2_reports / depth_cap) of noise, and the threshold is
+/// theta = threshold_scale * 2 * sqrt(that variance); a node whose whole
+/// mass is within ~2 of those sigmas (at the default scale) cannot be
+/// resolved by splitting, only made noisier. The threshold is
+/// deliberately independent of the node's size or depth: an under-split
+/// of a heavy node costs a large uniform-within-leaf bias, while an
+/// over-split of an empty one costs a little variance, so ties break
+/// toward splitting. Every node is split when threshold_scale <= 0 or
+/// there are no phase-1 reports to judge by. Shared by AheadMechanism and
+/// the wire server, each with its own phase-2 population figure.
+AdaptiveTree GrowAheadTree(
+    const TreeShape& shape, uint32_t depth_cap, double eps,
+    double threshold_scale, uint64_t phase1_reports, uint64_t phase2_reports,
+    const std::function<double(const TreeNode&)>& node_mass);
 
 /// Configuration for the AHEAD mechanism.
 struct AheadConfig {
@@ -202,8 +235,8 @@ std::string AheadMethodName(const AheadConfig& config);
 /// keeps exact per-phase counts during ingestion and draws the oracle
 /// noise at Finalize() time — statistically identical to the per-user
 /// protocol at the aggregator, O(1) per user, and (because every
-/// aggregate is an integer counter) bit-identical under EncodeUsersSharded
-/// for any thread count. The wire-deployable split of the same pipeline
+/// aggregate is an integer counter) bit-identical under
+/// EncodePointsSharded for any thread count. The wire-deployable split of the same pipeline
 /// lives in src/protocol/ahead_protocol.h.
 class AheadMechanism final : public RangeMechanism {
  public:
@@ -247,8 +280,7 @@ class AheadMechanism final : public RangeMechanism {
   uint64_t phase2_users_ = 0;
   bool finalized_ = false;
   std::optional<AdaptiveTree> tree_;
-  std::vector<double> node_values_;     // post-Finalize, indexed like nodes()
-  std::vector<double> node_variances_;
+  std::optional<AheadEstimate> estimate_;  // reads tree_
 };
 
 }  // namespace ldp

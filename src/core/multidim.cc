@@ -1,5 +1,6 @@
 #include "core/multidim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -33,8 +34,13 @@ bool GridOracleDeferrable(OracleKind kind) {
   return false;
 }
 
-bool GridCellsWithinBudget(const TreeShape& shape, uint32_t dims,
-                           uint64_t budget, uint64_t* total_cells) {
+namespace {
+
+// Fills `offsets` with the flat address of each tuple's first cell (plus
+// the total); false when the non-trivial tuples' cells exceed
+// `max_total_cells` or a count overflows.
+bool TupleOffsets(const TreeShape& shape, uint32_t dims,
+                  uint64_t max_total_cells, std::vector<uint64_t>* offsets) {
   const uint64_t radix = uint64_t{shape.height()} + 1;
   uint64_t tuple_count = 1;
   for (uint32_t dim = 0; dim < dims; ++dim) {
@@ -45,24 +51,123 @@ bool GridCellsWithinBudget(const TreeShape& shape, uint32_t dims,
   // Every non-trivial tuple carries at least fanout >= 2 cells, so more
   // tuples than budget/2 already exceeds the budget; this also bounds the
   // enumeration below.
-  if (tuple_count - 1 > budget / 2) return false;
-  uint64_t total = 0;
+  if (tuple_count - 1 > max_total_cells / 2) return false;
+  offsets->assign(tuple_count + 1, 0);
+  (*offsets)[1] = 1;  // the all-root cell
   for (uint64_t t = 1; t < tuple_count; ++t) {
     uint64_t rest = t;
     uint64_t cells = 1;
     for (uint32_t dim = 0; dim < dims; ++dim) {
-      uint32_t level = static_cast<uint32_t>(rest % radix);
+      const auto level = static_cast<uint32_t>(rest % radix);
       rest /= radix;
       if (__builtin_mul_overflow(cells, shape.NodesAtLevel(level), &cells)) {
         return false;
       }
     }
-    if (__builtin_add_overflow(total, cells, &total) || total > budget) {
+    uint64_t* next = &(*offsets)[t + 1];
+    if (__builtin_add_overflow((*offsets)[t], cells, next) ||
+        *next - 1 > max_total_cells) {
       return false;
     }
   }
-  *total_cells = total;
   return true;
+}
+
+}  // namespace
+
+bool GridLayout::Fits(const TreeShape& shape, uint32_t dims,
+                      uint64_t max_total_cells) {
+  std::vector<uint64_t> offsets;
+  return dims >= 1 && TupleOffsets(shape, dims, max_total_cells, &offsets);
+}
+
+GridLayout::GridLayout(const TreeShape& shape, uint32_t dims,
+                       uint64_t max_total_cells)
+    : shape_(shape), dims_(dims), radix_(uint64_t{shape.height()} + 1) {
+  LDP_CHECK_GE(dims_, 1u);
+  LDP_CHECK_MSG(TupleOffsets(shape_, dims_, max_total_cells, &offsets_),
+                "grid cell budget exceeded; reduce D, d or raise "
+                "max_total_cells");
+}
+
+uint64_t GridLayout::CellOf(uint64_t tuple, const uint64_t* coords) const {
+  uint64_t cell = 0;
+  uint64_t cell_stride = 1;
+  for (uint32_t dim = 0; dim < dims_; ++dim) {
+    const auto level = static_cast<uint32_t>(tuple % radix_);
+    tuple /= radix_;
+    cell += shape_.NodeContaining(level, coords[dim]) * cell_stride;
+    cell_stride *= shape_.NodesAtLevel(level);
+  }
+  return cell;
+}
+
+void GridLayout::TupleLevels(uint64_t tuple, uint8_t* levels) const {
+  for (uint32_t dim = 0; dim < dims_; ++dim) {
+    levels[dim] = static_cast<uint8_t>(tuple % radix_);
+    tuple /= radix_;
+  }
+}
+
+template <typename CellVisitor>
+void GridLayout::VisitBoxCells(std::span<const AxisInterval> box,
+                               CellVisitor&& visit) const {
+  LDP_CHECK_EQ(box.size(), static_cast<size_t>(dims_));
+  std::vector<std::vector<TreeNode>> axis_nodes(dims_);
+  for (uint32_t dim = 0; dim < dims_; ++dim) {
+    LDP_CHECK_LE(box[dim].lo, box[dim].hi);
+    LDP_CHECK_LT(box[dim].hi, shape_.domain());
+    axis_nodes[dim] = shape_.Decompose(box[dim].lo, box[dim].hi);
+  }
+  // Walk the cross product of the per-axis decompositions.
+  std::vector<size_t> pick(dims_, 0);
+  for (;;) {
+    uint64_t tuple = 0;
+    uint64_t cell = 0;
+    uint64_t cell_stride = 1;
+    uint64_t tuple_stride = 1;
+    for (uint32_t dim = 0; dim < dims_; ++dim) {
+      const TreeNode& node = axis_nodes[dim][pick[dim]];
+      tuple += static_cast<uint64_t>(node.level) * tuple_stride;
+      tuple_stride *= radix_;
+      cell += node.index * cell_stride;
+      cell_stride *= shape_.NodesAtLevel(node.level);
+    }
+    visit(tuple, offsets_[tuple] + cell);
+    // Advance the odometer.
+    uint32_t dim = 0;
+    for (; dim < dims_; ++dim) {
+      if (++pick[dim] < axis_nodes[dim].size()) break;
+      pick[dim] = 0;
+    }
+    if (dim == dims_) break;
+  }
+}
+
+GridEstimate::GridEstimate(const GridLayout& layout)
+    : layout_(layout),
+      values_(new double[layout.offsets_.back()]),
+      tuple_variance_(layout.tuple_count(), 0.0) {
+  values_[0] = 1.0;  // the all-root cell is the whole space
+}
+
+void GridEstimate::SetTuple(uint64_t t, std::span<const double> estimates,
+                            double variance) {
+  std::span<double> cells = Tuple(t);
+  LDP_CHECK_EQ(estimates.size(), cells.size());
+  std::copy(estimates.begin(), estimates.end(), cells.begin());
+  tuple_variance_[t] = variance;
+}
+
+RangeEstimate GridEstimate::BoxQueryWithUncertainty(
+    std::span<const AxisInterval> box) const {
+  double total = 0.0;
+  double variance = 0.0;
+  layout_.VisitBoxCells(box, [&](uint64_t tuple, uint64_t address) {
+    total += values_[address];
+    if (tuple != 0) variance += tuple_variance_[tuple];
+  });
+  return RangeEstimate{total, std::sqrt(variance)};
 }
 
 HierarchicalGrid::HierarchicalGrid(uint64_t domain_per_dim,
@@ -70,45 +175,26 @@ HierarchicalGrid::HierarchicalGrid(uint64_t domain_per_dim,
                                    const HierarchicalGridConfig& config,
                                    uint64_t max_total_cells)
     : MechanismBase(domain_per_dim, eps),
-      dims_(dimensions),
       config_(config),
-      shape_(domain_per_dim, config.fanout),
-      max_total_cells_(max_total_cells) {
-  LDP_CHECK_GE(dims_, 1u);
-  LDP_CHECK_MSG(
-      GridCellsWithinBudget(shape_, dims_, max_total_cells, &total_cells_),
-      "HierarchicalGrid cell budget exceeded; reduce D, d or raise "
-      "max_total_cells");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  tuple_count_ = IntPow(radix, dims_);
-  // Enumerate level tuples in mixed radix (h+1)^d, dimension 0 least
-  // significant; tuple index 0 is the all-root cell (known exactly, no
-  // oracle).
-  tuple_cells_.assign(tuple_count_, 1);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    uint64_t rest = t;
-    uint64_t cells = 1;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      cells *= shape_.NodesAtLevel(static_cast<uint32_t>(rest % radix));
-      rest /= radix;
-    }
-    tuple_cells_[t] = cells;
-  }
+      max_total_cells_(max_total_cells),
+      layout_(TreeShape(domain_per_dim, config.fanout), dimensions,
+              max_total_cells) {
   deferred_ = config_.decode == GridDecode::kDeferred &&
               GridOracleDeferrable(config_.oracle);
   if (config_.oracle == OracleKind::kOlh) {
     olh_g_ = OlhOptimalHashRange(eps_);
   }
+  const uint64_t tuples = layout_.tuple_count();
   if (deferred_) {
     // No oracles: ingestion records into the arena columns and Finalize
-    // decodes straight into estimates_. The record format needs tuple and
-    // cell to fit u32; both are bounded by the cell budget (<= 2^26).
-    LDP_CHECK_LE(tuple_count_, uint64_t{1} << 32);
-    tuple_reports_.assign(tuple_count_, 0);
+    // decodes straight into the estimate. The record format needs tuple
+    // and cell to fit u32; both are bounded by the cell budget (<= 2^26).
+    LDP_CHECK_LE(tuples, uint64_t{1} << 32);
+    tuple_reports_.assign(tuples, 0);
   } else {
-    grids_.resize(tuple_count_);
-    for (uint64_t t = 1; t < tuple_count_; ++t) {
-      grids_[t] = MakeOracle(config_.oracle, tuple_cells_[t], eps_);
+    grids_.resize(tuples);
+    for (uint64_t t = 1; t < tuples; ++t) {
+      grids_[t] = MakeOracle(config_.oracle, layout_.TupleCells(t), eps_);
     }
   }
 }
@@ -125,9 +211,8 @@ std::unique_ptr<HierarchicalGrid> HierarchicalGrid::Create(
   if (dimensions < 1) return fail("dimensions must be >= 1");
   if (!(eps > 0.0)) return fail("epsilon must be positive");
   if (config.fanout < 2) return fail("fanout must be >= 2");
-  TreeShape shape(domain_per_dim, config.fanout);
-  uint64_t total = 0;
-  if (!GridCellsWithinBudget(shape, dimensions, max_total_cells, &total)) {
+  if (!GridLayout::Fits(TreeShape(domain_per_dim, config.fanout),
+                        dimensions, max_total_cells)) {
     return fail(
         "cell budget exceeded: the (h+1)^d level-tuple grids need more "
         "cells than max_total_cells; reduce D, d or raise max_total_cells");
@@ -138,7 +223,7 @@ std::unique_ptr<HierarchicalGrid> HierarchicalGrid::Create(
 
 std::string HierarchicalGrid::Name() const {
   std::string name = "HH";
-  name += std::to_string(dims_);
+  name += std::to_string(dimensions());
   name += "D";
   name += std::to_string(config_.fanout);
   name += "-";
@@ -151,8 +236,9 @@ double HierarchicalGrid::ReportBits() const {
   // that tuple's grid; tuples are sampled uniformly. Deferred mode has no
   // oracle objects, so the per-kind report size is computed analytically
   // (matching the corresponding oracle's ReportBits exactly).
+  const uint64_t tuples = layout_.tuple_count();
   double bits = 0.0;
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
+  for (uint64_t t = 1; t < tuples; ++t) {
     if (!deferred_) {
       bits += grids_[t]->ReportBits();
       continue;
@@ -160,10 +246,10 @@ double HierarchicalGrid::ReportBits() const {
     switch (config_.oracle) {
       case OracleKind::kOueSimulated:
       case OracleKind::kSueSimulated:
-        bits += static_cast<double>(tuple_cells_[t]);
+        bits += static_cast<double>(layout_.TupleCells(t));
         break;
       case OracleKind::kGrr:
-        bits += static_cast<double>(Log2Ceil(tuple_cells_[t]));
+        bits += static_cast<double>(Log2Ceil(layout_.TupleCells(t)));
         break;
       case OracleKind::kOlh:
         bits += 64.0 + static_cast<double>(Log2Ceil(olh_g_));
@@ -172,28 +258,19 @@ double HierarchicalGrid::ReportBits() const {
         LDP_CHECK_MSG(false, "non-deferrable kind in deferred grid");
     }
   }
-  double tuple_id_bits = static_cast<double>(Log2Ceil(tuple_count_ - 1));
-  return tuple_id_bits + bits / static_cast<double>(tuple_count_ - 1);
+  double tuple_id_bits = static_cast<double>(Log2Ceil(tuples - 1));
+  return tuple_id_bits + bits / static_cast<double>(tuples - 1);
 }
 
 void HierarchicalGrid::EncodePoint(const uint64_t* coords, Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "EncodePoint after Finalize");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
+  for (uint32_t dim = 0; dim < layout_.dims(); ++dim) {
     LDP_CHECK_LT(coords[dim], domain_);
   }
-  // Uniform level tuple, skipping the all-root tuple 0.
-  uint64_t tuple = 1 + rng.UniformInt(tuple_count_ - 1);
-  // Decode the tuple and flatten the user's cell within that grid.
-  uint64_t rest = tuple;
-  uint64_t cell = 0;
-  uint64_t cell_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    uint32_t level = static_cast<uint32_t>(rest % radix);
-    rest /= radix;
-    cell += shape_.NodeContaining(level, coords[dim]) * cell_stride;
-    cell_stride *= shape_.NodesAtLevel(level);
-  }
+  // Uniform level tuple, skipping the all-root tuple 0, then the user's
+  // cell within that tuple's grid.
+  const uint64_t tuple = layout_.SampleTuple(rng);
+  uint64_t cell = layout_.CellOf(tuple, coords);
   if (!deferred_) {
     grids_[tuple]->SubmitValue(cell, rng);
     ++users_;
@@ -209,7 +286,7 @@ void HierarchicalGrid::EncodePoint(const uint64_t* coords, Rng& rng) {
       // The §5 simulated paths draw no per-user randomness.
       break;
     case OracleKind::kGrr:
-      cell = GrrPerturb(cell, tuple_cells_[tuple], eps_, rng);
+      cell = GrrPerturb(cell, layout_.TupleCells(tuple), eps_, rng);
       break;
     case OracleKind::kOlh: {
       uint64_t seed = rng.Next();
@@ -230,16 +307,17 @@ void HierarchicalGrid::EncodePoint(const uint64_t* coords, Rng& rng) {
 void HierarchicalGrid::EncodePoints(std::span<const uint64_t> coords,
                                     Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "EncodePoints after Finalize");
-  LDP_CHECK_EQ(coords.size() % dims_, size_t{0});
+  const uint32_t dims = layout_.dims();
+  LDP_CHECK_EQ(coords.size() % dims, size_t{0});
   // Same draw order as the EncodePoint loop (tuple pick, then submit).
-  for (size_t i = 0; i < coords.size(); i += dims_) {
+  for (size_t i = 0; i < coords.size(); i += dims) {
     EncodePoint(coords.data() + i, rng);
   }
 }
 
 std::unique_ptr<MechanismBase> HierarchicalGrid::CloneEmptyBase() const {
-  return std::make_unique<HierarchicalGrid>(domain_, dims_, eps_, config_,
-                                            max_total_cells_);
+  return std::make_unique<HierarchicalGrid>(domain_, layout_.dims(), eps_,
+                                            config_, max_total_cells_);
 }
 
 void HierarchicalGrid::MergeFromBase(const MechanismBase& other) {
@@ -248,7 +326,7 @@ void HierarchicalGrid::MergeFromBase(const MechanismBase& other) {
   LDP_CHECK_MSG(!finalized_ && !o->finalized_,
                 "cannot merge finalized mechanisms");
   LDP_CHECK(o->domain_ == domain_);
-  LDP_CHECK(o->dims_ == dims_);
+  LDP_CHECK(o->layout_.dims() == layout_.dims());
   LDP_CHECK(o->config_.fanout == config_.fanout);
   LDP_CHECK(o->config_.oracle == config_.oracle);
   LDP_CHECK(o->deferred_ == deferred_);
@@ -261,11 +339,11 @@ void HierarchicalGrid::MergeFromBase(const MechanismBase& other) {
     rec_tuples_.Adopt(std::move(shard->rec_tuples_));
     rec_cells_.Adopt(std::move(shard->rec_cells_));
     rec_seeds_.Adopt(std::move(shard->rec_seeds_));
-    for (uint64_t t = 1; t < tuple_count_; ++t) {
+    for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
       tuple_reports_[t] += o->tuple_reports_[t];
     }
   } else {
-    for (uint64_t t = 1; t < tuple_count_; ++t) {
+    for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
       grids_[t]->MergeFrom(*o->grids_[t]);
     }
   }
@@ -274,27 +352,26 @@ void HierarchicalGrid::MergeFromBase(const MechanismBase& other) {
 
 void HierarchicalGrid::Finalize(Rng& rng) {
   LDP_CHECK_MSG(!finalized_, "Finalize called twice");
+  // Fork one decode stream per tuple, in tuple order, in both modes: tuple
+  // t's noise comes from Rng(seeds[t]) regardless of mode, thread count,
+  // or which worker runs it, which is what makes the modes bit-identical.
+  std::vector<uint64_t> seeds(layout_.tuple_count(), 0);
+  for (uint64_t t = 1; t < seeds.size(); ++t) seeds[t] = rng.Next();
+  const unsigned threads =
+      finalize_threads_ != 0 ? finalize_threads_ : HardwareThreads();
   if (deferred_) {
-    FinalizeDeferred(rng);
+    FinalizeDeferred(seeds, threads);
   } else {
-    FinalizeEager(rng);
+    FinalizeEager(seeds, threads);
   }
   finalized_ = true;
 }
 
-void HierarchicalGrid::FinalizeEager(Rng& rng) {
-  estimates_.resize(tuple_count_);
-  estimates_[0] = {1.0};  // the all-root cell
-  // Fork one decode stream per tuple, in tuple order — the SAME forking
-  // discipline as the deferred path, which is what makes the two modes
-  // bit-identical: tuple t's noise comes from Rng(seeds[t]) regardless of
-  // mode, thread count, or which worker runs it.
-  std::vector<uint64_t> seeds(tuple_count_, 0);
-  for (uint64_t t = 1; t < tuple_count_; ++t) seeds[t] = rng.Next();
-  const uint64_t tuples = tuple_count_ - 1;
-  unsigned threads =
-      finalize_threads_ != 0 ? finalize_threads_ : HardwareThreads();
-  ParallelFor(tuples, threads, [&](unsigned, uint64_t begin, uint64_t end) {
+void HierarchicalGrid::FinalizeEager(std::span<const uint64_t> seeds,
+                                     unsigned threads) {
+  GridEstimate& estimate = estimate_.emplace(layout_);
+  ParallelFor(seeds.size() - 1, threads,
+              [&](unsigned, uint64_t begin, uint64_t end) {
     for (uint64_t i = begin; i < end; ++i) {
       const uint64_t t = i + 1;
       // OLH oracles would otherwise fan out their own decode inside this
@@ -304,30 +381,23 @@ void HierarchicalGrid::FinalizeEager(Rng& rng) {
       }
       Rng tuple_rng(seeds[t]);
       grids_[t]->Finalize(tuple_rng);
-      estimates_[t] = grids_[t]->EstimateFractions();
+      estimate.SetTuple(t, grids_[t]->EstimateFractions(),
+                        grids_[t]->EstimatorVariance());
     }
   });
 }
 
-void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
+void HierarchicalGrid::FinalizeDeferred(std::span<const uint64_t> seeds,
+                                        unsigned threads) {
   // Global-registry timing: the deferred decode is the grid's dominant
   // finalize cost and the subject of the CI perf gate.
   static obs::LatencyHistogram* const scan_ns =
       &obs::MetricsRegistry::Global().GetHistogram("grid.deferred_scan_ns");
   obs::ScopedTimer scan_timer(scan_ns, "grid.deferred_scan");
-  // One flat, write-once estimate buffer (see the member comment): offsets
-  // are prefix sums of the per-tuple cell counts, the all-root cell sits
-  // at slot 0.
-  tuple_offset_.assign(tuple_count_ + 1, 0);
-  for (uint64_t t = 0; t < tuple_count_; ++t) {
-    tuple_offset_[t + 1] = tuple_offset_[t] + tuple_cells_[t];
-  }
-  flat_estimates_.reset(new double[tuple_offset_[tuple_count_]]);
-  flat_estimates_[0] = 1.0;
-  tuple_variance_.assign(tuple_count_, 0.0);
-  // Identical stream forking as FinalizeEager (see comment there).
-  std::vector<uint64_t> seeds(tuple_count_, 0);
-  for (uint64_t t = 1; t < tuple_count_; ++t) seeds[t] = rng.Next();
+  // Each tuple's decode writes its slice of the estimate's write-once
+  // buffer exactly once.
+  GridEstimate& estimate = estimate_.emplace(layout_);
+  const uint64_t tuple_count = seeds.size();
 
   // Partition the records by tuple (counting sort off the per-tuple report
   // totals maintained at ingest): after this every tuple's cells (and
@@ -336,11 +406,11 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
   const uint64_t n_records = rec_tuples_.size();
   LDP_CHECK(rec_cells_.size() == n_records);
   const bool olh = config_.oracle == OracleKind::kOlh;
-  std::vector<uint64_t> rec_offset(tuple_count_ + 1, 0);
-  for (uint64_t t = 0; t < tuple_count_; ++t) {
+  std::vector<uint64_t> rec_offset(tuple_count + 1, 0);
+  for (uint64_t t = 0; t < tuple_count; ++t) {
     rec_offset[t + 1] = rec_offset[t] + tuple_reports_[t];
   }
-  LDP_CHECK(rec_offset[tuple_count_] == n_records);
+  LDP_CHECK(rec_offset[tuple_count] == n_records);
   std::vector<uint32_t> cells_by_tuple(n_records);
   std::vector<uint64_t> seeds_by_tuple(olh ? n_records : 0);
   {
@@ -368,22 +438,20 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
   // debiased estimate — arithmetic identical to the corresponding
   // oracle's Finalize + EstimateFractions. Per-tuple Rng(seeds[t]) makes
   // the result independent of the sharding.
-  const uint64_t tuples = tuple_count_ - 1;
-  unsigned threads =
-      finalize_threads_ != 0 ? finalize_threads_ : HardwareThreads();
-  ParallelFor(tuples, threads, [&](unsigned, uint64_t begin, uint64_t end) {
+  ParallelFor(tuple_count - 1, threads,
+              [&](unsigned, uint64_t begin, uint64_t end) {
     // Per-worker count scratch, reused across the worker's tuples and
     // first-touched here (NUMA: pages live on the node that scans them).
     std::vector<uint64_t> counts;
     for (uint64_t i = begin; i < end; ++i) {
       const uint64_t t = i + 1;
-      const uint64_t cells_t = tuple_cells_[t];
+      const uint64_t cells_t = layout_.TupleCells(t);
       const uint64_t n_t = tuple_reports_[t];
-      double* const est = flat_estimates_.get() + tuple_offset_[t];
+      double* const est = estimate.Tuple(t).data();
       if (n_t == 0) {
         // An empty oracle estimates all zeros with infinite variance.
         std::fill(est, est + cells_t, 0.0);
-        tuple_variance_[t] = std::numeric_limits<double>::infinity();
+        estimate.SetTupleVariance(t, std::numeric_limits<double>::infinity());
         continue;
       }
       const uint32_t* slice = cells_by_tuple.data() + rec_offset[t];
@@ -397,7 +465,7 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
           for (uint64_t j = 0; j < cells_t; ++j) {
             est[j] = noiser.Estimate(noiser.NoisyCount(counts[j], tuple_rng));
           }
-          tuple_variance_[t] = OracleVariance(eps_, dn);
+          estimate.SetTupleVariance(t, OracleVariance(eps_, dn));
           break;
         }
         case OracleKind::kSueSimulated: {
@@ -407,7 +475,7 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
           for (uint64_t j = 0; j < cells_t; ++j) {
             est[j] = noiser.Estimate(noiser.NoisyCount(counts[j], tuple_rng));
           }
-          tuple_variance_[t] = SueVariance(eps_, dn);
+          estimate.SetTupleVariance(t, SueVariance(eps_, dn));
           break;
         }
         case OracleKind::kGrr: {
@@ -420,7 +488,8 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
           for (uint64_t j = 0; j < cells_t; ++j) {
             est[j] = (static_cast<double>(counts[j]) / dn - q) / (p - q);
           }
-          tuple_variance_[t] = GrrLowFrequencyVariance(cells_t, eps_, n_t);
+          estimate.SetTupleVariance(
+              t, GrrLowFrequencyVariance(cells_t, eps_, n_t));
           break;
         }
         case OracleKind::kOlh: {
@@ -432,7 +501,8 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
           for (uint64_t j = 0; j < cells_t; ++j) {
             est[j] = (static_cast<double>(counts[j]) / dn - q) / (p - q);
           }
-          tuple_variance_[t] = q * (1.0 - q) / (dn * (p - q) * (p - q));
+          estimate.SetTupleVariance(
+              t, q * (1.0 - q) / (dn * (p - q) * (p - q)));
           break;
         }
         default:
@@ -449,29 +519,13 @@ void HierarchicalGrid::FinalizeDeferred(Rng& rng) {
 
 double HierarchicalGrid::BoxQuery(std::span<const AxisInterval> box) const {
   LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  double total = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += EstimateAt(tuple, cell);
-  });
-  return total;
+  return estimate_->BoxQuery(box);
 }
 
 RangeEstimate HierarchicalGrid::BoxQueryWithUncertainty(
     std::span<const AxisInterval> box) const {
   LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  // Sum the per-cell estimator variances of the cross-product assembly
-  // (the Section 6 analogue of Theorem 4.3's accounting); the all-root
-  // cell is known exactly.
-  double total = 0.0;
-  double variance = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += EstimateAt(tuple, cell);
-    if (tuple != 0) {
-      variance += deferred_ ? tuple_variance_[tuple]
-                            : grids_[tuple]->EstimatorVariance();
-    }
-  });
-  return RangeEstimate{total, std::sqrt(variance)};
+  return estimate_->BoxQueryWithUncertainty(box);
 }
 
 }  // namespace ldp

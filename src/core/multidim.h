@@ -29,6 +29,8 @@
 // Both modes consume identical client-side Rng streams at ingest and fork
 // one decode stream per tuple (in tuple order) at Finalize, so their
 // estimates are BIT-IDENTICAL to each other and across thread counts.
+// Both decode into one GridEstimate over one GridLayout, the two types the
+// wire client and server (protocol/multidim_protocol.h) share with them.
 // Deferral covers kOueSimulated, kSueSimulated, kGrr and kOlh; the
 // per-user-exact kinds (kOue, kSue, kHrr) randomize each report at
 // submission time and silently fall back to eager.
@@ -38,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,56 +72,116 @@ struct HierarchicalGridConfig {
 /// aggregate state fit the deferred grid's record format.
 bool GridOracleDeferrable(OracleKind kind);
 
-/// Overflow-safe cell accounting for a prospective d-dimensional grid:
-/// sums the product-grid sizes of every non-trivial level tuple into
-/// `*total_cells`. Returns false (leaving `*total_cells` untouched) when
-/// the total exceeds `budget` or any intermediate product overflows.
-/// Shared by HierarchicalGrid and the wire-facing MultiDimServer so both
-/// reject over-budget configurations identically.
-bool GridCellsWithinBudget(const TreeShape& shape, uint32_t dims,
-                           uint64_t budget, uint64_t* total_cells);
+/// The level-tuple grid of Section 6, the one layout behind the simulation
+/// (HierarchicalGrid) and the wire client and server
+/// (protocol/multidim_protocol.h). Tuples are the (h+1)^d per-axis level
+/// combinations, flattened little-endian in mixed radix h+1 (dimension 0
+/// least significant); tuple 0 is the all-root tuple, whose one cell is the
+/// whole space. A tuple's cells flatten the same way (dimension 0 fastest),
+/// and every cell of every tuple has one flat address, tuple by tuple.
+class GridLayout {
+ public:
+  /// Whether `dims`-dimensional grids with `shape` on every axis fit:
+  /// dims >= 1 and at most `max_total_cells` cells over the non-trivial
+  /// tuples (overflow-safe).
+  static bool Fits(const TreeShape& shape, uint32_t dims,
+                   uint64_t max_total_cells);
 
-/// Walks the O(log_B^d D) grid cells covering the axis-aligned box — the
-/// cross product of the per-axis B-adic decompositions. Invokes
-/// visit(tuple, cell) with the level tuple flattened little-endian in
-/// mixed radix (h+1)^d (dimension 0 least significant) and the cell
-/// flattened the same way within that tuple's product grid.
-template <typename CellVisitor>
-void VisitGridBoxCells(const TreeShape& shape, uint32_t dims,
-                       std::span<const AxisInterval> box,
-                       CellVisitor&& visit) {
-  LDP_CHECK_EQ(box.size(), static_cast<size_t>(dims));
-  const uint64_t radix = uint64_t{shape.height()} + 1;
-  std::vector<std::vector<TreeNode>> axis_nodes(dims);
-  for (uint32_t dim = 0; dim < dims; ++dim) {
-    LDP_CHECK_LE(box[dim].lo, box[dim].hi);
-    LDP_CHECK_LT(box[dim].hi, shape.domain());
-    axis_nodes[dim] = shape.Decompose(box[dim].lo, box[dim].hi);
+  /// The layout; CHECK-fails where Fits() is false.
+  GridLayout(const TreeShape& shape, uint32_t dims, uint64_t max_total_cells);
+
+  const TreeShape& shape() const { return shape_; }
+  uint32_t dims() const { return dims_; }
+  /// (h+1)^d, the all-root tuple included.
+  uint64_t tuple_count() const { return offsets_.size() - 1; }
+  /// Cells of the non-trivial tuples (what the grid's memory grows with).
+  uint64_t total_cells() const { return offsets_.back() - 1; }
+  uint64_t TupleCells(uint64_t tuple) const {
+    return offsets_[tuple + 1] - offsets_[tuple];
   }
-  // Walk the cross product of the per-axis decompositions.
-  std::vector<size_t> pick(dims, 0);
-  for (;;) {
-    uint64_t tuple = 0;
-    uint64_t cell = 0;
-    uint64_t cell_stride = 1;
-    uint64_t tuple_stride = 1;
-    for (uint32_t dim = 0; dim < dims; ++dim) {
-      const TreeNode& node = axis_nodes[dim][pick[dim]];
-      tuple += static_cast<uint64_t>(node.level) * tuple_stride;
-      tuple_stride *= radix;
-      cell += node.index * cell_stride;
-      cell_stride *= shape.NodesAtLevel(node.level);
-    }
-    visit(tuple, cell);
-    // Advance the odometer.
-    uint32_t dim = 0;
-    for (; dim < dims; ++dim) {
-      if (++pick[dim] < axis_nodes[dim].size()) break;
-      pick[dim] = 0;
-    }
-    if (dim == dims) break;
+
+  /// A user's tuple: one draw, uniform over the non-trivial tuples.
+  uint64_t SampleTuple(Rng& rng) const {
+    return 1 + rng.UniformInt(tuple_count() - 1);
   }
-}
+
+  /// The cell of `tuple`'s grid that contains the point `coords`
+  /// (dims() coordinates, each in [0, D)).
+  uint64_t CellOf(uint64_t tuple, const uint64_t* coords) const;
+
+  /// Writes `tuple`'s per-axis levels (dims() bytes; h <= 255).
+  void TupleLevels(uint64_t tuple, uint8_t* levels) const;
+
+  /// The tuple of per-axis `levels` (dims() bytes). False on a level past
+  /// the tree height or the all-root tuple, which carries no report.
+  bool TupleOf(const uint8_t* levels, uint64_t* tuple) const {
+    uint64_t t = 0;
+    uint64_t stride = 1;
+    for (uint32_t dim = 0; dim < dims_; ++dim) {
+      if (levels[dim] > shape_.height()) return false;
+      t += uint64_t{levels[dim]} * stride;
+      stride *= radix_;
+    }
+    *tuple = t;
+    return t != 0;
+  }
+
+ private:
+  friend class GridEstimate;
+
+  /// Walks the O(log_B^d D) cells covering the axis-aligned box, the cross
+  /// product of the per-axis B-adic decompositions: visit(tuple, address).
+  template <typename CellVisitor>
+  void VisitBoxCells(std::span<const AxisInterval> box,
+                     CellVisitor&& visit) const;
+
+  TreeShape shape_;
+  uint32_t dims_;
+  uint64_t radix_;  // h + 1
+  // offsets_[t] = address of tuple t's first cell; the last entry is the
+  // number of cells over all tuples.
+  std::vector<uint64_t> offsets_;
+};
+
+/// The finalized half of the grid: one estimate per cell of every tuple,
+/// in one write-once buffer addressed by GridLayout, and each tuple's
+/// per-cell variance. HierarchicalGrid (both decode modes) and the wire
+/// server (protocol/multidim_protocol.h) both answer through it.
+class GridEstimate {
+ public:
+  /// The all-root cell is 1 with variance 0. Every other cell is left
+  /// for a decode to write once, one tuple at a time, through Tuple() or
+  /// SetTuple(): the buffer is never zero-filled, since a pass over the
+  /// ~total_cells doubles the decode overwrites anyway is a measurable
+  /// slice of Finalize at grid scale.
+  explicit GridEstimate(const GridLayout& layout);
+
+  /// Tuple t's cells (t >= 1).
+  std::span<double> Tuple(uint64_t t) {
+    return {values_.get() + layout_.offsets_[t], layout_.TupleCells(t)};
+  }
+  void SetTupleVariance(uint64_t t, double variance) {
+    tuple_variance_[t] = variance;
+  }
+  /// Copies a decoded tuple in: `estimates` holds TupleCells(t) values.
+  void SetTuple(uint64_t t, std::span<const double> estimates,
+                double variance);
+
+  double BoxQuery(std::span<const AxisInterval> box) const {
+    return BoxQueryWithUncertainty(box).value;
+  }
+
+  /// The sum over the box's covering cells and, from the same walk, their
+  /// summed tuple variances (the Section 6 analogue of Theorem 4.3's
+  /// accounting; the all-root cell is exact, an empty tuple +inf).
+  RangeEstimate BoxQueryWithUncertainty(
+      std::span<const AxisInterval> box) const;
+
+ private:
+  GridLayout layout_;
+  std::unique_ptr<double[]> values_;
+  std::vector<double> tuple_variance_;
+};
 
 /// General d-dimensional hierarchical grids ("for d-dimensional data we
 /// achieve variance depending on log^{2d} D", paper Section 6), on the
@@ -148,9 +211,9 @@ class HierarchicalGrid : public MechanismBase {
 
   uint64_t domain_per_dim() const { return domain_; }
   /// Total cells across all level tuples (the memory footprint driver).
-  uint64_t total_cells() const { return total_cells_; }
+  uint64_t total_cells() const { return layout_.total_cells(); }
 
-  uint32_t dimensions() const override { return dims_; }
+  uint32_t dimensions() const override { return layout_.dims(); }
   uint64_t user_count() const override { return users_; }
   /// The decode strategy in effect (config request, possibly downgraded
   /// to kEager for non-deferrable oracle kinds).
@@ -178,29 +241,19 @@ class HierarchicalGrid : public MechanismBase {
       std::span<const AxisInterval> box) const override;
 
  private:
-  void FinalizeEager(Rng& rng);
-  void FinalizeDeferred(Rng& rng);
+  // Decode tuple t from Rng(seeds[t]) into *estimate_ on `threads` workers.
+  void FinalizeEager(std::span<const uint64_t> seeds, unsigned threads);
+  void FinalizeDeferred(std::span<const uint64_t> seeds, unsigned threads);
 
-  double EstimateAt(uint64_t tuple, uint64_t cell) const {
-    return deferred_ ? flat_estimates_[tuple_offset_[tuple] + cell]
-                     : estimates_[tuple][cell];
-  }
-
-  uint32_t dims_;
   HierarchicalGridConfig config_;
-  TreeShape shape_;  // identical shape in every dimension
   uint64_t max_total_cells_;
-  uint64_t tuple_count_;  // (h+1)^d, including the excluded all-zero tuple
-  uint64_t total_cells_ = 0;
+  GridLayout layout_;  // identical shape in every dimension
   bool deferred_ = false;  // resolved decode mode (see GridOracleDeferrable)
   unsigned finalize_threads_ = 0;
   uint64_t olh_g_ = 0;  // shared OLH hash range (kOlh only)
-  // Product-grid size per tuple (tuple_cells_[0] = 1, the all-root cell).
-  std::vector<uint64_t> tuple_cells_;
-  // One oracle per level tuple != all-zero; index = little-endian mixed
-  // radix over (h+1), dimension 0 least significant. Cells flatten the
-  // same way (dimension 0 fastest). Empty in deferred mode — the whole
-  // point: no O(total_cells) oracle state exists until Finalize.
+  // One oracle per level tuple != all-zero, indexed like GridLayout's
+  // tuples. Empty in deferred mode — the whole point: no O(total_cells)
+  // oracle state exists until Finalize.
   std::vector<std::unique_ptr<FrequencyOracle>> grids_;
   // Deferred-mode record columns, structure-of-arrays on arenas: the
   // sampled tuple, the (client-randomized where applicable) cell, and for
@@ -211,20 +264,9 @@ class HierarchicalGrid : public MechanismBase {
   ArenaColumn<uint64_t> rec_seeds_;
   // Reports per tuple (deferred mode; an eager oracle tracks its own).
   std::vector<uint64_t> tuple_reports_;
-  // Post-finalize per-tuple estimator variance (deferred mode's stand-in
-  // for FrequencyOracle::EstimatorVariance; +inf for empty tuples).
-  std::vector<double> tuple_variance_;
-  // Post-finalize estimates. Eager mode keeps the per-tuple vectors the
-  // oracles hand back. Deferred mode writes ONE flat buffer (tuple t's
-  // cells at [tuple_offset_[t], tuple_offset_[t+1])): a single allocation
-  // whose doubles are written exactly once — no per-tuple zero-fill pass
-  // over the ~total_cells doubles that the decode immediately overwrites,
-  // which is a measurable slice of Finalize at grid scale.
-  std::vector<std::vector<double>> estimates_;
-  std::unique_ptr<double[]> flat_estimates_;
-  std::vector<uint64_t> tuple_offset_;
   uint64_t users_ = 0;
   bool finalized_ = false;
+  std::optional<GridEstimate> estimate_;
 };
 
 /// Two-dimensional convenience wrapper (paper Section 6's d = 2 case):

@@ -151,10 +151,4 @@ void EncodePointsSharded(MechanismBase& mechanism,
               });
 }
 
-void EncodeUsersSharded(RangeMechanism& mechanism,
-                        std::span<const uint64_t> values, uint64_t seed,
-                        unsigned threads) {
-  EncodePointsSharded(mechanism, values, seed, threads);
-}
-
 }  // namespace ldp

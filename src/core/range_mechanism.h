@@ -126,7 +126,7 @@ class RangeMechanism : public MechanismBase {
   /// exactly as the equivalent EncodeUser loop would (bit-identical for
   /// the same Rng stream). Mechanism overrides route the batch through the
   /// oracles' SubmitBatch fast paths. For multi-threaded ingestion see
-  /// EncodeUsersSharded().
+  /// EncodePointsSharded() (a 1-D value is a 1-coordinate point).
   virtual void EncodeUsers(std::span<const uint64_t> values, Rng& rng);
 
   /// Fresh mechanism with identical parameters and empty aggregate state
@@ -148,9 +148,9 @@ class RangeMechanism : public MechanismBase {
   /// its own report count (for consistency-processed hierarchies the
   /// Lemma 4.6 B/(B+1) factor is applied per node, making the reported
   /// stddev a slight over-estimate). Never NaN: +inf where the answer
-  /// reads a level with no reports, 0 where it is exact. The flat, Haar
-  /// and hierarchical families compute it in their *Estimate types, which
-  /// the wire servers (src/protocol) answer through as well.
+  /// reads a level with no reports, 0 where it is exact. Every family
+  /// computes it in its *Estimate type, which the wire servers
+  /// (src/protocol) answer through as well.
   virtual RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                                   uint64_t b) const = 0;
 
@@ -197,12 +197,6 @@ class RangeMechanism : public MechanismBase {
 void EncodePointsSharded(MechanismBase& mechanism,
                          std::span<const uint64_t> coords, uint64_t seed,
                          unsigned threads = 0);
-
-/// 1-D alias of EncodePointsSharded (values are 1-coordinate points); kept
-/// for the classic name. Bit-identical to the historical 1-D driver.
-void EncodeUsersSharded(RangeMechanism& mechanism,
-                        std::span<const uint64_t> values, uint64_t seed,
-                        unsigned threads = 0);
 
 }  // namespace ldp
 

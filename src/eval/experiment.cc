@@ -43,7 +43,7 @@ void EncodePopulationSharded(const Dataset& data, RangeMechanism& mechanism,
                              uint64_t seed, unsigned threads) {
   LDP_CHECK_EQ(data.domain(), mechanism.domain_size());
   std::vector<uint64_t> values = data.ExpandValues();
-  EncodeUsersSharded(mechanism, values, seed, threads);
+  EncodePointsSharded(mechanism, values, seed, threads);
 }
 
 namespace {

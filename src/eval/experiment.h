@@ -31,7 +31,7 @@ struct ExperimentConfig {
   uint64_t trials = 5;             ///< repetitions (paper: 5)
   uint64_t seed = 42;              ///< master seed; trial t uses seed + t
   unsigned threads = 0;            ///< 0 = one thread per hardware core
-  /// Worker threads for ingestion *within* one trial (EncodeUsersSharded).
+  /// Worker threads for ingestion *within* one trial (EncodePointsSharded).
   /// 1 (default) keeps the sequential single-Rng stream — bit-identical to
   /// the historical per-user path; >1 (or 0 = hardware threads) shards the
   /// user stream across clones, useful when trials alone cannot saturate
@@ -80,8 +80,8 @@ void EncodePopulation(const Dataset& data, RangeMechanism& mechanism,
 
 /// Sharded variant: splits the population across up to `threads` mechanism
 /// clones (0 = one per hardware core) with deterministic per-chunk Rng
-/// streams derived from `seed`; see EncodeUsersSharded for the determinism
-/// contract.
+/// streams derived from `seed`; see EncodePointsSharded for the
+/// determinism contract.
 void EncodePopulationSharded(const Dataset& data, RangeMechanism& mechanism,
                              uint64_t seed, unsigned threads = 0);
 

@@ -1,12 +1,11 @@
 #include "protocol/ahead_protocol.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "core/consistency.h"
-#include "frequency/frequency_oracle.h"
 #include "frequency/grr.h"
 #include "protocol/wire.h"
 
@@ -317,51 +316,51 @@ std::vector<uint8_t> AheadServer::BuildTree() {
     estimates[l] = GrrDebias(counts, n_l, eps_);
   }
   EnforceHierarchicalConsistency(estimates, shape_.fanout());
-  // Same criterion as AheadMechanism::Finalize: split while the node's
-  // mass clears the phase-2 noise floor. The server cannot know the
-  // phase-2 population before broadcasting the tree, so it assumes the
-  // deployment sends phases of comparable size (threshold_scale is the
-  // tuning knob when that is off); the oracle-shared bound V_F stands in
-  // for the frontier-size-dependent GRR variance.
-  double phase2_level_reports = std::max(
-      1.0, static_cast<double>(phase1_reports_) / max_depth_);
-  double theta = config_.threshold_scale * 2.0 *
-                 std::sqrt(OracleVariance(eps_, phase2_level_reports));
-  bool no_signal = phase1_reports_ == 0;
-  auto should_split = [&](const TreeNode& n) {
-    if (config_.threshold_scale <= 0.0 || no_signal) return true;
-    return estimates[n.level][n.index] > theta;
-  };
-  tree_ = AdaptiveTree::Grow(shape_, max_depth_, should_split);
+  // AHEAD's split rule, as in AheadMechanism::Finalize. The server cannot
+  // know the phase-2 population before broadcasting the tree, so it
+  // assumes the deployment sends phases of comparable size
+  // (threshold_scale is the tuning knob when that is off); the
+  // oracle-shared bound V_F stands in for the frontier-size-dependent GRR
+  // variance.
+  AdoptTree(GrowAheadTree(
+      shape_, max_depth_, eps_, config_.threshold_scale, phase1_reports_,
+      phase1_reports_,
+      [&](const TreeNode& n) { return estimates[n.level][n.index]; }));
+  return tree_message_;
+}
+
+std::optional<AdaptiveTree> AheadServer::ParseOwnTree(
+    std::span<const uint8_t> bytes) const {
+  uint64_t domain = 0;
+  uint64_t fanout = 0;
+  std::optional<AdaptiveTree> tree;
+  if (ParseAheadTree(bytes, &domain, &fanout, &tree) != ParseError::kOk ||
+      domain != shape_.domain() || fanout != shape_.fanout()) {
+    return std::nullopt;
+  }
+  return tree;
+}
+
+void AheadServer::AdoptTree(AdaptiveTree tree) {
+  tree_message_ = SerializeAheadTree(shape_.domain(), shape_.fanout(), tree);
+  tree_ = std::move(tree);
   level_counts_.clear();
   for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
     level_counts_.emplace_back(tree_->FrontierSize(l), 0);
   }
-  tree_message_ =
-      SerializeAheadTree(shape_.domain(), shape_.fanout(), *tree_);
-  return tree_message_;
 }
 
 bool AheadServer::InstallTree(std::span<const uint8_t> bytes) {
   if (finalized_) return false;
-  uint64_t domain = 0;
-  uint64_t fanout = 0;
-  std::optional<AdaptiveTree> tree;
-  if (ParseAheadTree(bytes, &domain, &fanout, &tree) != ParseError::kOk) {
-    return false;
+  std::optional<AdaptiveTree> tree = ParseOwnTree(bytes);
+  if (!tree.has_value()) return false;
+  // Compared in canonical form, however the incoming bytes ordered their
+  // splits.
+  if (tree_.has_value()) {
+    return SerializeAheadTree(shape_.domain(), shape_.fanout(), *tree) ==
+           tree_message_;
   }
-  if (domain != shape_.domain() || fanout != shape_.fanout()) return false;
-  // Re-serialize so tree_message_ is always the canonical BFS form
-  // regardless of how the incoming bytes ordered their splits — merged
-  // shards compare trees by these bytes.
-  std::vector<uint8_t> canonical = SerializeAheadTree(domain, fanout, *tree);
-  if (tree_.has_value()) return canonical == tree_message_;
-  tree_ = std::move(tree);
-  tree_message_ = std::move(canonical);
-  level_counts_.clear();
-  for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
-    level_counts_.emplace_back(tree_->FrontierSize(l), 0);
-  }
+  AdoptTree(std::move(*tree));
   return true;
 }
 
@@ -421,30 +420,15 @@ bool AheadServer::RestoreStateBody(std::span<const uint8_t> body) {
   if (has_tree == 1) {
     std::span<const uint8_t> tree_bytes;
     if (!reader.ReadLengthPrefixedBytes(&tree_bytes)) return false;
-    uint64_t domain = 0;
-    uint64_t fanout = 0;
-    std::optional<AdaptiveTree> tree;
-    if (ParseAheadTree(tree_bytes, &domain, &fanout, &tree) !=
-        ParseError::kOk) {
-      return false;
-    }
-    if (domain != shape_.domain() || fanout != shape_.fanout()) return false;
+    std::optional<AdaptiveTree> tree = ParseOwnTree(tree_bytes);
+    if (!tree.has_value()) return false;
+    // Frontier sizes come from the parsed tree, whose node count
+    // ParseAheadTree capped (kMaxAheadTreeNodes).
+    AdoptTree(std::move(*tree));
     // Canonical-form check: the embedded bytes must equal the tree's BFS
     // re-serialization, so restored state re-serializes identically and
     // merges compare trees by bytes.
-    std::vector<uint8_t> canonical = SerializeAheadTree(domain, fanout, *tree);
-    if (canonical.size() != tree_bytes.size() ||
-        !std::equal(canonical.begin(), canonical.end(), tree_bytes.begin())) {
-      return false;
-    }
-    tree_ = std::move(tree);
-    tree_message_ = std::move(canonical);
-    // Frontier sizes come from the parsed tree, whose node count
-    // ParseAheadTree capped (kMaxAheadTreeNodes).
-    level_counts_.clear();
-    for (uint32_t l = 1; l <= tree_->num_levels(); ++l) {
-      level_counts_.emplace_back(tree_->FrontierSize(l), 0);
-    }
+    if (!std::ranges::equal(tree_message_, tree_bytes)) return false;
     for (std::vector<uint64_t>& level : level_counts_) {
       if (!reader.ReadU64Array(level.size(), level.data())) return false;
     }
@@ -510,16 +494,8 @@ void AheadServer::DoFinalize() {
     level_vars[l] =
         GrrLowFrequencyVariance(level_counts_[l].size(), eps_, n_l);
   }
-  CombineFrontierEstimates(*tree_, level_estimates, level_vars,
-                           &node_values_, &node_variances_);
-  std::vector<int64_t> parents = tree_->ParentIndices();
-  if (config_.consistency) {
-    EnforceAdaptiveConsistency(parents, node_values_, node_variances_,
-                               /*root_pin=*/1.0);
-  }
-  if (config_.nonnegativity) {
-    NonNegativeRescaleTopDown(parents, node_values_);
-  }
+  estimate_.emplace(*tree_, level_estimates, level_vars, config_.consistency,
+                    config_.nonnegativity);
 }
 
 double AheadServer::RangeQuery(uint64_t a, uint64_t b) const {
@@ -529,14 +505,13 @@ double AheadServer::RangeQuery(uint64_t a, uint64_t b) const {
 RangeEstimate AheadServer::RangeQueryWithUncertainty(uint64_t a,
                                                      uint64_t b) const {
   LDP_CHECK_MSG(finalized_, "RangeQuery before Finalize");
-  LDP_CHECK_LE(a, b);
   LDP_CHECK_LT(b, shape_.domain());
-  return AdaptiveRangeEstimate(*tree_, node_values_, node_variances_, a, b);
+  return estimate_->RangeQueryWithUncertainty(a, b);
 }
 
 std::vector<double> AheadServer::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  return AdaptiveLeafFrequencies(*tree_, node_values_, shape_.domain());
+  return estimate_->LeafFrequencies(shape_.domain());
 }
 
 }  // namespace ldp::protocol

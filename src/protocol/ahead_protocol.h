@@ -156,8 +156,9 @@ struct AheadServerConfig {
 };
 
 /// Server-side aggregator: phase-1 per-level GRR histograms ->
-/// BuildTree() -> phase-2 per-frontier GRR aggregation -> Finalize() ->
-/// queries. Ingestion accounting, finalize discipline, and quantile
+/// BuildTree() (core's GrowAheadTree) -> phase-2 per-frontier GRR
+/// aggregation -> Finalize() -> queries, answered through core's
+/// AheadEstimate. Ingestion accounting, finalize discipline, and quantile
 /// search come from service::AggregatorServer.
 class AheadServer final : public service::AggregatorServer {
  public:
@@ -221,6 +222,16 @@ class AheadServer final : public service::AggregatorServer {
   /// caller's to bump.
   static bool Fold(const OpenEra& era, const AheadWireReport& report);
 
+  /// Parses a kAheadTree message for this server's domain and fanout;
+  /// nullopt on malformed bytes or another shape.
+  std::optional<AdaptiveTree> ParseOwnTree(
+      std::span<const uint8_t> bytes) const;
+
+  /// Opens phase 2 on `tree`: tree_message_ becomes its canonical BFS
+  /// serialization (merged shards compare trees by these bytes), and each
+  /// frontier level gets a zeroed count table.
+  void AdoptTree(AdaptiveTree tree);
+
   /// Builds the tree if phase 1 was never closed, then debiases and
   /// post-processes.
   void DoFinalize() override;
@@ -246,8 +257,7 @@ class AheadServer final : public service::AggregatorServer {
   std::vector<uint8_t> tree_message_;
   uint64_t phase1_reports_ = 0;
   uint64_t phase2_reports_ = 0;
-  std::vector<double> node_values_;
-  std::vector<double> node_variances_;
+  std::optional<AheadEstimate> estimate_;  // reads tree_
 };
 
 }  // namespace ldp::protocol

@@ -1,13 +1,8 @@
 #include "protocol/multidim_protocol.h"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
+#include <memory>
 
-#include "common/bit_util.h"
 #include "common/check.h"
-#include "common/hash.h"
-#include "common/parallel.h"
 #include "protocol/oracle_wire.h"
 #include "protocol/wire.h"
 
@@ -16,16 +11,6 @@ namespace ldp::protocol {
 namespace {
 
 constexpr size_t kItemTail = 12;  // [seed u64][cell u32]
-
-// Chunked deterministic parallel encode, mirroring the kEncodeChunk /
-// ChunkSeed scheme of core/range_mechanism.cc: every chunk draws from its
-// own seed-derived Rng into its own output slots, so the result cannot
-// depend on how chunks land on workers.
-constexpr uint64_t kEncodeChunk = uint64_t{1} << 14;
-
-uint64_t ChunkSeed(uint64_t seed, uint64_t chunk) {
-  return Mix64(seed + 0x9E3779B97F4A7C15ULL * (chunk + 1));
-}
 
 void AppendItem(std::vector<uint8_t>& out, const MultiDimReport& report) {
   for (uint8_t level : report.levels) {
@@ -81,6 +66,15 @@ ParseError OpenMultiDimBatch(std::span<const uint8_t> bytes, uint32_t* dims,
   if (d == 0 || d > kMaxWireDimensions) return ParseError::kBadPayload;
   *dims = d;
   return ParseError::kOk;
+}
+
+// The grid layout both wire ends build: dims and levels travel as u8.
+GridLayout WireLayout(uint64_t domain_per_dim, uint32_t dims, uint64_t fanout,
+                      uint64_t max_total_cells) {
+  LDP_CHECK_LE(dims, kMaxWireDimensions);
+  GridLayout layout(TreeShape(domain_per_dim, fanout), dims, max_total_cells);
+  LDP_CHECK_LE(layout.shape().height(), 255u);
+  return layout;
 }
 
 }  // namespace
@@ -148,57 +142,27 @@ ParseError ParseMultiDimReportBatch(std::span<const uint8_t> bytes,
 
 MultiDimClient::MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions,
                                double eps, uint64_t fanout)
-    : dims_(dimensions),
-      eps_(eps),
-      shape_(domain_per_dim, fanout),
+    : eps_(eps),
+      layout_(WireLayout(domain_per_dim, dimensions, fanout,
+                         HierarchicalGrid::kDefaultCellBudget)),
       g_(OlhOptimalHashRange(eps)) {
   LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  LDP_CHECK_GE(dims_, 1u);
-  LDP_CHECK_LE(dims_, kMaxWireDimensions);
-  LDP_CHECK_LE(shape_.height(), 255u);  // levels travel as u8
-  uint64_t total = 0;
-  LDP_CHECK_MSG(GridCellsWithinBudget(shape_, dims_,
-                                      HierarchicalGrid::kDefaultCellBudget,
-                                      &total),
-                "multidim grid cell budget exceeded; reduce D or d");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  tuple_count_ = IntPow(radix, dims_);
-  tuple_cells_.assign(tuple_count_, 1);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    uint64_t rest = t;
-    uint64_t cells = 1;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      cells *= shape_.NodesAtLevel(static_cast<uint32_t>(rest % radix));
-      rest /= radix;
-    }
-    tuple_cells_[t] = cells;
-  }
 }
 
 MultiDimReport MultiDimClient::Encode(const uint64_t* coords,
                                       Rng& rng) const {
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    LDP_CHECK_LT(coords[dim], shape_.domain());
+  for (uint32_t dim = 0; dim < layout_.dims(); ++dim) {
+    LDP_CHECK_LT(coords[dim], layout_.shape().domain());
   }
   // Uniform level tuple skipping the all-root tuple 0, then the OLH
   // randomizer for that tuple's grid — the same draw order as
   // HierarchicalGrid::EncodePoint (tuple pick, then oracle).
-  uint64_t tuple = 1 + rng.UniformInt(tuple_count_ - 1);
+  const uint64_t tuple = layout_.SampleTuple(rng);
   MultiDimReport report;
-  report.levels.resize(dims_);
-  uint64_t rest = tuple;
-  uint64_t cell = 0;
-  uint64_t cell_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    uint32_t level = static_cast<uint32_t>(rest % radix);
-    rest /= radix;
-    report.levels[dim] = static_cast<uint8_t>(level);
-    cell += shape_.NodeContaining(level, coords[dim]) * cell_stride;
-    cell_stride *= shape_.NodesAtLevel(level);
-  }
-  OlhWireReport olh =
-      EncodeOlhReport(tuple_cells_[tuple], eps_, cell, rng, g_);
+  report.levels.resize(layout_.dims());
+  layout_.TupleLevels(tuple, report.levels.data());
+  OlhWireReport olh = EncodeOlhReport(layout_.TupleCells(tuple), eps_,
+                                      layout_.CellOf(tuple, coords), rng, g_);
   report.seed = olh.seed;
   report.cell = static_cast<uint32_t>(olh.cell);
   return report;
@@ -211,10 +175,11 @@ std::vector<uint8_t> MultiDimClient::EncodeSerialized(const uint64_t* coords,
 
 std::vector<MultiDimReport> MultiDimClient::EncodeUsers(
     std::span<const uint64_t> coords, Rng& rng) const {
-  LDP_CHECK_EQ(coords.size() % dims_, size_t{0});
+  const uint32_t dims = layout_.dims();
+  LDP_CHECK_EQ(coords.size() % dims, size_t{0});
   std::vector<MultiDimReport> reports;
-  reports.reserve(coords.size() / dims_);
-  for (size_t i = 0; i < coords.size(); i += dims_) {
+  reports.reserve(coords.size() / dims);
+  for (size_t i = 0; i < coords.size(); i += dims) {
     reports.push_back(Encode(coords.data() + i, rng));
   }
   return reports;
@@ -222,75 +187,27 @@ std::vector<MultiDimReport> MultiDimClient::EncodeUsers(
 
 std::vector<uint8_t> MultiDimClient::EncodeUsersSerialized(
     std::span<const uint64_t> coords, Rng& rng) const {
-  return SerializeMultiDimReportBatch(dims_, EncodeUsers(coords, rng));
-}
-
-std::vector<MultiDimReport> MultiDimClient::EncodeUsersSharded(
-    std::span<const uint64_t> coords, uint64_t seed,
-    unsigned threads) const {
-  LDP_CHECK_EQ(coords.size() % dims_, size_t{0});
-  const uint64_t n = coords.size() / dims_;
-  std::vector<MultiDimReport> reports(n);
-  if (n == 0) return reports;
-  if (threads == 0) threads = HardwareThreads();
-  const uint64_t num_chunks = (n + kEncodeChunk - 1) / kEncodeChunk;
-  auto encode_chunk = [&](uint64_t chunk) {
-    Rng rng(ChunkSeed(seed, chunk));
-    const uint64_t begin = chunk * kEncodeChunk;
-    const uint64_t end = std::min(n, begin + kEncodeChunk);
-    for (uint64_t i = begin; i < end; ++i) {
-      reports[i] = Encode(coords.data() + i * dims_, rng);
-    }
-  };
-  if (threads <= 1 || num_chunks == 1) {
-    for (uint64_t chunk = 0; chunk < num_chunks; ++chunk) {
-      encode_chunk(chunk);
-    }
-  } else {
-    ParallelFor(num_chunks, threads,
-                [&](unsigned, uint64_t begin, uint64_t end) {
-                  for (uint64_t chunk = begin; chunk < end; ++chunk) {
-                    encode_chunk(chunk);
-                  }
-                });
-  }
-  return reports;
+  return SerializeMultiDimReportBatch(layout_.dims(),
+                                      EncodeUsers(coords, rng));
 }
 
 MultiDimServer::MultiDimServer(uint64_t domain_per_dim, uint32_t dimensions,
                                double eps, uint64_t fanout,
                                uint64_t max_total_cells)
-    : dims_(dimensions),
-      eps_(eps),
-      shape_(domain_per_dim, fanout),
+    : eps_(eps),
       g_(OlhOptimalHashRange(eps)),
-      max_total_cells_(max_total_cells) {
+      max_total_cells_(max_total_cells),
+      layout_(WireLayout(domain_per_dim, dimensions, fanout, max_total_cells)) {
   LDP_CHECK_MSG(eps > 0.0, "epsilon must be positive");
-  LDP_CHECK_GE(dims_, 1u);
-  LDP_CHECK_LE(dims_, kMaxWireDimensions);
-  LDP_CHECK_LE(shape_.height(), 255u);
-  uint64_t total = 0;
-  LDP_CHECK_MSG(
-      GridCellsWithinBudget(shape_, dims_, max_total_cells, &total),
-      "MultiDimServer cell budget exceeded; reduce D, d or raise "
-      "max_total_cells");
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
-  tuple_count_ = IntPow(radix, dims_);
-  oracles_.resize(tuple_count_);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    uint64_t rest = t;
-    uint64_t cells = 1;
-    for (uint32_t dim = 0; dim < dims_; ++dim) {
-      cells *= shape_.NodesAtLevel(static_cast<uint32_t>(rest % radix));
-      rest /= radix;
-    }
-    oracles_[t] =
-        std::make_unique<OlhOracle>(cells, eps, g_, OlhDecode::kDeferred);
+  oracles_.resize(layout_.tuple_count());
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
+    oracles_[t] = std::make_unique<OlhOracle>(layout_.TupleCells(t), eps, g_,
+                                              OlhDecode::kDeferred);
   }
 }
 
 std::string MultiDimServer::Name() const {
-  return "MultiDim" + std::to_string(dims_) + "D";
+  return "MultiDim" + std::to_string(layout_.dims()) + "D";
 }
 
 uint64_t MultiDimServer::report_allocation_count() const {
@@ -303,23 +220,15 @@ uint64_t MultiDimServer::report_allocation_count() const {
 
 bool MultiDimServer::Fold(const uint8_t* levels, uint64_t seed,
                           uint32_t cell) {
-  if (cell >= g_) return false;
-  const uint64_t radix = uint64_t{shape_.height()} + 1;
   uint64_t tuple = 0;
-  uint64_t tuple_stride = 1;
-  for (uint32_t dim = 0; dim < dims_; ++dim) {
-    if (levels[dim] > shape_.height()) return false;
-    tuple += uint64_t{levels[dim]} * tuple_stride;
-    tuple_stride *= radix;
-  }
-  if (tuple == 0) return false;  // the all-root tuple carries no report
+  if (cell >= g_ || !layout_.TupleOf(levels, &tuple)) return false;
   oracles_[tuple]->AppendPendingReport(seed, cell);
   return true;
 }
 
 bool MultiDimServer::Absorb(const MultiDimReport& report) {
   LDP_CHECK_MSG(!finalized_, "Absorb after Finalize");
-  return CountReport(report.levels.size() == dims_ &&
+  return CountReport(report.levels.size() == layout_.dims() &&
                      Fold(report.levels.data(), report.seed, report.cell));
 }
 
@@ -339,7 +248,7 @@ ParseError MultiDimServer::DoAbsorbBatchSerialized(
   ParseError open = OpenMultiDimBatch(bytes, &dims, &batch);
   // A structurally valid batch for another dimensionality has every item
   // rejected, exactly as the Absorb loop would.
-  const bool own_dims = dims == dims_;
+  const bool own_dims = dims == layout_.dims();
   return AbsorbReportSlots<MultiDimItem>(
       open, batch,
       [dims](const uint8_t* slot, MultiDimItem* item) {
@@ -353,15 +262,15 @@ ParseError MultiDimServer::DoAbsorbBatchSerialized(
 
 void MultiDimServer::AppendStateBody(std::vector<uint8_t>& out) const {
   // [tuples varint][per non-trivial tuple (t = 1..): OlhOracle record].
-  AppendVarU64(out, tuple_count_);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
+  AppendVarU64(out, layout_.tuple_count());
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
     oracles_[t]->AppendState(out);
   }
 }
 
 size_t MultiDimServer::StateBodyBytes() const {
-  size_t bytes = VarU64Size(tuple_count_);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
+  size_t bytes = VarU64Size(layout_.tuple_count());
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
     bytes += oracles_[t]->StateBytes();
   }
   return bytes;
@@ -373,8 +282,8 @@ bool MultiDimServer::RestoreStateBody(std::span<const uint8_t> body) {
   if (!reader.ReadVarU64(&tuples)) return false;
   // Cross-check against this server's own grid family, never an
   // allocation size.
-  if (tuples != tuple_count_) return false;
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
+  if (tuples != layout_.tuple_count()) return false;
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
     if (!oracles_[t]->RestoreState(reader)) return false;
   }
   return reader.AtEnd();
@@ -382,67 +291,55 @@ bool MultiDimServer::RestoreStateBody(std::span<const uint8_t> body) {
 
 std::unique_ptr<service::AggregatorServer> MultiDimServer::DoCloneEmpty()
     const {
-  return std::make_unique<MultiDimServer>(shape_.domain(), dims_, eps_,
-                                          shape_.fanout(), max_total_cells_);
+  return std::make_unique<MultiDimServer>(domain(), layout_.dims(), eps_,
+                                          shape().fanout(), max_total_cells_);
 }
 
 service::MergeStatus MultiDimServer::DoMergeFrom(
     service::AggregatorServer& other) {
   auto& o = static_cast<MultiDimServer&>(other);
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
     oracles_[t]->MergeFrom(*o.oracles_[t]);
   }
   return service::MergeStatus::kOk;
 }
 
 void MultiDimServer::DoFinalize() {
-  estimates_.assign(tuple_count_, {});
-  estimates_[0] = {1.0};  // the all-root cell is the whole space
-  for (uint64_t t = 1; t < tuple_count_; ++t) {
-    estimates_[t] = oracles_[t]->EstimateFractions();
+  // Tuple by tuple, in order; each OLH decode fans out internally.
+  GridEstimate& estimate = estimate_.emplace(layout_);
+  for (uint64_t t = 1; t < layout_.tuple_count(); ++t) {
+    estimate.SetTuple(t, oracles_[t]->EstimateFractions(),
+                      oracles_[t]->EstimatorVariance());
   }
 }
 
 double MultiDimServer::BoxQuery(std::span<const AxisInterval> box) const {
   LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  double total = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += estimates_[tuple][cell];
-  });
-  return total;
+  return estimate_->BoxQuery(box);
 }
 
 RangeEstimate MultiDimServer::BoxQueryWithUncertainty(
     std::span<const AxisInterval> box) const {
   LDP_CHECK_MSG(finalized_, "BoxQuery before Finalize");
-  double total = 0.0;
-  double variance = 0.0;
-  VisitGridBoxCells(shape_, dims_, box, [&](uint64_t tuple, uint64_t cell) {
-    total += estimates_[tuple][cell];
-    if (tuple != 0) variance += oracles_[tuple]->EstimatorVariance();
-  });
-  return RangeEstimate{total, std::sqrt(variance)};
+  return estimate_->BoxQueryWithUncertainty(box);
 }
 
 double MultiDimServer::RangeQuery(uint64_t a, uint64_t b) const {
-  std::vector<AxisInterval> box(dims_,
-                                AxisInterval{0, shape_.domain() - 1});
-  box[0] = AxisInterval{a, b};
-  return BoxQuery(box);
+  return RangeQueryWithUncertainty(a, b).value;
 }
 
 RangeEstimate MultiDimServer::RangeQueryWithUncertainty(uint64_t a,
                                                         uint64_t b) const {
-  std::vector<AxisInterval> box(dims_,
-                                AxisInterval{0, shape_.domain() - 1});
+  std::vector<AxisInterval> box(layout_.dims(),
+                                AxisInterval{0, domain() - 1});
   box[0] = AxisInterval{a, b};
   return BoxQueryWithUncertainty(box);
 }
 
 std::vector<double> MultiDimServer::EstimateFrequencies() const {
   LDP_CHECK_MSG(finalized_, "EstimateFrequencies before Finalize");
-  std::vector<double> est(shape_.domain(), 0.0);
-  for (uint64_t z = 0; z < shape_.domain(); ++z) {
+  std::vector<double> est(domain(), 0.0);
+  for (uint64_t z = 0; z < domain(); ++z) {
     est[z] = RangeQuery(z, z);
   }
   return est;

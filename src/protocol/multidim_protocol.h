@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -74,8 +75,8 @@ class MultiDimClient {
   MultiDimClient(uint64_t domain_per_dim, uint32_t dimensions, double eps,
                  uint64_t fanout = 2);
 
-  const TreeShape& shape() const { return shape_; }
-  uint32_t dimensions() const { return dims_; }
+  const TreeShape& shape() const { return layout_.shape(); }
+  uint32_t dimensions() const { return layout_.dims(); }
   /// The shared OLH hash range g (optimal for eps); the server must be
   /// built with the same eps to agree on it.
   uint64_t hash_range() const { return g_; }
@@ -95,26 +96,14 @@ class MultiDimClient {
   std::vector<uint8_t> EncodeUsersSerialized(std::span<const uint64_t> coords,
                                              Rng& rng) const;
 
-  /// Deterministic parallel encode: points are cut into fixed-size
-  /// chunks, each drawn from its own seed-derived Rng into its own
-  /// report slots, so the result is bit-identical for every `threads`
-  /// value (0 = one per hardware core) — the wire-side analogue of
-  /// core EncodePointsSharded.
-  std::vector<MultiDimReport> EncodeUsersSharded(
-      std::span<const uint64_t> coords, uint64_t seed,
-      unsigned threads = 0) const;
-
  private:
-  uint32_t dims_;
   double eps_;
-  TreeShape shape_;
+  GridLayout layout_;
   uint64_t g_;
-  uint64_t tuple_count_;        // (h+1)^d, including the all-root tuple
-  std::vector<uint64_t> tuple_cells_;  // product-grid size per tuple
 };
 
 /// Server-side aggregator: one deferred-decode OLH oracle per non-trivial
-/// level tuple, box queries assembled by the shared cross-product walk.
+/// level tuple, answered through core's GridEstimate.
 /// Ingestion accounting, finalize discipline, and quantile search come
 /// from service::AggregatorServer; RangeQuery answers are the axis-0
 /// marginal (remaining axes spanning their full domain).
@@ -126,10 +115,10 @@ class MultiDimServer final : public service::AggregatorServer {
       uint64_t max_total_cells = HierarchicalGrid::kDefaultCellBudget);
 
   std::string Name() const override;
-  const TreeShape& shape() const { return shape_; }
+  const TreeShape& shape() const { return layout_.shape(); }
   /// Per-axis domain (the AggregatorServer contract for multidim).
-  uint64_t domain() const override { return shape_.domain(); }
-  uint32_t dimensions() const override { return dims_; }
+  uint64_t domain() const override { return shape().domain(); }
+  uint32_t dimensions() const override { return layout_.dims(); }
   uint64_t hash_range() const { return g_; }
 
   /// Ingests one report; false (counted) on a dims mismatch, an
@@ -168,7 +157,7 @@ class MultiDimServer final : public service::AggregatorServer {
   service::StateKind state_kind() const override {
     return service::StateKind::kGrid;
   }
-  uint64_t state_fanout() const override { return shape_.fanout(); }
+  uint64_t state_fanout() const override { return shape().fanout(); }
   double state_epsilon() const override { return eps_; }
   void AppendStateBody(std::vector<uint8_t>& out) const override;
   size_t StateBodyBytes() const override;
@@ -176,17 +165,14 @@ class MultiDimServer final : public service::AggregatorServer {
   std::unique_ptr<service::AggregatorServer> DoCloneEmpty() const override;
   service::MergeStatus DoMergeFrom(service::AggregatorServer& other) override;
 
-  uint32_t dims_;
   double eps_;
-  TreeShape shape_;
   uint64_t g_;
   uint64_t max_total_cells_;  // kept for CloneEmpty (merge-shard contract)
-  uint64_t tuple_count_;
-  // One oracle per level tuple != all-zero; index = little-endian mixed
-  // radix over (h+1), dimension 0 least significant, matching
-  // core/multidim.h. Slot 0 stays null (the all-root cell is exact).
+  GridLayout layout_;
+  // One oracle per level tuple != all-zero, indexed like GridLayout's
+  // tuples. Slot 0 stays null (the all-root cell is exact).
   std::vector<std::unique_ptr<OlhOracle>> oracles_;
-  std::vector<std::vector<double>> estimates_;
+  std::optional<GridEstimate> estimate_;
 };
 
 }  // namespace ldp::protocol

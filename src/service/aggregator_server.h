@@ -95,14 +95,14 @@ class AggregatorServer {
 
   /// RangeQuery plus the mechanism's analytic uncertainty for that range:
   /// the variance of exactly the terms the answer sums, each at its own
-  /// report count. Flat, haar and tree answer through their family's
-  /// core/ estimator, the stddev the paper simulations measure: +inf where
-  /// an answer reads a level with no reports, 0 where it is exact (the
-  /// Haar full domain, the tree root). AHEAD ships its per-node
-  /// accounting. The wire query plane ships this as (estimate, variance)
-  /// pairs. Pure virtual on purpose: a defaulted 0 (or even +inf) here
-  /// would let a new mechanism silently ship a wrong confidence bound —
-  /// deciding it is part of implementing a server.
+  /// report count. Every server answers through its family's core/
+  /// estimator, the stddev the paper simulations measure: +inf where an
+  /// answer reads a level with no reports, 0 where it is exact (the Haar
+  /// full domain, the tree root, the grid's whole space); AHEAD sums its
+  /// per-node accounting. The wire query plane ships this as (estimate,
+  /// variance) pairs. Pure virtual on purpose: a defaulted 0 (or even
+  /// +inf) here would let a new mechanism silently ship a wrong confidence
+  /// bound — deciding it is part of implementing a server.
   virtual RangeEstimate RangeQueryWithUncertainty(uint64_t a,
                                                   uint64_t b) const = 0;
 

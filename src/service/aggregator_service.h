@@ -19,7 +19,7 @@
 // it lets the strand go; its own caller returns at once. Because every
 // server aggregate is a commutative integer counter, the final state is
 // bit-identical for any number of calling threads and any chunk arrival
-// order — the same determinism contract as EncodeUsersSharded on the
+// order — the same determinism contract as EncodePointsSharded on the
 // client side.
 //
 // HandleMessage is safe to call from multiple threads; stream messages

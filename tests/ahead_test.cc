@@ -2,7 +2,7 @@
 // invariants, the degenerate full-split equivalence with fixed-fanout
 // HH_B, unbiasedness of range estimates, and the PR 2 batch/shard
 // ingestion contracts (EncodeUsers bit-identity, thread-count-invariant
-// EncodeUsersSharded, MergeFrom compatibility).
+// EncodePointsSharded, MergeFrom compatibility).
 
 #include <gtest/gtest.h>
 
@@ -292,7 +292,7 @@ TEST(Ahead, ShardedIngestionIsThreadCountInvariant) {
   std::vector<uint64_t> phase1_counts;
   for (unsigned threads : {1u, 4u, 8u}) {
     AheadMechanism mech(d, 1.0, AheadConfig{});
-    EncodeUsersSharded(mech, values, /*seed=*/2026, threads);
+    EncodePointsSharded(mech, values, /*seed=*/2026, threads);
     EXPECT_EQ(mech.user_count(), values.size());
     phase1_counts.push_back(mech.phase1_user_count());
     Rng fin(7);

@@ -1,6 +1,6 @@
 // Batched/sharded ingestion pipeline: SubmitBatch and EncodeUsers must be
-// bit-identical to their per-report loops for the same Rng stream, and the
-// EncodeUsersSharded driver must be thread-count invariant for a fixed seed
+// bit-identical to their per-report loops for the same Rng stream, and
+// EncodePointsSharded must be thread-count invariant for a fixed seed
 // (its determinism contract) while agreeing statistically with the
 // sequential path.
 
@@ -107,7 +107,7 @@ TEST(BatchIngest, ShardedIngestionIsThreadCountInvariant) {
       auto mechs = AllMechanisms(d, eps);
       auto& mech = *mechs[m];
       name = mech.Name();
-      EncodeUsersSharded(mech, values, /*seed=*/2024, threads);
+      EncodePointsSharded(mech, values, /*seed=*/2024, threads);
       EXPECT_EQ(mech.user_count(), values.size());
       Rng fin(7);
       mech.Finalize(fin);
@@ -121,12 +121,12 @@ TEST(BatchIngest, ShardedIngestionIsThreadCountInvariant) {
 TEST(BatchIngest, ShardedIngestionHandlesSmallAndEmptyInputs) {
   const uint64_t d = 16;
   FlatMechanism empty(d, 1.0, OracleKind::kOueSimulated);
-  EncodeUsersSharded(empty, {}, 1, 4);
+  EncodePointsSharded(empty, {}, 1, 4);
   EXPECT_EQ(empty.user_count(), 0u);
 
   std::vector<uint64_t> tiny = TestValues(10, d);  // single logical chunk
   FlatMechanism small(d, 1.0, OracleKind::kOueSimulated);
-  EncodeUsersSharded(small, tiny, 1, 4);
+  EncodePointsSharded(small, tiny, 1, 4);
   EXPECT_EQ(small.user_count(), tiny.size());
 }
 
@@ -147,7 +147,7 @@ TEST(BatchIngest, ShardedEstimatesAgreeWithSequentialStatistically) {
   sequential.Finalize(fin1);
 
   FlatMechanism sharded(d, eps, OracleKind::kOueSimulated);
-  EncodeUsersSharded(sharded, values, /*seed=*/31, /*threads=*/4);
+  EncodePointsSharded(sharded, values, /*seed=*/31, /*threads=*/4);
   Rng fin2(8);
   sharded.Finalize(fin2);
 
@@ -379,7 +379,7 @@ TEST(BatchIngest, MergeFromRejectsIncompatibleMechanisms) {
 }
 
 TEST(BatchIngest, ExperimentRunsWithShardedEncoding) {
-  // encode_threads > 1 routes trials through EncodeUsersSharded; the
+  // encode_threads > 1 routes trials through EncodePointsSharded; the
   // experiment must stay well-behaved end to end.
   ExperimentConfig config;
   config.domain = 64;

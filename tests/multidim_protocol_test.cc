@@ -1,18 +1,21 @@
 // The multidimensional wire path end to end: report/batch encodings are
-// total over adversarial bytes, the sharded client encoder is
-// bit-identical for every thread count, and a rectangle query answered
-// over the wire (streamed batches -> kMultiDimQuery) matches the
-// in-process aggregate bit for bit.
+// total over adversarial bytes, the served grid answers bit for bit like
+// core's HierarchicalGrid over OLH on the same draws, and a rectangle
+// query answered over the wire (streamed batches -> kMultiDimQuery)
+// matches the in-process aggregate bit for bit.
 
 #include "protocol/multidim_protocol.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/multidim.h"
 #include "protocol/envelope.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
@@ -195,19 +198,53 @@ TEST(MultiDimClientServer, RecoversRectangleMass) {
   EXPECT_GT(est.stddev, 0.0);
 }
 
-TEST(MultiDimClientServer, ShardedEncodeBitIdenticalAcrossThreads) {
-  MultiDimClient client(64, 2, 1.1);
-  std::vector<uint64_t> coords;
-  for (int i = 0; i < 40000; ++i) {
-    coords.push_back(static_cast<uint64_t>((i * 7) % 64));
-    coords.push_back(static_cast<uint64_t>((i * 13) % 64));
-  }
-  const std::vector<MultiDimReport> reference =
-      client.EncodeUsersSharded(coords, /*seed=*/55, /*threads=*/1);
-  ASSERT_EQ(reference.size(), 40000u);
-  for (unsigned threads : {0u, 3u, 8u}) {
-    EXPECT_EQ(client.EncodeUsersSharded(coords, 55, threads), reference)
-        << threads << " threads";
+TEST(MultiDimProtocol, EndToEndMatchesInProcessGrid) {
+  // Same Rng stream and submission order: the served grid must agree with
+  // HierarchicalGrid over OLH bit for bit — value and stddev — since both
+  // lay the grid out with GridLayout and answer through GridEstimate.
+  const uint64_t kFanout = 4;
+  const double kEps = 1.1;
+  for (uint32_t dims : {1u, 2u, 3u}) {
+    SCOPED_TRACE(dims);
+    const uint64_t domain = dims == 3 ? 16 : 64;
+    MultiDimClient client(domain, dims, kEps, kFanout);
+    MultiDimServer server(domain, dims, kEps, kFanout);
+    HierarchicalGridConfig config;
+    config.fanout = kFanout;
+    config.oracle = OracleKind::kOlh;
+    HierarchicalGrid grid(domain, dims, kEps, config);
+    std::vector<uint64_t> coords;
+    for (uint64_t i = 0; i < 20000; ++i) {
+      for (uint32_t dim = 0; dim < dims; ++dim) {
+        coords.push_back((i * (7 + 4 * dim) + dim) % domain);
+      }
+    }
+    Rng rng_wire(5);
+    Rng rng_mech(5);
+    ASSERT_EQ(server.AbsorbBatchSerialized(
+                  client.EncodeUsersSerialized(coords, rng_wire)),
+              ParseError::kOk);
+    grid.EncodePoints(coords, rng_mech);
+    server.Finalize();
+    Rng finalize_rng(1);
+    grid.Finalize(finalize_rng);
+
+    Rng box_rng(9);
+    for (int q = 0; q < 200; ++q) {
+      std::vector<AxisInterval> box(dims, AxisInterval{0, domain - 1});
+      if (q > 0) {  // the whole space first, then random boxes
+        for (AxisInterval& axis : box) {
+          uint64_t a = box_rng.UniformInt(domain);
+          uint64_t b = box_rng.UniformInt(domain);
+          axis = {std::min(a, b), std::max(a, b)};
+        }
+      }
+      const RangeEstimate served = server.BoxQueryWithUncertainty(box);
+      const RangeEstimate simulated = grid.BoxQueryWithUncertainty(box);
+      EXPECT_EQ(std::memcmp(&served, &simulated, sizeof(RangeEstimate)), 0)
+          << "box " << q << ": " << served.value << " +- " << served.stddev
+          << " vs " << simulated.value << " +- " << simulated.stddev;
+    }
   }
 }
 
@@ -310,8 +347,8 @@ service::MultiDimQueryResponse AskBox(AggregatorService& svc,
 }
 
 TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
-  // The acceptance flow: one sharded encode, absorbed once in process and
-  // once as streamed kMultiDimReportBatch chunks through the service;
+  // The acceptance flow: one encode, absorbed once in process and once as
+  // streamed kMultiDimReportBatch chunks through the service;
   // every rectangle answered over the wire must match the in-process
   // estimate bit for bit.
   const uint64_t kDomain = 64;
@@ -322,8 +359,8 @@ TEST(MultiDimService, StreamedIngestMatchesInProcessBitForBit) {
     coords.push_back(static_cast<uint64_t>((i * 11) % 64));
     coords.push_back(static_cast<uint64_t>((i * 5) % 64));
   }
-  const std::vector<MultiDimReport> reports =
-      client.EncodeUsersSharded(coords, /*seed=*/17);
+  Rng rng(17);
+  const std::vector<MultiDimReport> reports = client.EncodeUsers(coords, rng);
 
   MultiDimServer in_process(kDomain, 2, kEps);
   for (const MultiDimReport& report : reports) {
