@@ -27,7 +27,9 @@ void* Arena::Allocate(size_t bytes, size_t alignment) {
   size_t capacity = std::max(bytes + alignment, next_block_bytes_);
   next_block_bytes_ = std::min(next_block_bytes_ * 2, kMaxBlockBytes);
   Block block;
-  block.data = std::make_unique<std::byte[]>(capacity);
+  // Uninitialized: each page is first touched by the append that fills
+  // it, so a block's unused doubling slack costs no page faults.
+  block.data = std::make_unique_for_overwrite<std::byte[]>(capacity);
   block.capacity = capacity;
   bytes_reserved_ += capacity;
   ++block_allocations_;

@@ -17,9 +17,12 @@
 //                   clone/merge contract splices shard buffers instead of
 //                   copying them.
 //
-// NUMA note: chunks are first touched by the thread that appends into them
-// (ParallelFor workers each own a shard column), so on multi-node machines
-// the records live on the node that will usually scan them.
+// Blocks are allocated uninitialized, so a page is first touched by the
+// append that fills it: a fresh block costs page faults only for the
+// records written into it, not for its doubling slack. NUMA note: that
+// first touch is by the thread that appends (ParallelFor workers each own
+// a shard column), so on multi-node machines the records live on the node
+// that will usually scan them.
 //
 // Neither class is thread-safe; one writer per arena, the same contract as
 // the oracles they back.
@@ -57,8 +60,8 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Returns `bytes` of storage aligned to `alignment` (a power of two).
-  /// Never relocates previous allocations.
+  /// Returns `bytes` of uninitialized storage aligned to `alignment` (a
+  /// power of two). Never relocates previous allocations.
   void* Allocate(size_t bytes, size_t alignment);
 
   /// Rewinds to empty while retaining every block: the next allocation

@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -360,7 +359,7 @@ void TcpFrontEnd::TryOpenIntake(Connection& conn, size_t available,
   ++open_intakes_;
   stats_.snapshot_intakes->Increment();
   // Every buffered byte belonged to the frame and has landed in the clone.
-  conn.read_buf = std::vector<uint8_t>();
+  conn.read_buf = ReadBuffer();
   conn.read_pos = 0;
 }
 
@@ -417,31 +416,22 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
       if (large) TryOpenIntake(conn, available, total);
       break;  // wait for the rest of the message
     }
-    const size_t frame_end = conn.read_pos + static_cast<size_t>(total);
-    const size_t tail = conn.read_buf.size() - frame_end;
-    std::vector<uint8_t> message;
-    if (large && tail < total) {
-      // A large frame (a state snapshot) is handed over in the read
-      // buffer itself instead of being copied out of it. Bytes after the
-      // frame (the head of a pipelined next message, fewer than the
-      // frame's) move to a fresh buffer; a consumed prefix is shifted
-      // out in place.
-      std::vector<uint8_t> rest(
-          conn.read_buf.begin() + static_cast<ptrdiff_t>(frame_end),
-          conn.read_buf.end());
-      if (conn.read_pos > 0) {
-        std::memmove(conn.read_buf.data(), head, static_cast<size_t>(total));
-      }
-      conn.read_buf.resize(static_cast<size_t>(total));
-      message = std::exchange(conn.read_buf, std::move(rest));
-      conn.read_pos = 0;
-    } else {
-      message.assign(head, head + total);
-      conn.read_pos = frame_end;
-    }
+    conn.read_pos += static_cast<size_t>(total);
     if (large) RecordFrameAssembly(conn);
     conn.frame_declined = false;
-    if (!RouteMessage(conn, std::move(message))) return false;  // closed
+    if (!RouteMessage(conn, {head, static_cast<size_t>(total)})) {
+      return false;  // closed
+    }
+    const size_t tail = conn.read_buf.size() - conn.read_pos;
+    if (large && tail < total) {
+      // The buffer grew to hold the frame (a state snapshot): let it go
+      // with the frame. The bytes after it, fewer than the frame's, move
+      // to a fresh buffer.
+      conn.read_buf = ReadBuffer(
+          conn.read_buf.begin() + static_cast<ptrdiff_t>(conn.read_pos),
+          conn.read_buf.end());
+      conn.read_pos = 0;
+    }
   }
   // Compact once the consumed prefix dominates the buffer.
   if (conn.read_pos > kReadChunk &&
@@ -462,8 +452,8 @@ bool TcpFrontEnd::DrainReadBuffer(Connection& conn) {
 }
 
 bool TcpFrontEnd::RouteMessage(Connection& conn,
-                               std::vector<uint8_t>&& message) {
-  std::vector<uint8_t> response = service_.HandleMessage(std::move(message));
+                               std::span<const uint8_t> message) {
+  std::vector<uint8_t> response = service_.HandleMessage(message);
   stats_.messages_routed->Increment();
   if (response.empty()) return true;
   const int fd = conn.fd;

@@ -19,7 +19,8 @@
 // unrecoverable on a byte stream: the connection is closed and counted
 // in stats().protocol_errors.
 //
-// Every message is handled on the event-loop thread: the service absorbs
+// Every message is handled on the event-loop thread, in place in the
+// read buffer recv() wrote (with no zero-fill first): the service absorbs
 // each chunk inline, inside HandleMessage, so the loop reads no more
 // bytes while it absorbs. A readiness event reads at most 1 MiB from one
 // connection before routing it, so a sender that outpaces the absorb
@@ -58,6 +59,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -136,11 +139,25 @@ class TcpFrontEnd {
   TcpFrontEndStats stats() const;
 
  private:
+  // An allocator whose value-less construct() default-initializes, so
+  // resize() leaves the new bytes unwritten for recv() to fill (copies
+  // still construct through std::construct_at).
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  using ReadBuffer = std::vector<uint8_t, DefaultInitAllocator<uint8_t>>;
+
   struct Connection {
     int fd = -1;
     // Unparsed inbound bytes; [read_pos, size) is live, the consumed
-    // prefix is compacted away once it outgrows the live tail.
-    std::vector<uint8_t> read_buf;
+    // prefix is compacted away once it outgrows the live tail. Complete
+    // frames are routed where they lie; the service reads them only
+    // during HandleMessage.
+    ReadBuffer read_buf;
     size_t read_pos = 0;
     // Outbound: FIFO of framed responses, write_pos into the front one.
     std::deque<std::vector<uint8_t>> write_queue;
@@ -201,9 +218,9 @@ class TcpFrontEnd {
   /// Returns false when the connection was closed (a framing violation,
   /// or a failed response write).
   bool DrainReadBuffer(Connection& conn);
-  /// Routes one complete message (consuming `message`) and queues its
-  /// response. Returns false when the connection was closed.
-  bool RouteMessage(Connection& conn, std::vector<uint8_t>&& message);
+  /// Routes one complete message and queues its response. Returns false
+  /// when the connection was closed.
+  bool RouteMessage(Connection& conn, std::span<const uint8_t> message);
   /// Queues `response` and flushes what the socket takes now. A failed
   /// write closes — and destroys — the connection.
   void QueueResponse(Connection& conn, std::vector<uint8_t> response);

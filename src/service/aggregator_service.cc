@@ -79,20 +79,9 @@ std::vector<uint8_t> AggregatorService::HandleMessage(
     case MechanismTag::kStreamBegin:
       HandleStreamBegin(bytes);
       return {};
-    case MechanismTag::kStreamChunk: {
-      StreamChunk msg;
-      if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
-        ++stats_.malformed_messages;
-        return {};
-      }
-      // Copy the nested batch out of the caller's buffer: it may queue
-      // behind another thread's absorb and outlive this call (the move
-      // overload keeps the whole buffer instead).
-      QueuedChunk chunk;
-      chunk.buffer.assign(msg.payload.begin(), msg.payload.end());
-      EnqueueChunk(msg.session_id, msg.sequence, std::move(chunk));
+    case MechanismTag::kStreamChunk:
+      HandleStreamChunk(bytes);
       return {};
-    }
     case MechanismTag::kStreamEnd:
       HandleStreamEnd(bytes);
       return {};
@@ -112,30 +101,6 @@ std::vector<uint8_t> AggregatorService::HandleMessage(
       return {};
     }
   }
-}
-
-std::vector<uint8_t> AggregatorService::HandleMessage(
-    std::vector<uint8_t>&& bytes) {
-  // Only the chunk path benefits from ownership (a chunk queued behind
-  // another thread's absorb outlives the call); everything else reads the
-  // bytes synchronously.
-  Envelope env;
-  if (DecodeEnvelope(bytes, &env) == protocol::ParseError::kOk &&
-      env.mechanism == MechanismTag::kStreamChunk) {
-    StreamChunk msg;
-    ++stats_.messages;
-    if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
-      ++stats_.malformed_messages;
-      return {};
-    }
-    QueuedChunk chunk;
-    chunk.nested_offset =
-        static_cast<size_t>(msg.payload.data() - bytes.data());
-    chunk.buffer = std::move(bytes);
-    EnqueueChunk(msg.session_id, msg.sequence, std::move(chunk));
-    return {};
-  }
-  return HandleMessage(std::span<const uint8_t>(bytes));
 }
 
 void AggregatorService::HandleStreamBegin(std::span<const uint8_t> bytes) {
@@ -159,10 +124,14 @@ void AggregatorService::HandleStreamBegin(std::span<const uint8_t> bytes) {
   }
 }
 
-void AggregatorService::EnqueueChunk(uint64_t session_id, uint64_t sequence,
-                                     QueuedChunk chunk) {
+void AggregatorService::HandleStreamChunk(std::span<const uint8_t> bytes) {
+  StreamChunk msg;
+  if (ParseStreamChunk(bytes, &msg) != protocol::ParseError::kOk) {
+    ++stats_.malformed_messages;
+    return;
+  }
   std::unique_lock<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
+  auto it = sessions_.find(msg.session_id);
   if (it == sessions_.end()) {
     ++stats_.unknown_sessions;
     return;
@@ -177,15 +146,12 @@ void AggregatorService::EnqueueChunk(uint64_t session_id, uint64_t sequence,
     ++stats_.late_chunks;
     return;
   }
-  if (!session.AdmitChunk(sequence)) {
+  if (!session.AdmitChunk(msg.sequence)) {
     ++stats_.duplicate_chunks;
     return;
   }
-  chunk.enqueue_ns = obs::NowNanos();
-  entry.queue.push_back(std::move(chunk));
   ++stats_.chunks_enqueued;
-  queue_depth_->Add(1);
-  RunStrandLocked(lock, session.server_id());
+  RunStrandLocked(lock, session.server_id(), msg.payload);
 }
 
 void AggregatorService::HandleStreamEnd(std::span<const uint8_t> bytes) {
@@ -707,9 +673,9 @@ MergeStatus AggregatorService::RunFanInMergeLocked(
 
   lock.lock();
   if (status == MergeStatus::kOk && (group.flags & kMergeFlagFinalize) != 0) {
-    FinalizeClaimedLocked(lock, entry);
+    entry.finalize_pending = true;
   }
-  ReleaseStrandLocked(entry);
+  ReleaseStrandLocked(lock, entry);
   return status;
 }
 
@@ -726,54 +692,61 @@ bool AggregatorService::ClaimIdleStrandLocked(
   return true;
 }
 
-void AggregatorService::FinalizeClaimedLocked(
+void AggregatorService::ReleaseStrandLocked(
     std::unique_lock<std::mutex>& lock, ServerEntry& entry) {
-  entry.state = EntryState::kFinalizing;  // new chunks are late from here
-  lock.unlock();
-  entry.server->Finalize();
-  ++stats_.finalizes;
-  lock.lock();
-  entry.state = EntryState::kFinalized;
-}
-
-void AggregatorService::ReleaseStrandLocked(ServerEntry& entry) {
+  while (true) {
+    if (!entry.queue.empty()) {
+      std::vector<QueuedChunk> queued;
+      queued.swap(entry.queue);
+      lock.unlock();
+      const uint64_t picked_up_ns = obs::NowNanos();
+      for (const QueuedChunk& chunk : queued) {
+        queue_wait_ns_->Record(picked_up_ns - chunk.enqueue_ns);
+        entry.server->AbsorbBatchSerialized(chunk.batch);
+      }
+      queue_depth_->Sub(static_cast<int64_t>(queued.size()));
+      lock.lock();
+      stats_.chunks_absorbed += queued.size();
+      continue;
+    }
+    if (!entry.finalize_pending || entry.state != EntryState::kLive) break;
+    entry.state = EntryState::kFinalizing;  // new chunks are late from here
+    lock.unlock();
+    entry.server->Finalize();
+    ++stats_.finalizes;
+    lock.lock();
+    entry.state = EntryState::kFinalized;
+  }
+  entry.finalize_pending = false;
   entry.scheduled = false;
   if (--busy_entries_ == 0) idle_.notify_all();
 }
 
-void AggregatorService::RunStrandLocked(std::unique_lock<std::mutex>& lock,
-                                        size_t entry_index) {
+void AggregatorService::RunStrandLocked(
+    std::unique_lock<std::mutex>& lock, size_t entry_index,
+    std::optional<std::span<const uint8_t>> batch) {
   ServerEntry& entry = *entries_[entry_index];
-  if (entry.scheduled) return;  // the holder absorbs what was just queued
+  if (entry.scheduled) {
+    // The holder absorbs the queue before it lets go; the caller's bytes
+    // do not outlive its call, so the batch queues as a copy.
+    if (batch.has_value()) {
+      entry.queue.push_back(QueuedChunk{
+          std::vector<uint8_t>(batch->begin(), batch->end()),
+          obs::NowNanos()});
+      queue_depth_->Add(1);
+    }
+    return;
+  }
   entry.scheduled = true;
   ++busy_entries_;
-  while (true) {
-    if (!entry.queue.empty()) {
-      std::deque<QueuedChunk> batch;
-      batch.swap(entry.queue);
-      lock.unlock();
-      const uint64_t picked_up_ns = obs::NowNanos();
-      for (const QueuedChunk& chunk : batch) {
-        queue_wait_ns_->Record(picked_up_ns - chunk.enqueue_ns);
-        // Parse/range rejections are counted by the server itself.
-        entry.server->AbsorbBatchSerialized(
-            std::span<const uint8_t>(chunk.buffer)
-                .subspan(chunk.nested_offset));
-      }
-      queue_depth_->Sub(static_cast<int64_t>(batch.size()));
-      lock.lock();
-      stats_.chunks_absorbed += batch.size();
-      continue;
-    }
-    if (entry.finalize_pending && entry.state == EntryState::kLive) {
-      FinalizeClaimedLocked(lock, entry);
-      entry.finalize_pending = false;
-      continue;  // re-check the queue before releasing the strand
-    }
-    entry.finalize_pending = false;
-    break;
+  if (batch.has_value()) {
+    lock.unlock();
+    // Parse/range rejections are counted by the server itself.
+    entry.server->AbsorbBatchSerialized(*batch);
+    lock.lock();
+    ++stats_.chunks_absorbed;
   }
-  ReleaseStrandLocked(entry);
+  ReleaseStrandLocked(lock, entry);
 }
 
 void AggregatorService::Drain() {
@@ -786,8 +759,8 @@ bool AggregatorService::FinalizeServer(uint64_t server_id) {
   if (server_id >= entries_.size()) return false;
   if (!ClaimIdleStrandLocked(lock, server_id)) return false;
   ServerEntry& entry = *entries_[server_id];
-  FinalizeClaimedLocked(lock, entry);
-  ReleaseStrandLocked(entry);
+  entry.finalize_pending = true;
+  ReleaseStrandLocked(lock, entry);
   return true;
 }
 

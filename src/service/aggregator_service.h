@@ -4,19 +4,20 @@
 //            client                      AggregatorService
 //   reports --batch--> kStreamChunk --> session admit (dedupe) --+
 //                                                                |
-//                 per-server strand: the admitting thread drains |
-//                 the queue -> AbsorbBatchSerialized  <----------+
+//                 per-server strand: the admitting thread        |
+//                 absorbs in place -> AbsorbBatchSerialized <----+
 //                                                                |
 //   answer <-- kRangeQueryResponse <-- query plane <- Finalize --+
 //
 // Ingestion is inline: an admitted chunk is absorbed on the thread that
-// handed it over, before HandleMessage returns. The service starts no
-// threads of its own. Each hosted server has a strand — a chunk queue
-// plus a claim — that keeps at most one thread inside that server at a
-// time, so concurrent callers ingest into different servers in parallel
-// with no locking inside the mechanisms. A chunk for a server another
-// thread is absorbing into is queued, and that thread absorbs it before
-// it lets the strand go; its own caller returns at once. Because every
+// handed it over, straight from the caller's bytes, before HandleMessage
+// returns. The service starts no threads of its own. Each hosted server
+// has a strand — a chunk queue plus a claim — that keeps at most one
+// thread inside that server at a time, so concurrent callers ingest into
+// different servers in parallel with no locking inside the mechanisms.
+// A chunk for a server another thread is absorbing or merging into is
+// queued as a copy of its batch, and that thread absorbs it before it
+// lets the strand go; its own caller returns at once. Because every
 // server aggregate is a commutative integer counter, the final state is
 // bit-identical for any number of calling threads and any chunk arrival
 // order — the same determinism contract as EncodePointsSharded on the
@@ -46,10 +47,10 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -98,7 +99,7 @@ class AggregatorService {
   /// Default hard cap on tracked sessions (live + ended). Session ids
   /// are remembered for the service's lifetime so a replayed session
   /// cannot re-ingest its chunks; the cap bounds what kStreamBegin spam
-  /// can allocate (ended sessions have released their sequence sets, so
+  /// can allocate (ended sessions have released their dedupe bitmaps, so
   /// the worst case is ~100 bytes per id). Begins past it are rejected
   /// and counted in stats().rejected_sessions.
   static constexpr size_t kMaxSessions = size_t{1} << 20;
@@ -142,14 +143,10 @@ class AggregatorService {
   /// kMultiDimQueryResponse; kStatsQuery returns a serialized
   /// kStatsResponse; kStateMerge returns a serialized
   /// kStateMergeResponse; anything else is counted as malformed and
-  /// returns an empty vector.
+  /// returns an empty vector. `bytes` need live only for the call: a
+  /// chunk's nested batch is absorbed where it lies, and copied only
+  /// when it queues behind another thread's absorb.
   std::vector<uint8_t> HandleMessage(std::span<const uint8_t> bytes);
-
-  /// Same routing, taking ownership of the buffer: a chunk's nested batch
-  /// is absorbed (or queued behind another thread's absorb) where it
-  /// lies, not copied — the path for callers that materialize each
-  /// message anyway.
-  std::vector<uint8_t> HandleMessage(std::vector<uint8_t>&& bytes);
 
   /// Blocks until no thread holds a strand: every admitted chunk has been
   /// absorbed and any in-flight finalize or fan-in reduce finished. A
@@ -260,13 +257,12 @@ class AggregatorService {
  private:
   enum class EntryState : uint8_t { kLive, kFinalizing, kFinalized };
 
-  /// One queued chunk: the owning buffer plus the offset of the nested
-  /// batch message inside it (0 when the buffer is the batch itself).
-  /// `enqueue_ns` is the admit timestamp feeding the queue-wait
-  /// histogram when the strand's thread picks the chunk up.
+  /// A chunk that met a strand another thread holds: a copy of its
+  /// nested batch, which outlives the caller's bytes. `enqueue_ns` is the
+  /// admit timestamp feeding the queue-wait histogram when the strand's
+  /// thread picks the chunk up.
   struct QueuedChunk {
-    std::vector<uint8_t> buffer;
-    size_t nested_offset = 0;
+    std::vector<uint8_t> batch;
     uint64_t enqueue_ns = 0;
   };
 
@@ -308,12 +304,13 @@ class AggregatorService {
     CounterRef finalizes;
   };
 
-  /// A hosted server and its strand: `queue` holds admitted chunks not
-  /// yet absorbed, and `scheduled` is the claim of the one thread allowed
-  /// inside the server — it drains the queue before it lets go.
+  /// A hosted server and its strand: `scheduled` is the claim of the one
+  /// thread allowed inside the server, and `queue` holds the chunks
+  /// admitted while another thread held it — the holder drains the queue
+  /// before it lets go.
   struct ServerEntry {
     std::unique_ptr<AggregatorServer> server;
-    std::deque<QueuedChunk> queue;  // FIFO
+    std::vector<QueuedChunk> queue;  // FIFO
     bool scheduled = false;  // a thread holds the strand
     bool finalize_pending = false;
     EntryState state = EntryState::kLive;
@@ -334,28 +331,28 @@ class AggregatorService {
     size_t filled = 0;  // non-nullptr slots; == shard_count triggers merge
   };
 
-  /// Runs `entry_index`'s strand on the calling thread: claims it, then
-  /// absorbs its queue and any pending finalize until both are empty. A
-  /// no-op when another thread holds the claim — that thread absorbs
-  /// whatever was queued before it lets go. Enters and leaves with
-  /// `lock` held; absorb and finalize run unlocked.
-  void RunStrandLocked(std::unique_lock<std::mutex>& lock,
-                       size_t entry_index);
+  /// Runs `entry_index`'s strand on the calling thread: claims it,
+  /// absorbs `batch` (an admitted chunk's nested batch, where it lies)
+  /// and releases it. When another thread holds the claim, `batch` is
+  /// queued as a copy and that thread absorbs it before it lets go.
+  /// Enters and leaves with `lock` held; absorb and finalize run
+  /// unlocked.
+  void RunStrandLocked(
+      std::unique_lock<std::mutex>& lock, size_t entry_index,
+      std::optional<std::span<const uint8_t>> batch = std::nullopt);
   /// Claims `server_id`'s strand for a finalize or a fan-in reduce once
   /// no strand is held (one lock hold: no absorb can slip in between).
   /// False, with nothing claimed, for a server that is no longer live.
   bool ClaimIdleStrandLocked(std::unique_lock<std::mutex>& lock,
                              uint64_t server_id);
-  /// Finalizes a live server whose strand the caller holds: Finalize
-  /// runs unlocked, with chunks arriving meanwhile counted late. Enters
-  /// and leaves with `lock` held; the claim stays held.
-  void FinalizeClaimedLocked(std::unique_lock<std::mutex>& lock,
-                             ServerEntry& entry);
-  /// Releases a strand claim; wakes Drain() once no strand is held.
-  void ReleaseStrandLocked(ServerEntry& entry);
+  /// Lets go of a strand the caller holds, after absorbing every chunk
+  /// queued behind its claim and running a pending finalize (chunks that
+  /// arrive during Finalize are counted late). Wakes Drain() once no
+  /// strand is held. Enters and leaves with `lock` held.
+  void ReleaseStrandLocked(std::unique_lock<std::mutex>& lock,
+                           ServerEntry& entry);
   void HandleStreamBegin(std::span<const uint8_t> bytes);
-  void EnqueueChunk(uint64_t session_id, uint64_t sequence,
-                    QueuedChunk chunk);
+  void HandleStreamChunk(std::span<const uint8_t> bytes);
   void HandleStreamEnd(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleRangeQuery(std::span<const uint8_t> bytes);
   std::vector<uint8_t> HandleMultiDimQuery(std::span<const uint8_t> bytes);
@@ -395,9 +392,10 @@ class AggregatorService {
   /// (FinalizeServer's drain-and-claim idiom), merges the group's clones
   /// pairwise on the calling thread — adjacent shard indices, so the
   /// result is bit-identical for every push order — folds the survivor
-  /// into the hosted server, and finalizes it when the group asked
-  /// (kMergeFlagFinalize). Enters and leaves with `lock` held; the
-  /// reduction itself runs unlocked under the claim.
+  /// into the hosted server, absorbs the chunks that queued behind the
+  /// reduce, and finalizes it when the group asked (kMergeFlagFinalize).
+  /// Enters and leaves with `lock` held; the reduction itself runs
+  /// unlocked under the claim.
   MergeStatus RunFanInMergeLocked(std::unique_lock<std::mutex>& lock,
                                   uint64_t server_id, MergeSession group);
 
@@ -417,8 +415,9 @@ class AggregatorService {
   size_t merge_buffer_limit_ = kDefaultMergeBufferShards;
   size_t busy_entries_ = 0;  // strands currently claimed
   ServiceCounters stats_{registry_};
-  // Ingestion-plane instrumentation: chunks pending across all strands,
-  // admit-to-absorb wait, and end-to-end query handling latency.
+  // Ingestion-plane instrumentation: chunks queued across all strands,
+  // their admit-to-absorb wait (a chunk absorbed in place never queues),
+  // and end-to-end query handling latency.
   obs::Gauge* queue_depth_ = &registry_.GetGauge("service.queue_depth");
   obs::LatencyHistogram* queue_wait_ns_ =
       &registry_.GetHistogram("service.queue_wait_ns");

@@ -1,13 +1,34 @@
 #include "common/arena.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdint>
 #include <numeric>
 #include <vector>
 
+// Sanitizer allocators touch shadow pages of what they hand out, so a
+// page-fault count says nothing about the arena under them.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LDP_FAULT_COUNTING 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LDP_FAULT_COUNTING 0
+#else
+#define LDP_FAULT_COUNTING 1
+#endif
+#else
+#define LDP_FAULT_COUNTING 1
+#endif
+
 namespace ldp {
 namespace {
+
+uint64_t MinorFaults() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
 
 TEST(Arena, AllocationsDoNotRelocate) {
   Arena arena(64);
@@ -55,6 +76,28 @@ TEST(Arena, OversizedRequestGetsDedicatedBlock) {
   void* p = arena.Allocate(1 << 20, 8);
   ASSERT_NE(p, nullptr);
   EXPECT_GE(arena.bytes_reserved(), size_t{1} << 20);
+}
+
+TEST(Arena, FreshBlockIsFaultedInOnlyWhereWritten) {
+#if !LDP_FAULT_COUNTING
+  GTEST_SKIP() << "page-fault counting disabled under sanitizers";
+#else
+  // A block is not zero-filled when it is allocated: its pages are
+  // faulted in by the appends that write them. Zero-filling this 8 MiB
+  // block would fault in all 2,048 of its 4 KiB pages.
+  constexpr size_t kBytes = size_t{8} << 20;
+  constexpr size_t kPage = 4096;
+  Arena arena;
+  const uint64_t before = MinorFaults();
+  auto* block = static_cast<uint8_t*>(arena.Allocate(kBytes, 1));
+  EXPECT_LT(MinorFaults() - before, 64u);
+  for (size_t i = 0; i < kBytes; i += kPage) {
+    block[i] = static_cast<uint8_t>(i / kPage);
+  }
+  for (size_t i = 0; i < kBytes; i += kPage) {
+    ASSERT_EQ(block[i], static_cast<uint8_t>(i / kPage)) << i;
+  }
+#endif
 }
 
 TEST(Arena, AdoptBlocksKeepsDataAliveAndEmptiesSource) {

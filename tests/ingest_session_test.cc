@@ -92,5 +92,23 @@ TEST(IngestSession, ReplayedEndKeepsFirstDeclaration) {
   EXPECT_TRUE(s.complete());
 }
 
+TEST(IngestSession, DedupeHoldsAcrossBitmapWordsAndUpToTheCap) {
+  // Sequences on both sides of 64-bit word boundaries, the largest one in
+  // policy first (the bitmap's largest growth), then every sequence in
+  // reverse: each is admitted exactly once.
+  IngestSession s(1, 0);
+  for (uint64_t seq : {kMax - 1, uint64_t{63}, uint64_t{64}, uint64_t{0},
+                       uint64_t{127}, uint64_t{128}, kMax - 64}) {
+    EXPECT_TRUE(s.AdmitChunk(seq)) << seq;
+    EXPECT_FALSE(s.AdmitChunk(seq)) << seq;
+  }
+  EXPECT_EQ(s.chunks_admitted(), 7u);
+  for (uint64_t seq = kMax; seq-- > 0;) s.AdmitChunk(seq);
+  EXPECT_EQ(s.chunks_admitted(), kMax);
+  EXPECT_FALSE(s.AdmitChunk(kMax));
+  EXPECT_EQ(s.End(kMax, 0), EndResult::kOk);
+  EXPECT_TRUE(s.complete());
+}
+
 }  // namespace
 }  // namespace ldp

@@ -23,6 +23,7 @@
 #include "protocol/tree_protocol.h"
 #include "service/aggregator_service.h"
 #include "service/server_factory.h"
+#include "service/state_wire.h"
 #include "service/stream_wire.h"
 
 namespace ldp {
@@ -485,20 +486,22 @@ TEST(ServiceRouting, UnroutableMessagesAreCountedNotCrashed) {
   EXPECT_EQ(svc.stats().malformed_messages, 2u);
 }
 
-// A server whose batch absorb blocks on an external gate, so a test can
-// hold a calling thread inside the strand while other callers' chunks
-// pile up behind it. Queries are inert; only the ingestion path matters
-// here.
+// A server whose batch absorb and fan-in merge block on an external gate,
+// so a test can hold a calling thread inside the strand while other
+// callers' chunks pile up behind it. It records the bytes of every batch
+// it absorbs, read once the gate opens. Queries and state are inert; only
+// the strand matters here.
 class GatedServer : public AggregatorServer {
  public:
   std::string Name() const override { return "Gated"; }
-  uint64_t domain() const override { return 1; }
+  uint64_t domain() const override { return 2; }
   bool AbsorbSerialized(std::span<const uint8_t>) override { return true; }
-  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t>,
+  ParseError DoAbsorbBatchSerialized(std::span<const uint8_t> bytes,
                                    uint64_t* accepted) override {
     absorbing_.store(true, std::memory_order_release);
     std::unique_lock<std::mutex> lock(mu_);
     gate_cv_.wait(lock, [&] { return open_; });
+    absorbed_.emplace_back(bytes.begin(), bytes.end());
     batches_.fetch_add(1, std::memory_order_relaxed);
     if (accepted != nullptr) *accepted = 1;
     return ParseError::kOk;
@@ -507,7 +510,9 @@ class GatedServer : public AggregatorServer {
   RangeEstimate RangeQueryWithUncertainty(uint64_t, uint64_t) const override {
     return {0.0, 0.0};
   }
-  std::vector<double> EstimateFrequencies() const override { return {0.0}; }
+  std::vector<double> EstimateFrequencies() const override {
+    return {0.0, 0.0};
+  }
 
   void Open() {
     {
@@ -517,14 +522,19 @@ class GatedServer : public AggregatorServer {
     gate_cv_.notify_all();
   }
   bool absorbing() const { return absorbing_.load(std::memory_order_acquire); }
+  bool merging() const { return merging_.load(std::memory_order_acquire); }
   uint64_t batches() const {
     return batches_.load(std::memory_order_relaxed);
+  }
+  std::vector<std::vector<uint8_t>> absorbed() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return absorbed_;
   }
 
  protected:
   void DoFinalize() override {}
-  // Inert state plumbing: this double exercises the strand, never the
-  // fan-in plane.
+  // Inert state plumbing: an empty snapshot restores into a fresh double,
+  // so a fan-in push reaches the gated merge.
   service::StateKind state_kind() const override {
     return service::StateKind::kFlat;
   }
@@ -533,9 +543,12 @@ class GatedServer : public AggregatorServer {
   size_t StateBodyBytes() const override { return 0; }
   bool RestoreStateBody(std::span<const uint8_t>) override { return true; }
   std::unique_ptr<AggregatorServer> DoCloneEmpty() const override {
-    return nullptr;
+    return std::make_unique<GatedServer>();
   }
   service::MergeStatus DoMergeFrom(AggregatorServer&) override {
+    merging_.store(true, std::memory_order_release);
+    std::unique_lock<std::mutex> lock(mu_);
+    gate_cv_.wait(lock, [&] { return open_; });
     return service::MergeStatus::kOk;
   }
 
@@ -544,7 +557,9 @@ class GatedServer : public AggregatorServer {
   std::condition_variable gate_cv_;
   bool open_ = false;
   std::atomic<bool> absorbing_{false};
+  std::atomic<bool> merging_{false};
   std::atomic<uint64_t> batches_{0};
+  std::vector<std::vector<uint8_t>> absorbed_;
 };
 
 // Polls `pred` until it holds or a generous deadline passes. The waits in
@@ -621,24 +636,31 @@ TEST(ServiceBackpressure, InlineModeNeverQueuesOrWaits) {
 
 TEST(ServiceStrand, ChunkForAHeldStrandQueuesWithoutWaiting) {
   // A caller whose chunk meets a strand another thread holds never
-  // waits: the chunk queues, its HandleMessage returns at once, and the
-  // holder absorbs it, exactly once, before it lets the strand go.
+  // waits: the chunk queues as a copy, its HandleMessage returns at once
+  // (its buffer is the caller's again), and the holder absorbs it,
+  // exactly once, before it lets the strand go. The holder's own chunk
+  // is absorbed in place and never queues.
   auto owned = std::make_unique<GatedServer>();
   GatedServer* gated = owned.get();
   AggregatorService svc;
   const uint64_t server_id = svc.AddServer(std::move(owned));
-  const std::vector<uint8_t> payload = {0xAB};
+  const std::vector<std::vector<uint8_t>> payloads = {
+      {0xA0}, {0xA1, 0x11}, {0xA2, 0x22, 0x33}};
   svc.HandleMessage(service::SerializeStreamBegin({7, server_id}));
   // Chunk 0's caller claims the strand and parks inside the gate.
   std::thread holder([&] {
-    svc.HandleMessage(service::SerializeStreamChunk(7, 0, payload));
+    svc.HandleMessage(service::SerializeStreamChunk(7, 0, payloads[0]));
   });
   ASSERT_TRUE(EventuallyTrue([&] { return gated->absorbing(); }));
-  svc.HandleMessage(service::SerializeStreamChunk(7, 1, payload));
-  svc.HandleMessage(service::SerializeStreamChunk(7, 2, payload));
+  for (uint64_t c = 1; c < payloads.size(); ++c) {
+    std::vector<uint8_t> message =
+        service::SerializeStreamChunk(7, c, payloads[c]);
+    svc.HandleMessage(message);
+    std::fill(message.begin(), message.end(), uint8_t{0xFF});
+  }
   EXPECT_EQ(svc.stats().chunks_enqueued, 3u);
   EXPECT_EQ(svc.stats().chunks_absorbed, 0u);
-  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 3);
+  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 2);
 
   gated->Open();
   holder.join();
@@ -646,8 +668,45 @@ TEST(ServiceStrand, ChunkForAHeldStrandQueuesWithoutWaiting) {
   EXPECT_EQ(stats.chunks_absorbed, 3u);
   EXPECT_EQ(stats.duplicate_chunks, 0u);
   EXPECT_EQ(gated->batches(), 3u);
+  EXPECT_EQ(gated->absorbed(), payloads);
   EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
   EXPECT_TRUE(svc.FinalizeServer(server_id));
+}
+
+TEST(ServiceStrand, ChunkQueuedBehindAFanInReduceIsAbsorbedByTheReducer) {
+  // A fan-in reduce holds its server's strand as an absorb does: a chunk
+  // admitted meanwhile queues, and the reducing thread absorbs it before
+  // it lets the strand go, with no later message or Drain() needed.
+  auto owned = std::make_unique<GatedServer>();
+  GatedServer* gated = owned.get();
+  AggregatorService svc;
+  const uint64_t server_id = svc.AddServer(std::move(owned));
+  service::StateMergeRequest push;
+  push.merge_id = 1;
+  push.server_id = server_id;
+  push.shard_count = 1;
+  const std::vector<uint8_t> message =
+      service::SerializeStateMerge(push, GatedServer().SerializeState());
+  svc.HandleMessage(service::SerializeStreamBegin({3, server_id}));
+  std::thread reducer([&] {
+    service::StateMergeResponse response;
+    ASSERT_EQ(service::ParseStateMergeResponse(svc.HandleMessage(message),
+                                               &response),
+              ParseError::kOk);
+    EXPECT_EQ(response.status, service::MergeStatus::kOk);
+  });
+  ASSERT_TRUE(EventuallyTrue([&] { return gated->merging(); }));
+  const std::vector<std::vector<uint8_t>> payloads = {{0xB0}};
+  svc.HandleMessage(service::SerializeStreamChunk(3, 0, payloads[0]));
+  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 1);
+
+  gated->Open();
+  reducer.join();
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.merges_completed, 1u);
+  EXPECT_EQ(stats.chunks_absorbed, 1u);
+  EXPECT_EQ(gated->absorbed(), payloads);
+  EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
 }
 
 TEST(ServiceStrand, HeldStrandDoesNotStallOtherServers) {

@@ -5,16 +5,20 @@
 // columns — so at steady state (arenas warmed by earlier chunks) a chunk's
 // absorption performs ZERO heap allocations, for every server kind: no
 // staging std::vector of decoded reports, no second copy of the chunk
-// payload.
+// payload. The same holds one layer up: a kStreamChunk message routed
+// through AggregatorService::HandleMessage is admitted and absorbed from
+// the caller's bytes, with no copy of its batch, no queue entry and no
+// dedupe node.
 //
 // This file overrides the global operator new/delete to count allocations,
-// so it deliberately contains ONLY this test. The override is disabled
+// so it deliberately contains ONLY these tests. The override is disabled
 // under AddressSanitizer (it would bypass ASan's allocator instrumentation);
 // the test skips itself there — the equivalent arena-level assertions run
 // in every build via multidim_test and olh_test.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -29,6 +33,8 @@
 #include "protocol/haar_protocol.h"
 #include "protocol/multidim_protocol.h"
 #include "protocol/tree_protocol.h"
+#include "service/aggregator_service.h"
+#include "service/stream_wire.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define LDP_ALLOC_COUNTING 0
@@ -151,6 +157,52 @@ TEST(ZeroCopyIngestion, SteadyStateChunkAbsorbIsAllocationFree) {
       EXPECT_EQ(grid->report_allocation_count(), arena_allocs);
     }
     EXPECT_EQ(c.server->accepted_reports(), 10u * 64u);
+  }
+#endif
+}
+
+TEST(ZeroCopyIngestion, RoutedChunkIsAbsorbedInPlace) {
+#if !LDP_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  constexpr uint64_t kWarmup = 2;
+  constexpr uint64_t kRouted = 8;
+  constexpr uint64_t kSession = 1;
+  for (ChunkCase& c : AllChunkCases()) {
+    SCOPED_TRACE(c.name);
+    service::AggregatorService svc;
+    const uint64_t server_id = svc.AddServer(std::move(c.server));
+    svc.HandleMessage(service::SerializeStreamBegin({kSession, server_id}));
+    std::vector<std::vector<uint8_t>> messages;
+    for (uint64_t seq = 0; seq < kWarmup + kRouted; ++seq) {
+      messages.push_back(service::SerializeStreamChunk(kSession, seq, c.chunk));
+    }
+    // Warmup: the session's dedupe bitmap and the grid's first arena
+    // blocks.
+    for (uint64_t seq = 0; seq < kWarmup; ++seq) {
+      svc.HandleMessage(messages[seq]);
+    }
+    ASSERT_EQ(svc.stats().chunks_absorbed, kWarmup);
+
+    std::array<uint64_t, kRouted> absorbed{};
+    const uint64_t heap_before =
+        g_allocations.load(std::memory_order_relaxed);
+    for (uint64_t i = 0; i < kRouted; ++i) {
+      svc.HandleMessage(messages[kWarmup + i]);
+      absorbed[i] = svc.stats().chunks_absorbed;
+    }
+    const uint64_t heap_after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(heap_after - heap_before, 0u)
+        << "routing a streamed chunk allocated on the heap: the service "
+           "must absorb the batch from the caller's bytes";
+    for (uint64_t i = 0; i < kRouted; ++i) {
+      EXPECT_EQ(absorbed[i], kWarmup + i + 1) << "chunk " << i
+                                              << " was not absorbed in its "
+                                                 "own HandleMessage call";
+    }
+    EXPECT_EQ(svc.registry().GetGauge("service.queue_depth").value(), 0);
+    EXPECT_EQ(svc.server(server_id).accepted_reports(),
+              (kWarmup + kRouted) * 64u);
   }
 #endif
 }
